@@ -6,11 +6,17 @@ n+1 distinct members (k primed indices, k = 0..n) and restores the label
 multiplicity C(n,k) wherever the full family enters a sum.  A massless
 component is a single all-unprimed symmetric multispinor.
 
-Synthesis expands a field over tensor products of the chi eigenbispinors,
-one term per sign pattern; extraction contracts with the frame partner
-omega, which annihilates every term but the pure-pi one.  The quadratic
-tensor T pairs each member with its conjugate, and the norm integrand
-[t...t T] / [t_1.p ... t_n.p] is independent of the chosen directions t_k.
+Synthesis expands a field over tensor products of the chi eigenbispinors;
+extraction contracts with the frame partner omega, which annihilates every
+term but the pure-pi one.  The quadratic tensor T pairs each member with its
+conjugate, and the norm integrand [t...t T] / [t_1.p ... t_n.p] is
+independent of the chosen directions t_k.
+
+The production kernels work in graded (r+1)(s+1) coordinates: a 2x2 dyad on
+every slot of a symmetric group is one (r+1)x(r+1) matrix of
+`multispinor.sym_power_matrices`.  Only the distinct-direction T contraction
+(the direction-independence check), the field-equation and helicity residuals
+and the Hertz route expand members densely to 2^n entries.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ from . import core
 from .errors import (FrameMismatch, NonUnitDeterminant, NotMassive, NotNull,
                      OrthogonalDirection, ValenceMismatch)
 from .frames import SpinFrame, frame_massless
-from .multispinor import (SymMultiSpinor, _sym_power_coeffs, contract_same,
-                          dense_from_graded, graded_from_dense)
+from .multispinor import (SymMultiSpinor, _binomials, _sym_power_coeffs,
+                          apply_matrix_per_slot, contract_same,
+                          dense_from_graded, graded_from_dense,
+                          sym_power_matrices)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
 _PSI = string.ascii_uppercase
 _BAR = string.ascii_lowercase
 
-# dense expansions grow like 2^n; the storage contract caps the doubled spin
+# the distinct-direction T check loops over 2^n labelled members of 2^n dense
+# entries each; the storage contract caps the doubled spin where it stays cheap
 MAX_N = 10
 
 
@@ -158,9 +167,13 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
                   normalization=None) -> BWComponent:
     """Assemble the n+1 component multispinors from the amplitudes.
 
-    The expansion runs over all 2^n chi tensor-product patterns; the member
-    with k primed slots collects, for the pattern class with m plus factors,
-    the C(r,a) C(k,m-a) ways of routing a plus factors to unprimed slots.
+    The chi tensor-product expansion puts, on the member with r = n - k
+    unprimed and k primed slots, the amplitude f_{a+b} on every routing of a
+    plus factors to unprimed and b to primed slots.  In graded form
+    psi_k = N^n U_r^T H_k V_k, where H_k[a, b] = f_{a+b} is the Hankel
+    matrix of the amplitudes, U_r = S_r([u-; u+]) / C(r, i) and
+    V_k = S_k([v-; v+]) / C(k, j) (S from `sym_power_matrices`); the
+    binomial divisions are applied to the product.
     """
     if amps.mass <= 0 or frame.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
@@ -170,25 +183,17 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
                else np.asarray(normalization, dtype=complex))
     oml = core.lower_spinor(frame.omega)
     pil = core.lower_spinor(frame.pi)
-    u_plus, u_minus = e * oml, -pil
-    v_plus, v_minus = -np.conj(pil), -e * np.conj(oml)
+    us = sym_power_matrices(np.stack([-pil, e * oml], axis=-2), n)
+    vs = sym_power_matrices(np.stack([-e * np.conj(oml), -np.conj(pil)], axis=-2), n)
     nk = np.asarray(n_scale ** n)[..., None, None]
+    f = np.asarray(amps.f, dtype=complex)
     comps = []
     for k in range(n + 1):
         r = n - k
-        acc = None
-        for m in range(n + 1):
-            gm = None
-            for a in range(max(0, m - k), min(r, m) + 1):
-                b = m - a
-                cu = _sym_power_coeffs([u_plus] * a + [u_minus] * (r - a))
-                cv = _sym_power_coeffs([v_plus] * b + [v_minus] * (k - b))
-                term = (comb(r, a) * comb(k, b)
-                        * np.einsum('...i,...j->...ij', cu, cv))
-                gm = term if gm is None else gm + term
-            contrib = gm * amps.f[..., m, None, None]
-            acc = contrib if acc is None else acc + contrib
-        comps.append(SymMultiSpinor(r, k, nk * acc))
+        hankel = f[..., np.add.outer(np.arange(r + 1), np.arange(k + 1))]
+        scale = nk / np.multiply.outer(_binomials(r), _binomials(k))
+        comp = np.swapaxes(us[r], -1, -2) @ hankel @ vs[k]
+        comps.append(SymMultiSpinor(r, k, scale * comp))
     return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=tuple(comps))
 
 
@@ -276,37 +281,77 @@ def _pattern_contraction(dense: np.ndarray, tdy: np.ndarray, n: int,
     return np.einsum(",".join(subs) + "->...", *ops, optimize=True)
 
 
+def _hermitian_factor(dyad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B and signs J with dyad = B diag(J) B^H for a batch of Hermitian 2x2s.
+
+    A closed-form Jacobi rotation: with dyad_01 = |b| e^{i phi},
+    U = diag(1, e^{-i phi}) R(theta), tan 2 theta = 2|b| / (dyad_00 - dyad_11),
+    diagonalizes the dyad to eigenvalues mean +- radius; B = U |Lambda|^{1/2}.
+    """
+    a, d, b = np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]), dyad[..., 0, 1]
+    theta = 0.5 * np.arctan2(2.0 * np.abs(b), a - d)
+    c, s = np.cos(theta), np.sin(theta)
+    phase = np.exp(-1j * np.angle(b))
+    u = np.stack([np.stack([c, -s], axis=-1),
+                  np.stack([phase * s, phase * c], axis=-1)], axis=-2)
+    mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+    lam = np.stack([mean + radius, mean - radius], axis=-1)
+    return u * np.sqrt(np.abs(lam))[..., None, :], np.where(lam < 0, -1.0, 1.0)
+
+
+def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
+    """sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with K = S(dyad), the
+    same Hermitian dyad on every slot, as a signed sum of squares.
+
+    With dyad = B J B^H from `_hermitian_factor` and
+    S(M M') = S(M) D^{-1} S(M'), each member gives
+    sum_ab w_a w'_b |(S_r(B)^H conj(c) S_k(B))_ab|^2 with
+    w_a = J_0^{r-a} J_1^a / C(r, a).  For a causal future-pointing direction
+    every weight is positive, so nothing cancels outside the squares;
+    multiplying out K_r conj(c) K_k instead loses digits as n grows.
+    """
+    n = psi.n
+    factor, sign = _hermitian_factor(dyad)
+    gs = sym_power_matrices(factor, n)
+    ws = []
+    for r in range(n + 1):
+        a = np.arange(r + 1)
+        ws.append(sign[..., 0, None] ** (r - a) * sign[..., 1, None] ** a
+                  / _binomials(r))
+    total = 0.0
+    for k, comp in enumerate(psi.comps):
+        r = n - k
+        x = np.conj(np.swapaxes(gs[r], -1, -2)) @ np.conj(comp.comp) @ gs[k]
+        w = ws[r][..., :, None] * ws[k][..., None, :]
+        total = total + comb(n, k) * np.sum(w * np.abs(x) ** 2, axis=(-2, -1))
+    return total
+
+
 def contract_T(psi: BWComponent, ts: np.ndarray,
                equal_slots: bool | None = None) -> np.ndarray:
     """t_1...t_n T, summing the quadratic tensor over all 2^n labelled members.
 
     With identical direction vectors on every slot the pattern sum reduces to
-    binomial multiplicities of the canonical members.
+    binomial multiplicities of the canonical members, and each member pairs
+    in graded form: sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with
+    K = S(t^{AA'}) from `sym_power_matrices`, evaluated as a sum of squares
+    by `_square_pairing`.  Distinct directions take the dense route over
+    every labelled member; that route is the direction-independence check,
+    not a production path.
     """
     n = psi.n
     if equal_slots is None:
         equal_slots = bool(np.all(ts == ts[0]))
+    if equal_slots:
+        return _square_pairing(psi, core.vector_to_dyad(ts[0], "up"))
     tdy = core.vector_to_dyad(ts, "up")
     total = None
     for k, comp in enumerate(psi.comps):
-        r = n - k
-        dense = dense_from_graded(comp.comp, r, k)
-        if equal_slots:
-            val = comb(n, k) * _pattern_contraction(dense, tdy, n,
-                                                    tuple(range(r, n)))
-        else:
-            val = None
-            for primed_at in itertools.combinations(range(n), k):
-                term = _pattern_contraction(dense, tdy, n, primed_at)
-                val = term if val is None else val + term
-        total = val if total is None else total + val
+        dense = dense_from_graded(comp.comp, n - k, k)
+        for primed_at in itertools.combinations(range(n), k):
+            term = _pattern_contraction(dense, tdy, n, primed_at)
+            total = term if total is None else total + term
     return np.real(total)
-
-
-def contract_T_massive(psi: BWComponent, spec,
-                       frame: SpinFrame | None = None) -> np.ndarray:
-    ts, equal = resolve_directions(spec, psi.n, psi, frame)
-    return contract_T(psi, ts, equal)
 
 
 def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
@@ -314,14 +359,15 @@ def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
     """The generalized norm integrand [t...t T] / [(t_1.p)...(t_n.p)].
 
     form "t" evaluates the direction form for the given spec; form "p" uses
-    the direction-free representation m^{-2n} p...p T for massive components
-    (for massless ones every valid direction gives the same value, so the
-    standard-time form stands in).
+    the direction-free representation m^{-2n} p...p T for massive components,
+    which `_square_pairing` evaluates as a sum of positive squares since p is
+    timelike (for massless ones every valid direction gives the same value,
+    so the standard-time form stands in).
     """
     if form == "p":
         if psi.mass > 0:
-            ts = np.broadcast_to(psi.p, (psi.n,) + psi.p.shape)
-            return contract_T(psi, ts, True) * psi.mass ** (-2 * psi.n)
+            pdy = core.vector_to_dyad(psi.p, "up")
+            return _square_pairing(psi, pdy) * psi.mass ** (-2 * psi.n)
         spec = StandardTime()
     if spec is None:
         spec = StandardTime()
@@ -341,14 +387,14 @@ def norm_integrand_massive(psi: BWComponent, spec=None,
 
 def standard_bw_integrand(psi: BWComponent) -> np.ndarray:
     """Component-sum integrand of the standard norm, sum |psi|^2 / (p^0)^n,
-    counting all 2^n labelled members."""
+    counting all 2^n labelled members: each graded entry c_ij of member k
+    stands for C(r,i) C(k,j) dense entries of C(n,k) labelled members."""
     n = psi.n
-    total = None
+    total = 0.0
     for k, comp in enumerate(psi.comps):
-        dense = dense_from_graded(comp.comp, n - k, k)
-        axes = tuple(range(dense.ndim - n, dense.ndim))
-        val = comb(n, k) * np.sum(np.abs(dense) ** 2, axis=axes)
-        total = val if total is None else total + val
+        weights = np.multiply.outer(_binomials(n - k), _binomials(k))
+        total = total + comb(n, k) * np.sum(weights * np.abs(comp.comp) ** 2,
+                                            axis=(-2, -1))
     return total / psi.p[..., 0] ** n
 
 
@@ -446,7 +492,6 @@ def wigner_state(psi: BWComponent, spec,
 
 def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     """Slotwise SL(2,C) action and momentum map p -> Lambda p."""
-    from .multispinor import apply_matrix_per_slot
     a = np.asarray(a, dtype=complex)
     if np.max(np.abs(np.linalg.det(a) - 1.0)) > 1e-9:
         raise NonUnitDeterminant("transform needs det A = 1")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bw import Amplitudes, BWComponent
+from .bw import MAX_N, Amplitudes, BWComponent
 from .errors import SchemaError
 from .multispinor import SymMultiSpinor
 
@@ -53,8 +53,9 @@ def _header_in(doc: dict, want_normalization: bool):
     _require(h.get("version") == VERSION, "/header/version",
              f"unsupported version {h.get('version')!r}")
     n = h.get("n")
-    _require(isinstance(n, int) and 1 <= n <= 10, "/header/n",
-             "n must be an integer in 1..10")
+    # bool is a subclass of int, so "n": true would otherwise read as 1
+    _require(isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= MAX_N,
+             "/header/n", f"n must be an integer in 1..{MAX_N}")
     mass = h.get("mass")
     _require(isinstance(mass, (int, float)) and mass >= 0, "/header/mass",
              "mass must be a number >= 0")

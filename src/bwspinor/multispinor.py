@@ -2,9 +2,11 @@
 
 A tensor symmetric in r unprimed and s primed two-valued indices has
 (r+1)(s+1) independent components, labelled by the number of 1-values in each
-group.  The graded array is the canonical storage; a dense (2,)*(r+s) expansion
-is available for contractions and for brute-force cross-checks.  Index height
-is not tracked here; each operation states the valence it expects.
+group.  The graded array is the canonical storage and every operation here
+works on it directly: a 2x2 matrix acting on all r slots of a group is the
+(r+1)x(r+1) matrix of `sym_power_matrices`.  The dense (2,)*(r+s) expansion
+remains for diagnostics and brute-force cross-checks.  Index height is not
+tracked here; each operation states the valence it expects.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ from .errors import ValenceMismatch
 @lru_cache(maxsize=None)
 def _bitcounts(r: int) -> np.ndarray:
     return np.array([bin(i).count("1") for i in range(2 ** r)])
+
+
+@lru_cache(maxsize=None)
+def _binomials(r: int) -> np.ndarray:
+    """The row C(r, 0..r); the class sizes of the graded components."""
+    return np.array([comb(r, i) for i in range(r + 1)], dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +105,7 @@ def _sym_power_coeffs(factors: list[np.ndarray]) -> np.ndarray:
         nxt[..., 1:deg + 2] += c[..., :deg + 1] * f[..., 1, None]
         c = nxt
         deg += 1
-    return c / np.array([comb(r, i) for i in range(r + 1)])
+    return c / _binomials(r)
 
 
 def sym_outer(unprimed: list[np.ndarray], primed: list[np.ndarray]) -> SymMultiSpinor:
@@ -113,19 +121,20 @@ def sym_outer(unprimed: list[np.ndarray], primed: list[np.ndarray]) -> SymMultiS
 def contract_full(t: SymMultiSpinor, unprimed: list[np.ndarray],
                   primed: list[np.ndarray]) -> np.ndarray:
     """Full contraction with one spinor per slot (contraction is a plain sum,
-    so factors must carry the opposite index height)."""
+    so factors must carry the opposite index height).
+
+    The sum over all index tuples with i unprimed and j primed 1-values is
+    C(r,i) C(s,j) times the graded components of the factors' symmetrized
+    product, so no dense expansion is needed.
+    """
     if len(unprimed) != t.r or len(primed) != t.s:
         raise ValenceMismatch(
             f"need {t.r} unprimed and {t.s} primed factors, "
             f"got {len(unprimed)} and {len(primed)}")
-    dense = t.dense()
-    letters = "ABCDEFGHIJKLMNOPQRST"
-    subs = ["..." + letters[: t.r + t.s]]
-    ops: list[np.ndarray] = [dense]
-    for i, f in enumerate(list(unprimed) + list(primed)):
-        subs.append("..." + letters[i])
-        ops.append(np.asarray(f, dtype=complex))
-    return np.einsum(",".join(subs) + "->...", *ops)
+    cu = _sym_power_coeffs([np.asarray(f, dtype=complex) for f in unprimed])
+    cv = _sym_power_coeffs([np.asarray(f, dtype=complex) for f in primed])
+    return np.einsum('...ij,...i,...j->...', t.comp,
+                     _binomials(t.r) * cu, _binomials(t.s) * cv)
 
 
 def _binomial_weights(count: int, x: np.ndarray) -> np.ndarray:
@@ -133,8 +142,7 @@ def _binomial_weights(count: int, x: np.ndarray) -> np.ndarray:
     i = np.arange(count + 1)
     if count == 0:
         return np.ones(x.shape[:-1] + (1,), dtype=complex)
-    return (np.array([comb(count, k) for k in i])
-            * x[..., 0, None] ** (count - i) * x[..., 1, None] ** i)
+    return _binomials(count) * x[..., 0, None] ** (count - i) * x[..., 1, None] ** i
 
 
 def contract_same(t: SymMultiSpinor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -145,19 +153,39 @@ def contract_same(t: SymMultiSpinor, x: np.ndarray, y: np.ndarray) -> np.ndarray
     return np.einsum('...ij,...i,...j->...', t.comp, wx, wy)
 
 
+def sym_power_matrices(m: np.ndarray, n: int) -> list[np.ndarray]:
+    """Images S_0..S_n of a batch of 2x2 matrices on the symmetric powers.
+
+    S_r[..., i, j] is the coefficient of x^i y^j in
+    (m00 + m01 y + m10 x + m11 x y)^r, i.e. the sum of prod_k m[a_k, b_k]
+    over all index tuples a with i ones and b with j ones.  With
+    D_r = diag C(r, i), m acting on every slot of a symmetric group maps
+    graded components c to D_r^{-1} S_r c, and S_r(m m') =
+    S_r(m) D_r^{-1} S_r(m').  Built by the four-term recurrence
+    S_r = m00 S_{r-1} + m01 shift_y + m10 shift_x + m11 shift_xy.
+    """
+    # built batch-last, so every update runs over contiguous samples
+    m = np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
+    out = [np.ones((1, 1) + m.shape[2:], dtype=complex)]
+    for r in range(1, n + 1):
+        prev = out[-1]
+        s = np.zeros((r + 1, r + 1) + m.shape[2:], dtype=complex)
+        s[:-1, :-1] += m[0, 0] * prev
+        s[:-1, 1:] += m[0, 1] * prev
+        s[1:, :-1] += m[1, 0] * prev
+        s[1:, 1:] += m[1, 1] * prev
+        out.append(s)
+    return [np.moveaxis(s, (0, 1), (-2, -1)) for s in out]
+
+
 def apply_matrix_per_slot(t: SymMultiSpinor, m_unprimed: np.ndarray,
                           m_primed: np.ndarray) -> SymMultiSpinor:
     """Apply one matrix to every unprimed slot and another to every primed slot.
 
-    Acting with the same matrix on all slots of a symmetric tensor keeps it
-    symmetric; the closing graded average only removes float round-off.
+    In graded form c -> D_r^{-1} S_r(m_unprimed) c S_s(m_primed)^T D_s^{-1}.
     """
-    n = t.r + t.s
-    letters = "ABCDEFGHIJKLMNOPQRST"[:n]
-    dense = t.dense()
-    for axis in range(n):
-        m = m_unprimed if axis < t.r else m_primed
-        dst = letters[:axis] + "z" + letters[axis + 1:]
-        dense = np.einsum(f"...{letters},...z{letters[axis]}->...{dst}",
-                          dense, np.asarray(m, dtype=complex), optimize=True)
-    return SymMultiSpinor(t.r, t.s, graded_from_dense(dense, t.r, t.s))
+    su = sym_power_matrices(m_unprimed, t.r)[t.r]
+    sp = sym_power_matrices(m_primed, t.s)[t.s]
+    comp = su @ t.comp @ np.swapaxes(sp, -1, -2)
+    return SymMultiSpinor(t.r, t.s, comp / np.multiply.outer(_binomials(t.r),
+                                                             _binomials(t.s)))

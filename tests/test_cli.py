@@ -30,6 +30,15 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_nan_residual_fails(self, capsys, monkeypatch):
+        from bwspinor import verify
+        monkeypatch.setitem(verify.SUITES, "core",
+                            lambda trials, seed: {"fine": 0.0, "broken": float("nan")})
+        code, out, _ = run_cli(["verify", "--suite", "core", "--trials", "5"], capsys)
+        assert code == 1
+        assert "broken" in out and "FAIL" in out
+        assert "worst residual: nan" in out
+
     def test_bogus_suite_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
@@ -97,6 +106,18 @@ class TestPipelines:
                                 str(tmp_path / "x.json")], capsys)
         assert code == 2
         assert "/header/version" in err
+
+    def test_boolean_spin_schema_error(self, tmp_path, capsys):
+        amp = tmp_path / "amp.json"
+        run_cli(["packet", "--n", "1", "--mass", "1.0", "--out", str(amp),
+                 "--points", "2", "--half-width", "1.0"], capsys)
+        doc = json.loads(amp.read_text())
+        doc["header"]["n"] = True
+        amp.write_text(json.dumps(doc))
+        code, _, err = run_cli(["synth", "--in", str(amp), "--out",
+                                str(tmp_path / "field.json")], capsys)
+        assert code == 2
+        assert "/header/n" in err
 
     def test_unknown_direction_spec_usage_error(self, tmp_path, capsys):
         amp = tmp_path / "amp.json"

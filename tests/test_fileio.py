@@ -79,6 +79,14 @@ class TestSchemaErrors:
             read_amplitude_file(self._write(tmp_path, doc))
         assert err.value.pointer == "/header/version"
 
+    @pytest.mark.parametrize("n", [True, 0, 11, 2.0])
+    def test_bad_spin(self, tmp_path, n):
+        doc = self._amp_doc()
+        doc["header"]["n"] = n
+        with pytest.raises(SchemaError) as err:
+            read_amplitude_file(self._write(tmp_path, doc))
+        assert err.value.pointer == "/header/n"
+
     def test_off_shell_momentum(self, tmp_path):
         doc = self._amp_doc()
         doc["samples"][0]["p"] = [1.0, 0.0, 0.0, 0.5]
