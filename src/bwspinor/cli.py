@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from . import core, verify
-from .bw import (Amplitudes, FixedList, NullOmega, RandomTimelike, StandardTime,
-                 extract_massive, extract_massless, norm_integrand,
+from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
+                 StandardTime, extract_massive, extract_massless, norm_integrand,
                  synth_massive, synth_massless)
 from .errors import BWSpinorError, OrthogonalDirection, SchemaError
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
@@ -32,9 +32,12 @@ def _parse_reals(text: str, count: int, what: str) -> np.ndarray:
     if len(parts) != count:
         raise argparse.ArgumentTypeError(f"{what} needs {count} comma-separated values")
     try:
-        return np.array([float(x) for x in parts])
+        values = np.array([float(x) for x in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad {what}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise argparse.ArgumentTypeError(f"{what} values must be finite")
+    return values
 
 
 def _parse_complex_pair(text: str) -> np.ndarray:
@@ -53,13 +56,21 @@ def _parse_tspec(text: str, n: int):
     if text == "null-omega":
         return NullOmega()
     if text.startswith("random:"):
-        return RandomTimelike(int(text.split(":", 1)[1]))
+        seed = text.split(":", 1)[1]
+        if not (seed.isascii() and seed.isdigit()):
+            raise argparse.ArgumentTypeError(
+                f"random seed must be a non-negative integer in {text!r}")
+        return RandomTimelike(int(seed))
     if text.startswith("fixed:"):
         body = text.split(":", 1)[1]
-        vecs = [np.array([float(x) for x in chunk.split(",")])
-                for chunk in body.split(";")]
-        if any(v.shape != (4,) for v in vecs):
-            raise argparse.ArgumentTypeError("fixed spec needs 4 components per vector")
+        try:
+            vecs = [np.array([float(x) for x in chunk.split(",")])
+                    for chunk in body.split(";")]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad direction in {text!r}: {exc}") from exc
+        if any(v.shape != (4,) or not np.all(np.isfinite(v)) for v in vecs):
+            raise argparse.ArgumentTypeError(
+                f"fixed spec needs 4 finite components per vector in {text!r}")
         if len(vecs) == 1:
             vecs = vecs * n
         return FixedList(tuple(vecs))
@@ -67,6 +78,9 @@ def _parse_tspec(text: str, n: int):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        print("error: --trials must be at least 1", file=sys.stderr)
+        return USAGE_ERROR
     names = verify.SUITES.keys() if args.suite == "all" else [args.suite]
     reports = verify.run_suites(list(names), args.trials, args.seed)
     residuals = [r for rep in reports.values() for r in rep.values()]
@@ -181,12 +195,22 @@ def cmd_norm(args) -> int:
 
 
 def cmd_packet(args) -> int:
+    # a packet the reader would reject is a usage error here, not a file
+    if not 1 <= args.n <= MAX_N:
+        print(f"error: --n must be in 1..{MAX_N}", file=sys.stderr)
+        return USAGE_ERROR
+    if not (np.isfinite(args.sigma) and args.sigma > 0):
+        print("error: --sigma must be a finite number > 0", file=sys.stderr)
+        return USAGE_ERROR
     grid = build_grid(args.mass, args.half_width, args.points)
-    coeffs = tuple(complex(c) for c in args.coeffs.split(",")) if args.coeffs \
-        else tuple([1.0] * ((args.n + 1) if args.mass > 0 else 1))
+    try:
+        coeffs = tuple(complex(c) for c in args.coeffs.split(",")) if args.coeffs \
+            else tuple([1.0] * ((args.n + 1) if args.mass > 0 else 1))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad --coeffs: {exc}") from exc
     want = (args.n + 1) if args.mass > 0 else 1
-    if len(coeffs) != want:
-        print(f"error: need {want} coefficients", file=sys.stderr)
+    if len(coeffs) != want or not np.all(np.isfinite(coeffs)):
+        print(f"error: need {want} finite coefficients", file=sys.stderr)
         return USAGE_ERROR
     packet = GaussianPacket(n=args.n, mass=args.mass, sign=+1, coeffs=coeffs,
                             center=tuple(args.center), sigma=args.sigma)
@@ -269,6 +293,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except SchemaError as exc:
         print(f"schema error at {exc.pointer or '/'}: {exc.message}", file=sys.stderr)
+        return USAGE_ERROR
+    except OSError as exc:      # an unreadable --in or unwritable --out path
+        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OrthogonalDirection as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -174,10 +174,19 @@ def suite_pl(trials: int = 1000, seed: int = 1) -> dict[str, float]:
     su, sp = pl_project(t_time, p)
     su2, sp2 = pl_project(lt, lp)
     a_low = core.sl2c_lower_rep(a)
-    out["covariance"] = max(
-        _max(su2 - a_low @ su @ np.linalg.inv(a_low)),
-        _max(sp2 - np.conj(a_low) @ sp @ np.linalg.inv(np.conj(a_low))))
+    out["covariance"] = max(conjugation_residual(su2, a_low, su),
+                            conjugation_residual(sp2, np.conj(a_low), sp))
     return out
+
+
+def conjugation_residual(x2: np.ndarray, m: np.ndarray, x: np.ndarray) -> float:
+    """max over trials of |x2 - m x m^-1|, each relative to max(1, |m|_F^2).
+
+    Both sides grow like |m|^2 under random boosts, so the rounding in x2
+    does too; the scale is the one lorentz_metric and dyad_covariance use.
+    """
+    scale = np.maximum(1.0, np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+    return _max((x2 - m @ x @ np.linalg.inv(m)) / scale[..., None, None])
 
 
 def _random_amplitudes(rng, n: int, mass: float, sign: int, size: int) -> bw.Amplitudes:

@@ -39,6 +39,11 @@ class TestVerify:
         assert "broken" in out and "FAIL" in out
         assert "worst residual: nan" in out
 
+    def test_zero_trials_usage_error(self, capsys):
+        code, _, err = run_cli(["verify", "--trials", "0"], capsys)
+        assert code == 2
+        assert "--trials" in err
+
     def test_bogus_suite_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
@@ -129,6 +134,54 @@ class TestPipelines:
                                capsys)
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("spec", ["random:abc", "random:-3", "fixed:1,x,0,0",
+                                      "fixed:inf,0,0,0", "fixed:1,0,0"])
+    def test_malformed_direction_spec_usage_error(self, tmp_path, capsys, spec):
+        amp = tmp_path / "amp.json"
+        field = tmp_path / "field.json"
+        run_cli(["packet", "--n", "1", "--mass", "1.0", "--out", str(amp),
+                 "--points", "2", "--half-width", "1.0"], capsys)
+        run_cli(["synth", "--in", str(amp), "--out", str(field)], capsys)
+        code, _, err = run_cli(["norm", "--in", str(field), "--t", spec], capsys)
+        assert code == 2
+        assert spec in err
+
+    @pytest.mark.parametrize("extra", [["--n", "0"], ["--n", "11"], ["--sigma", "0"],
+                                       ["--coeffs", "1,abc,2"], ["--coeffs", "1,inf,2"]])
+    def test_packet_usage_error(self, tmp_path, capsys, extra):
+        out = tmp_path / "amp.json"
+        args = ["packet", "--n", "2", "--mass", "1.0", "--out", str(out), "--points", "2"]
+        code, _, err = run_cli(args + extra, capsys)
+        assert code == 2
+        assert "error" in err
+        assert not out.exists()
+
+    def test_nonfinite_center_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["packet", "--n", "1", "--mass", "1.0", "--center", "nan,0,0",
+                  "--out", str(tmp_path / "amp.json")])
+        assert err.value.code == 2
+
+    def test_missing_input_file_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(["norm", "--in", str(missing)], capsys)
+        assert code == 2
+        assert "missing.json" in err
+
+    def test_malformed_weight_schema_error(self, tmp_path, capsys):
+        amp = tmp_path / "amp.json"
+        field = tmp_path / "field.json"
+        run_cli(["packet", "--n", "1", "--mass", "1.0", "--out", str(amp),
+                 "--points", "2", "--half-width", "1.0"], capsys)
+        run_cli(["synth", "--in", str(amp), "--out", str(field)], capsys)
+        doc = json.loads(field.read_text())
+        doc["samples"][3]["weight"] = "abc"
+        field.write_text(json.dumps(doc))
+        code, _, err = run_cli(["extract", "--in", str(field), "--out",
+                                str(tmp_path / "amp2.json")], capsys)
+        assert code == 2
+        assert "/samples/3/weight" in err
 
     def test_orthogonal_direction_names_sample(self, tmp_path, capsys):
         import bwspinor as bs

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bwspinor import core
+from bwspinor import core, verify
 from bwspinor.errors import (ComplexEigenvalues, DegenerateSpinDirection,
                              MasslessNotSupported)
 from bwspinor.frames import frame_massive, frame_massless
@@ -315,3 +315,22 @@ class TestEigenRelations:
         assert np.max(np.abs(su2 - a_low @ su @ np.linalg.inv(a_low))) < 1e-10
         assert np.max(np.abs(
             sp2 - np.conj(a_low) @ sp @ np.linalg.inv(np.conj(a_low)))) < 1e-10
+
+    def test_covariance_residual_detects_wrong_conjugation(self):
+        # the verify residual is relative to |A|_F^2; a wrong map still reads O(1)
+        rng = np.random.default_rng(13)
+        p = core.random_future_momentum(1.0, rng, size=500)
+        t = core.random_timelike(rng, size=500)
+        a = core.random_sl2c(rng, size=500)
+        lam = core.lorentz_from_sl2c(a)
+        su, _ = pl_project(t, p)
+        su2, _ = pl_project(np.einsum('...ab,...b->...a', lam, t),
+                            np.einsum('...ab,...b->...a', lam, p))
+        a_low = core.sl2c_lower_rep(a)
+        assert verify.conjugation_residual(su2, a_low, su) < 1e-10
+        for wrong in (np.conj(a_low), np.linalg.inv(a_low), a):
+            assert verify.conjugation_residual(su2, wrong, su) > 0.5
+
+    def test_covariance_holds_on_large_boosts(self):
+        # suite seed at which the unscaled residual read 1.45e-10
+        assert verify.suite_pl(10_000, 168194335)["covariance"] < 1e-10
