@@ -61,10 +61,6 @@ class Amplitudes:
     sign: int
     f: np.ndarray    # (..., n+1) massive, (..., 1) massless
 
-    @property
-    def batch_shape(self):
-        return self.f.shape[:-1]
-
 
 @dataclass(frozen=True)
 class BWComponent:
@@ -79,9 +75,6 @@ class BWComponent:
     @property
     def batch_shape(self):
         return self.p.shape[:-1]
-
-    def dense(self, k: int) -> np.ndarray:
-        return self.comps[k].dense()
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +115,7 @@ def resolve_directions(spec, n: int, psi: BWComponent,
     same vector, enabling the multiplicity fast path.  Raises
     OrthogonalDirection if any t_k.p vanishes at a sample.
     """
-    if isinstance(spec, np.ndarray):
-        ts = spec.astype(float)
-        equal = bool(np.all(ts == ts[0]))
-    elif isinstance(spec, StandardTime):
+    if isinstance(spec, StandardTime):
         t = np.zeros(psi.p.shape, dtype=float)
         t[..., 0] = 1.0
         ts = np.broadcast_to(t, (n,) + t.shape)
@@ -375,14 +365,6 @@ def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
     num = contract_T(psi, ts, equal)
     den = np.prod(core.minkowski(ts, psi.p), axis=0)
     return num / den
-
-
-def norm_integrand_massive(psi: BWComponent, spec=None,
-                           frame: SpinFrame | None = None,
-                           form: str = "t") -> np.ndarray:
-    if psi.mass <= 0:
-        raise NotMassive("use norm_integrand for massless components")
-    return norm_integrand(psi, spec, frame, form)
 
 
 def standard_bw_integrand(psi: BWComponent) -> np.ndarray:

@@ -16,10 +16,11 @@ from . import core, verify
 from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                  StandardTime, extract_massive, extract_massless, norm_integrand,
                  synth_massive, synth_massless)
-from .errors import BWSpinorError, OrthogonalDirection, SchemaError
+from .errors import (BWSpinorError, InvalidResolution, OrthogonalDirection,
+                     SchemaError)
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
                      write_field_file)
-from .frames import frame_massive, frame_massless
+from .frames import frame_for
 from .pauli_lubanski import pl_eigenvalues
 from .quadrature import GaussianPacket, build_grid, pairwise_sum
 
@@ -45,12 +46,15 @@ def _parse_complex_pair(text: str) -> np.ndarray:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("--nu needs two comma-separated complex values")
     try:
-        return np.array([complex(x) for x in parts])
+        nu = np.array([complex(x) for x in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad spinor component: {exc}") from exc
+    if not (np.all(np.isfinite(nu)) and np.any(nu != 0)):
+        raise argparse.ArgumentTypeError("--nu must be finite and nonzero")
+    return nu
 
 
-def _parse_tspec(text: str, n: int):
+def _parse_tspec(text: str):
     if text == "standard":
         return StandardTime()
     if text == "null-omega":
@@ -71,10 +75,19 @@ def _parse_tspec(text: str, n: int):
         if any(v.shape != (4,) or not np.all(np.isfinite(v)) for v in vecs):
             raise argparse.ArgumentTypeError(
                 f"fixed spec needs 4 finite components per vector in {text!r}")
-        if len(vecs) == 1:
-            vecs = vecs * n
         return FixedList(tuple(vecs))
     raise argparse.ArgumentTypeError(f"unknown direction spec {text!r}")
+
+
+def _fit_valence(spec, text: str, n: int):
+    """A single fixed: vector stands for every slot; a list must have n."""
+    if not isinstance(spec, FixedList) or len(spec.vectors) == n:
+        return spec
+    if len(spec.vectors) == 1:
+        return FixedList(spec.vectors * n)
+    raise argparse.ArgumentTypeError(
+        f"{text!r} gives {len(spec.vectors)} direction vectors; "
+        f"the field has n={n}, so give 1 or {n}")
 
 
 def cmd_verify(args) -> int:
@@ -96,14 +109,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_frame(args) -> int:
+    if not (np.isfinite(args.mass) and args.mass >= 0):
+        print("error: --mass must be a finite number >= 0", file=sys.stderr)
+        return USAGE_ERROR
     p = np.concatenate([[np.sqrt(args.mass ** 2 + np.sum(args.p ** 2))], args.p])
-    if args.mass > 0:
-        if args.nu is None:
-            print("error: --nu is required for massive frames", file=sys.stderr)
-            return USAGE_ERROR
-        fr = frame_massive(p, args.nu)
-    else:
-        fr = frame_massless(p)
+    if args.mass > 0 and args.nu is None:
+        print("error: --nu is required for massive frames", file=sys.stderr)
+        return USAGE_ERROR
+    fr = frame_for(p, args.mass, args.nu)
     half_plus, half_minus = pl_eigenvalues(fr.omega_vec, p)
     data = {
         "p": p.tolist(),
@@ -130,16 +143,10 @@ def cmd_frame(args) -> int:
     return 0
 
 
-def _frames_for(p: np.ndarray, mass: float, nu: np.ndarray | None):
-    if mass > 0:
-        return frame_massive(p, nu if nu is not None else np.array([1.0, 0.0]))
-    return frame_massless(p)
-
-
 def cmd_synth(args) -> int:
     data = read_amplitude_file(args.infile)
     amps, p = data.amplitudes, data.p
-    fr = _frames_for(p, amps.mass, args.nu)
+    fr = frame_for(p, amps.mass, args.nu)
     norm = None if data.normalization == "paper-default" else data.normalization
     if amps.mass > 0:
         psi = synth_massive(fr, amps, norm)
@@ -154,7 +161,7 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     data = read_field_file(args.infile)
     psi = data.component
-    fr = _frames_for(psi.p, psi.mass, args.nu)
+    fr = frame_for(psi.p, psi.mass, args.nu)
     if psi.mass > 0:
         amps = extract_massive(psi, fr)
     else:
@@ -167,17 +174,18 @@ def cmd_extract(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    texts = args.t or ["standard"]
+    specs = [_parse_tspec(text) for text in texts]
     data = read_field_file(args.infile)
     psi = data.component
     if data.weights is None:
         print("error: norm needs per-sample weights in the field file",
               file=sys.stderr)
         return USAGE_ERROR
-    fr = _frames_for(psi.p, psi.mass, args.nu)
-    specs = args.t or ["standard"]
+    specs = [_fit_valence(spec, text, psi.n) for spec, text in zip(specs, texts)]
+    fr = frame_for(psi.p, psi.mass, args.nu)
     values = []
-    for text in specs:
-        spec = _parse_tspec(text, psi.n)
+    for text, spec in zip(texts, specs):
         integrand = norm_integrand(psi, spec, fr)
         values.append(pairwise_sum(integrand * data.weights))
         print(f"norm[{text}] = {values[-1]!r}")
@@ -295,6 +303,9 @@ def main(argv=None) -> int:
         print(f"schema error at {exc.pointer or '/'}: {exc.message}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:      # an unreadable --in or unwritable --out path
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except InvalidResolution as exc:   # only build_grid raises it: bad packet grid
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OrthogonalDirection as exc:

@@ -222,12 +222,6 @@ def transform_vector(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.einsum('...ab,...b->...a', lam, np.asarray(p))
 
 
-def transform_spinor(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Action on upper-index unprimed spinors."""
-    _check_unit_det(np.asarray(a))
-    return np.einsum('...AB,...B->...A', np.asarray(a), np.asarray(k))
-
-
 def transform_dyad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Action on p^{AA'}: D -> A D A^dagger."""
     a = np.asarray(a)

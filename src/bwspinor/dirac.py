@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .bw import (Amplitudes, BWComponent, NullOmega, norm_integrand_massive,
-                 synth_massive)
+from .bw import Amplitudes, BWComponent, NullOmega, norm_integrand, synth_massive
 from .errors import NotMassive
 from .frames import SpinFrame
 from .pauli_lubanski import chi_basis, default_normalization
@@ -144,4 +143,4 @@ def dirac_component(frame: SpinFrame, f0, f1, sign: int = +1,
 def dirac_norm_integrand_bw(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:
     """Cross-check route through the n = 1 component machinery."""
     psi = dirac_component(frame, f0, f1, sign)
-    return norm_integrand_massive(psi, NullOmega(), frame)
+    return norm_integrand(psi, NullOmega(), frame)

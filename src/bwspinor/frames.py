@@ -33,15 +33,18 @@ class SpinFrame:
     pi_vec: np.ndarray      # flagpole of pi, (..., 4)
     omega_vec: np.ndarray   # flagpole of omega, (..., 4)
 
-    @property
-    def batch_shape(self):
-        return self.p.shape[:-1]
-
     def contractions(self) -> tuple[np.ndarray, np.ndarray]:
         """(omega_A pi^A, pi_A omega^A); they differ by sign."""
         c1 = core.spinor_contract(core.lower_spinor(self.omega), self.pi)
         c2 = core.spinor_contract(core.lower_spinor(self.pi), self.omega)
         return c1, c2
+
+
+def _reject(bad, error: type, message: str) -> None:
+    """Raise error(message), naming the first sample where bad holds."""
+    if np.any(bad):
+        index = np.argwhere(bad)[0].tolist()
+        raise error(f"{message} at sample index {index}" if index else message)
 
 
 def flag_decompose_massless(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -51,11 +54,11 @@ def flag_decompose_massless(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     real and positive.
     """
     p = np.asarray(p, dtype=float)
-    p0sq = np.maximum(p[..., 0] ** 2, 1e-300)
-    if np.any(p[..., 0] <= 0):
-        raise NotFuturePointing("p^0 must be positive")
-    if np.any(np.abs(core.mass_squared(p)) > tol * p0sq):
-        raise NotNull(f"max |p.p|/(p^0)^2 = {np.max(np.abs(core.mass_squared(p)) / p0sq):.3e}")
+    finite = np.all(np.isfinite(p), axis=-1)
+    _reject(finite & (p[..., 0] <= 0), NotFuturePointing, "p^0 must be positive")
+    off = np.abs(core.mass_squared(np.where(finite[..., None], p, 0.0)))
+    _reject(~finite | (off > tol * np.maximum(p[..., 0] ** 2, 1e-300)), NotNull,
+            "p must be finite and null")
     d = core.vector_to_dyad(p, "up")
     diag = np.stack([np.real(d[..., 0, 0]), np.real(d[..., 1, 1])], axis=-1)
     j = np.argmax(diag, axis=-1)
@@ -84,6 +87,14 @@ def frame_massless(p: np.ndarray) -> SpinFrame:
                      pi_vec=core.flagpole(pi), omega_vec=core.flagpole(omega))
 
 
+def frame_for(p: np.ndarray, mass: float, nu=None) -> SpinFrame:
+    """The spin-frame of the regime of mass: massive from the reference
+    spinor nu (default (1, 0)), massless from the flag of p."""
+    if mass > 0:
+        return frame_massive(p, (1.0, 0.0) if nu is None else nu)
+    return frame_massless(p)
+
+
 def frame_massive(p: np.ndarray, nu: np.ndarray, tol: float = 1e-10) -> SpinFrame:
     """Spin-frame of a timelike future-pointing momentum from a reference spinor.
 
@@ -94,15 +105,18 @@ def frame_massive(p: np.ndarray, nu: np.ndarray, tol: float = 1e-10) -> SpinFram
     """
     p = np.asarray(p, dtype=float)
     nu = np.asarray(nu, dtype=complex)
-    m2 = core.mass_squared(p)
-    if np.any(p[..., 0] <= 0) or np.any(m2 <= tol * p[..., 0] ** 2):
-        raise NotTimelike("p must be timelike future-pointing")
+    finite = np.all(np.isfinite(p), axis=-1)
+    m2 = core.mass_squared(np.where(finite[..., None], p, 0.0))
+    _reject(~(finite & (p[..., 0] > 0) & (m2 > tol * p[..., 0] ** 2)), NotTimelike,
+            "p must be finite, timelike and future-pointing")
+    _reject(~np.all(np.isfinite(nu), axis=-1), DegenerateReference,
+            "reference spinor nu must be finite")
     m = np.sqrt(m2)
     d = core.vector_to_dyad(p, "up")
     nul = core.lower_spinor(nu)
     denom = np.real(np.einsum('...AB,...A,...B->...', d, nul, np.conj(nul)))
-    if np.any(denom < tol * np.sqrt(np.maximum(m2, 1e-300))):
-        raise DegenerateReference("flag of nu degenerate with p")
+    _reject(denom < tol * np.sqrt(m2), DegenerateReference,
+            "flag of nu degenerate with p")
     root = np.sqrt(denom)[..., None]
     omega = np.sqrt(m / np.sqrt(2.0))[..., None] * nu / root
     pi = (np.sqrt(np.sqrt(2.0) / m)[..., None]

@@ -49,18 +49,9 @@ class SymMultiSpinor:
     s: int
     comp: np.ndarray    # (..., r+1, s+1) complex
 
-    @property
-    def batch_shape(self):
-        return self.comp.shape[:-2]
-
     def dense(self) -> np.ndarray:
         """Expansion to shape (..., 2,...,2) with r unprimed axes then s primed."""
         return dense_from_graded(self.comp, self.r, self.s)
-
-    def __add__(self, other: "SymMultiSpinor") -> "SymMultiSpinor":
-        if (self.r, self.s) != (other.r, other.s):
-            raise ValenceMismatch("rank mismatch in addition")
-        return SymMultiSpinor(self.r, self.s, self.comp + other.comp)
 
     def scaled(self, factor) -> "SymMultiSpinor":
         return SymMultiSpinor(self.r, self.s, self.comp * np.asarray(factor)[..., None, None])

@@ -1,16 +1,15 @@
 """Mass-shell sampling and numerical evaluation of the invariant norms.
 
 The measure d^3p / (2 p^0) is realized by a midpoint product rule over a
-coordinate box; every sample evaluation is independent, and the final
-reduction is a fixed-shape pairwise tree, so results are bit-identical for
-any worker count (BWSPINOR_THREADS only splits the integrand evaluation into
-fixed-size chunks).
+coordinate box; every sample evaluation is independent.  The integrand is
+evaluated serially in fixed-size chunks, and the final reduction is a
+fixed-shape pairwise tree, so a value depends only on the grid and the
+integrand.  Everything runs on the calling thread; the traced runs of
+perfbench assume that its spans never overlap.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +18,9 @@ from .bw import (Amplitudes, BWComponent, NullOmega, StandardTime,
                  norm_integrand, standard_bw_integrand, synth_massive,
                  synth_massless, transform_component)
 from .errors import InvalidResolution
-from .frames import SpinFrame, frame_massive, frame_massless
+from .frames import SpinFrame, frame_for
 
-_CHUNK = 4096   # fixed; must not depend on the worker count
-
-
-def thread_count() -> int:
-    raw = os.environ.get("BWSPINOR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+_CHUNK = 4096   # fixed: bounds the working set; the value does not see it
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -60,11 +51,13 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
     """Tensor-product midpoint rule on [-L, L]^3 with weight (2L/N)^3 / (2 p^0).
 
     For mass 0 any sample with |pvec| < 1e-8 is dropped so the weight stays
-    finite.
+    finite.  A negative or non-finite mass, a non-positive or non-finite
+    half width, or fewer than two points raises InvalidResolution.
     """
-    if mass < 0 or half_width <= 0 or points_per_axis < 2:
+    if not (np.isfinite(mass) and mass >= 0 and np.isfinite(half_width)
+            and half_width > 0 and points_per_axis >= 2):
         raise InvalidResolution(
-            f"need m >= 0, L > 0, N >= 2; got ({mass}, {half_width}, {points_per_axis})")
+            f"need finite m >= 0, finite L > 0, N >= 2; got ({mass}, {half_width}, {points_per_axis})")
     n = points_per_axis
     h = 2.0 * half_width / n
     axis = -half_width + h * (np.arange(n) + 0.5)
@@ -104,9 +97,7 @@ class GaussianPacket:
         return np.asarray(self.coeffs, dtype=complex) * envelope[..., None]
 
     def frame(self, p: np.ndarray) -> SpinFrame:
-        if self.mass > 0:
-            return frame_massive(p, np.asarray(self.nu, dtype=complex))
-        return frame_massless(p)
+        return frame_for(p, self.mass, self.nu)
 
     def component(self, p: np.ndarray) -> tuple[BWComponent, SpinFrame]:
         fr = self.frame(p)
@@ -128,24 +119,13 @@ def evaluate_norm(provider, grid: ShellGrid, spec=None,
                   standard: bool = False) -> float:
     """Quadrature value of the chosen norm over the grid.
 
-    The samples are evaluated in fixed chunks (optionally by a thread pool of
-    BWSPINOR_THREADS workers) and reduced with pairwise_sum; the result does
-    not depend on the worker count.
+    The samples are evaluated serially in fixed chunks of _CHUNK and
+    reduced with pairwise_sum.
     """
     if spec is None:
         spec = StandardTime()
-    starts = range(0, grid.p.shape[0], _CHUNK)
-
-    def chunk(start: int) -> np.ndarray:
-        stop = min(start + _CHUNK, grid.p.shape[0])
-        return _integrand_values(provider, grid.p[start:stop], spec, standard)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(chunk, starts))
-    else:
-        pieces = [chunk(s) for s in starts]
+    pieces = [_integrand_values(provider, grid.p[start:start + _CHUNK], spec, standard)
+              for start in range(0, grid.p.shape[0], _CHUNK)]
     values = np.concatenate(pieces) if pieces else np.zeros(0)
     return pairwise_sum(values * grid.weights)
 

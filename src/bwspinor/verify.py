@@ -212,9 +212,9 @@ def suite_bw(trials: int = 200, seed: int = 2) -> dict[str, float]:
                 bw.field_equation_residual_massive(psi)
         amps = _random_amplitudes(rng, n, m, +1, size)
         psi = bw.synth_massive(fr, amps)
-        vals = [bw.norm_integrand_massive(psi, spec, fr) for spec in
+        vals = [bw.norm_integrand(psi, spec, fr) for spec in
                 (bw.StandardTime(), bw.NullOmega(), bw.RandomTimelike(seed + n))]
-        vals.append(bw.norm_integrand_massive(psi, None, fr, form="p"))
+        vals.append(bw.norm_integrand(psi, None, fr, form="p"))
         scale = np.maximum(1.0, np.abs(vals[0]))
         out[f"t_independence_n{n}"] = max(
             _max((v - vals[0]) / scale) for v in vals[1:])
@@ -260,8 +260,8 @@ def suite_bw(trials: int = 200, seed: int = 2) -> dict[str, float]:
     psi = bw.synth_massive(fr, amps)
     a = core.random_sl2c(rng)
     moved = bw.transform_component(psi, a)
-    base = bw.norm_integrand_massive(psi, None, fr, form="p")
-    after = bw.norm_integrand_massive(moved, None, None, form="p")
+    base = bw.norm_integrand(psi, None, fr, form="p")
+    after = bw.norm_integrand(moved, None, None, form="p")
     out["scalarity_pointwise"] = _max((after - base) / np.maximum(1.0, np.abs(base)))
     inv = np.linalg.inv(a)
     inv /= np.sqrt(np.linalg.det(inv))

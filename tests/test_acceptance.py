@@ -17,9 +17,8 @@ from bwspinor.bw import (Amplitudes, BWComponent, FixedList, NullOmega,
                          extract_massive, extract_massless, eta_from_frame,
                          field_equation_residual_massive,
                          helicity_residual_massless, hertz_psi, norm_integrand,
-                         norm_integrand_massive, resolve_directions,
-                         standard_bw_integrand, synth_massive, synth_massless,
-                         transform_component)
+                         resolve_directions, standard_bw_integrand,
+                         synth_massive, synth_massless, transform_component)
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor
 from bwspinor.pauli_lubanski import (chi_basis, combined_projectors,
@@ -190,7 +189,7 @@ def test_criterion_08_member_amplitude_sum():
         fr = frame_massive(p, core.random_spinor(rng, size=size))
         f = rng.normal(size=(size, n + 1)) + 1j * rng.normal(size=(size, n + 1))
         psi = synth_massive(fr, Amplitudes(n, 1.0, +1, f))
-        got = norm_integrand_massive(psi, NullOmega(), fr)
+        got = norm_integrand(psi, NullOmega(), fr)
         want = sum(comb(n, k) * np.abs(f[:, k]) ** 2 for k in range(n + 1))
         worst = max(worst, float(np.max(np.abs(got - want)
                                         / np.maximum(1.0, want))))
@@ -220,7 +219,7 @@ def test_criterion_10_lorentz_scalarity():
     fr = frame_massive(p, core.random_spinor(rng, size=batch))
     f = rng.normal(size=(batch, 3)) + 1j * rng.normal(size=(batch, 3))
     psi = synth_massive(fr, Amplitudes(2, 1.0, +1, f))
-    base = norm_integrand_massive(psi, None, fr, form="p")
+    base = norm_integrand(psi, None, fr, form="p")
     p0 = core.random_future_momentum(0.0, rng, size=batch)
     fr0 = frame_massless(p0)
     f0 = rng.normal(size=batch) + 1j * rng.normal(size=batch)
@@ -228,7 +227,7 @@ def test_criterion_10_lorentz_scalarity():
     base0 = norm_integrand(psi0, StandardTime())
     for a in core.random_sl2c(rng, size=n_maps):
         moved = transform_component(psi, a)
-        after = norm_integrand_massive(moved, None, None, form="p")
+        after = norm_integrand(moved, None, None, form="p")
         worst = max(worst, float(np.max(np.abs(after - base)
                                         / np.maximum(1.0, base))))
         moved0 = transform_component(psi0, a)

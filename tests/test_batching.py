@@ -4,8 +4,8 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from bwspinor import core
-from bwspinor.bw import (Amplitudes, NullOmega, extract_massive,
-                         norm_integrand_massive, synth_massive)
+from bwspinor.bw import (Amplitudes, NullOmega, extract_massive, norm_integrand,
+                         synth_massive)
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.pauli_lubanski import pl_eigenvalues, pl_project
 
@@ -53,7 +53,7 @@ def test_synthesis_pipeline_matches_per_sample():
     f = rng.normal(size=(size, n + 1)) + 1j * rng.normal(size=(size, n + 1))
     fr = frame_massive(p, nu)
     psi = synth_massive(fr, Amplitudes(n, 1.0, +1, f))
-    integrand = norm_integrand_massive(psi, NullOmega(), fr)
+    integrand = norm_integrand(psi, NullOmega(), fr)
     back = extract_massive(psi, fr)
     for i in range(size):
         fr_i = frame_massive(p[i], nu[i])
@@ -62,6 +62,6 @@ def test_synthesis_pipeline_matches_per_sample():
             assert_allclose(psi.comps[k].comp[i], psi_i.comps[k].comp,
                             atol=1e-14)
         assert_allclose(integrand[i],
-                        norm_integrand_massive(psi_i, NullOmega(), fr_i),
+                        norm_integrand(psi_i, NullOmega(), fr_i),
                         atol=1e-13)
         assert_allclose(back.f[i], extract_massive(psi_i, fr_i).f, atol=1e-13)

@@ -8,9 +8,9 @@ from bwspinor.bw import (Amplitudes, FixedList, NullOmega, RandomTimelike,
                          extract_massless, eta_from_frame,
                          field_equation_residual_massive,
                          helicity_residual_massless, hertz_psi, norm_integrand,
-                         norm_integrand_massive, resolve_directions,
-                         standard_bw_integrand, synth_massive, synth_massless,
-                         transform_component, wigner_state, BWComponent)
+                         resolve_directions, standard_bw_integrand,
+                         synth_massive, synth_massless, transform_component,
+                         wigner_state, BWComponent)
 from bwspinor.errors import (FrameMismatch, NotMassive, OrthogonalDirection)
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor, sym_outer
@@ -220,18 +220,18 @@ class TestNormIntegrand:
     def test_direction_independence(self, n):
         rng = np.random.default_rng(80 + n)
         fr, amps, psi = random_massive(rng, n, size=40)
-        base = norm_integrand_massive(psi, StandardTime(), fr)
+        base = norm_integrand(psi, StandardTime(), fr)
         for spec in (NullOmega(), RandomTimelike(5),
                      FixedList(tuple(core.random_timelike(rng)
                                      for _ in range(n)))):
-            other = norm_integrand_massive(psi, spec, fr)
+            other = norm_integrand(psi, spec, fr)
             assert np.max(np.abs(other - base) / np.maximum(1.0, base)) < 1e-10
 
     def test_p_form_equals_t_form(self):
         rng = np.random.default_rng(90)
         fr, amps, psi = random_massive(rng, 2, size=40)
-        t_form = norm_integrand_massive(psi, RandomTimelike(1), fr)
-        p_form = norm_integrand_massive(psi, None, fr, form="p")
+        t_form = norm_integrand(psi, RandomTimelike(1), fr)
+        p_form = norm_integrand(psi, None, fr, form="p")
         assert np.max(np.abs(t_form - p_form) / np.maximum(1.0, p_form)) < 1e-10
 
     def test_member_amplitude_sum(self):
@@ -240,7 +240,7 @@ class TestNormIntegrand:
         rng = np.random.default_rng(91)
         for n in (1, 2, 3):
             fr, amps, psi = random_massive(rng, n, size=30)
-            got = norm_integrand_massive(psi, NullOmega(), fr)
+            got = norm_integrand(psi, NullOmega(), fr)
             want = sum(comb(n, k) * np.abs(amps.f[..., k]) ** 2
                        for k in range(n + 1))
             assert np.max(np.abs(got - want) / np.maximum(1.0, want)) < 1e-11
@@ -249,7 +249,7 @@ class TestNormIntegrand:
         rng = np.random.default_rng(92)
         for n in (1, 2, 3):
             fr, amps, psi = random_massive(rng, n, size=30)
-            gen = norm_integrand_massive(psi, StandardTime(), fr)
+            gen = norm_integrand(psi, StandardTime(), fr)
             std = standard_bw_integrand(psi)
             assert np.max(np.abs(gen / std - 2.0 ** (-n / 2))) < 1e-12
 
@@ -408,8 +408,8 @@ class TestTransform:
         fr, amps, psi = random_massive(rng, 2, size=30)
         a = core.random_sl2c(rng)
         moved = transform_component(psi, a)
-        base = norm_integrand_massive(psi, None, fr, form="p")
-        after = norm_integrand_massive(moved, None, None, form="p")
+        base = norm_integrand(psi, None, fr, form="p")
+        after = norm_integrand(moved, None, None, form="p")
         assert np.max(np.abs(after - base) / np.maximum(1.0, base)) < 1e-10
 
     def test_transformed_field_still_solves(self):

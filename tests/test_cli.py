@@ -70,6 +70,18 @@ class TestFrame:
         assert code == 2
         assert "--nu" in err
 
+    @pytest.mark.parametrize("nu", ["nan,1", "1,inf", "0,0"])
+    def test_bad_reference_usage_error(self, nu):
+        with pytest.raises(SystemExit) as err:
+            main(["frame", "--p", "0,0,1", "--mass", "1", "--nu", nu])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("mass", ["-1", "nan", "inf"])
+    def test_bad_mass_usage_error(self, capsys, mass):
+        code, _, err = run_cli(["frame", "--p", "0,0,1", "--mass", mass], capsys)
+        assert code == 2
+        assert "--mass" in err
+
 
 class TestPipelines:
     def test_synth_extract_roundtrip(self, tmp_path, capsys):
@@ -148,7 +160,10 @@ class TestPipelines:
         assert spec in err
 
     @pytest.mark.parametrize("extra", [["--n", "0"], ["--n", "11"], ["--sigma", "0"],
-                                       ["--coeffs", "1,abc,2"], ["--coeffs", "1,inf,2"]])
+                                       ["--coeffs", "1,abc,2"], ["--coeffs", "1,inf,2"],
+                                       ["--points", "0"], ["--points", "1"],
+                                       ["--mass", "-1"], ["--mass", "nan"],
+                                       ["--half-width", "-2"], ["--half-width", "inf"]])
     def test_packet_usage_error(self, tmp_path, capsys, extra):
         out = tmp_path / "amp.json"
         args = ["packet", "--n", "2", "--mass", "1.0", "--out", str(out), "--points", "2"]
@@ -156,6 +171,30 @@ class TestPipelines:
         assert code == 2
         assert "error" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("count, code", [(1, 0), (2, 2), (3, 0), (4, 2)])
+    def test_fixed_list_length(self, tmp_path, capsys, count, code):
+        amp = tmp_path / "amp.json"
+        field = tmp_path / "field.json"
+        run_cli(["packet", "--n", "3", "--mass", "1.0", "--out", str(amp),
+                 "--points", "2", "--half-width", "1.0"], capsys)
+        run_cli(["synth", "--in", str(amp), "--out", str(field)], capsys)
+        spec = "fixed:" + ";".join(["1,0,0,0"] * count)
+        got, out, err = run_cli(["norm", "--in", str(field), "--t", spec], capsys)
+        assert got == code
+        if code:
+            assert spec in err and "n=3" in err
+            assert "norm[" not in out
+        else:
+            assert f"norm[{spec}]" in out
+
+    def test_direction_spec_checked_before_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(["norm", "--in", str(missing), "--t", "standard",
+                                "--t", "bogus"], capsys)
+        assert code == 2
+        assert "bogus" in err
+        assert "missing.json" not in err
 
     def test_nonfinite_center_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bwspinor import core
-from bwspinor.bw import NullOmega, norm_integrand_massive
+from bwspinor.bw import NullOmega, norm_integrand
 from bwspinor.dirac import (dirac_component, dirac_current, dirac_norm_integrand,
                             dirac_operator, dirac_residual, dirac_solution,
                             extract_dirac, gamma_set)
@@ -156,7 +156,7 @@ class TestNormIntegrand:
         f0 = rng.normal(size=200) + 1j * rng.normal(size=200)
         f1 = rng.normal(size=200) + 1j * rng.normal(size=200)
         direct = dirac_norm_integrand(dirac_solution(fr, f0, f1), fr)
-        via_bw = norm_integrand_massive(dirac_component(fr, f0, f1), NullOmega(), fr)
+        via_bw = norm_integrand(dirac_component(fr, f0, f1), NullOmega(), fr)
         assert np.max(np.abs(direct - via_bw) / np.maximum(1.0, direct)) < 1e-12
 
     def test_positive_energy_current_projection(self):

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bwspinor import core
-from bwspinor.errors import NotFuturePointing, NotNull, NotTimelike, ZeroSpinor
-from bwspinor.frames import (flag_decompose_massless, frame_massive,
+from bwspinor.errors import (DegenerateReference, NotFuturePointing, NotNull,
+                             NotTimelike, ZeroSpinor)
+from bwspinor.frames import (flag_decompose_massless, frame_for, frame_massive,
                              frame_massless, frame_residuals, partner_massless)
 
 ROOT2 = np.sqrt(2.0)
@@ -104,3 +105,75 @@ class TestMassiveFrame:
     def test_rejects_null_momentum(self):
         with pytest.raises(NotTimelike):
             frame_massive(np.array([1.0, 0, 0, 1.0]), np.array([1.0, 0.0]))
+
+
+class TestFrameFor:
+    def test_massive_default_reference(self):
+        p = core.random_future_momentum(1.3, 4, size=5)
+        got, want = frame_for(p, 1.3), frame_massive(p, np.array([1.0, 0.0]))
+        assert np.array_equal(got.pi, want.pi) and np.array_equal(got.omega, want.omega)
+
+    def test_massive_given_reference(self):
+        p = core.random_future_momentum(1.0, 5, size=5)
+        nu = core.random_spinor(6, size=5)
+        got, want = frame_for(p, 1.0, nu), frame_massive(p, nu)
+        assert np.array_equal(got.pi, want.pi) and np.array_equal(got.omega, want.omega)
+
+    def test_massless_ignores_reference(self):
+        p = core.random_future_momentum(0.0, 7, size=5)
+        got, want = frame_for(p, 0.0, np.array([0.3, 1.0])), frame_massless(p)
+        assert np.array_equal(got.pi, want.pi) and np.array_equal(got.omega, want.omega)
+
+
+@pytest.mark.filterwarnings("error")       # no RuntimeWarning before the guard fires
+class TestNonFiniteGuards:
+    """A bad sample in the middle of a batch is rejected and named."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_massive_momentum(self, bad, axis):
+        p = core.random_future_momentum(1.0, 0, size=9)
+        p[4, axis] = bad
+        with pytest.raises(NotTimelike, match=r"sample index \[4\]"):
+            frame_massive(p, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_massive_reference(self, bad):
+        p = core.random_future_momentum(1.0, 1, size=9)
+        nu = core.random_spinor(2, size=9)
+        nu[6, 1] = bad
+        with pytest.raises(DegenerateReference, match=r"sample index \[6\]"):
+            frame_massive(p, nu)
+
+    def test_unbatched_reference(self):
+        p = core.random_future_momentum(1.0, 1, size=3)
+        with pytest.raises(DegenerateReference, match="finite"):
+            frame_massive(p, np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 3])
+    def test_massless_momentum(self, bad, axis):
+        p = core.random_future_momentum(0.0, 3, size=9)
+        p[5, axis] = bad
+        with pytest.raises(NotNull, match=r"sample index \[5\]"):
+            frame_massless(p)
+
+    def test_first_bad_sample_named(self):
+        p = core.random_future_momentum(1.0, 4, size=9)
+        p[7, 1] = np.nan
+        p[2] = [1.0, 0.0, 0.0, 1.0]           # null, also not timelike
+        with pytest.raises(NotTimelike, match=r"sample index \[2\]"):
+            frame_massive(p, np.array([1.0, 0.0]))
+
+    def test_zero_reference_names_sample(self):
+        p = core.random_future_momentum(1.0, 5, size=9)
+        nu = core.random_spinor(6, size=9)
+        nu[3] = 0.0
+        with pytest.raises(DegenerateReference, match=r"sample index \[3\]"):
+            frame_massive(p, nu)
+
+    def test_off_shell_massless_names_sample(self):
+        p = core.random_future_momentum(0.0, 7, size=9)
+        p[8, 0] *= 1.5
+        with pytest.raises(NotNull, match=r"sample index \[8\]"):
+            frame_massless(p)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bwspinor import core
-from bwspinor.bw import NullOmega, RandomTimelike, StandardTime
+from bwspinor import core, quadrature
+from bwspinor.bw import (NullOmega, RandomTimelike, StandardTime, norm_integrand,
+                         standard_bw_integrand)
 from bwspinor.errors import InvalidResolution
 from bwspinor.quadrature import (GaussianPacket, build_grid, evaluate_norm,
                                  invariance_report, pairwise_sum)
@@ -39,6 +40,10 @@ class TestGrid:
             build_grid(1.0, 3.0, 1)
         with pytest.raises(InvalidResolution):
             build_grid(1.0, -1.0, 8)
+        for mass, half_width in [(np.nan, 3.0), (np.inf, 3.0), (1.0, np.nan),
+                                 (1.0, np.inf), (-1.0, 3.0), (0.0, 0.0)]:
+            with pytest.raises(InvalidResolution):
+                build_grid(mass, half_width, 4)
 
 
 class TestNorms:
@@ -95,6 +100,26 @@ class TestNorms:
             monkeypatch.setenv("BWSPINOR_THREADS", workers)
             results.append(evaluate_norm(packet, grid, NullOmega()))
         assert results[0] == results[1] == results[2]
+
+
+class TestChunks:
+    """Chunked serial evaluation equals one pairwise sum over all samples."""
+
+    packet = GaussianPacket(n=2, mass=1.0, sign=+1, coeffs=(1.0, 0.5j, -0.25),
+                            center=(0.2, 0.0, 0.3), sigma=0.8, nu=(0.6, 0.3 + 0.2j))
+
+    @pytest.mark.parametrize("spec, standard", [(StandardTime(), False),
+                                                (NullOmega(), False),
+                                                (None, True)])
+    def test_matches_serial_reference(self, spec, standard):
+        grid = build_grid(1.0, 3.0, 20)   # 8000 samples: two chunks
+        pieces = []
+        for start in range(0, grid.p.shape[0], quadrature._CHUNK):
+            psi, fr = self.packet.component(grid.p[start:start + quadrature._CHUNK])
+            pieces.append(standard_bw_integrand(psi) if standard
+                          else norm_integrand(psi, spec, fr))
+        reference = pairwise_sum(np.concatenate(pieces) * grid.weights)
+        assert evaluate_norm(self.packet, grid, spec, standard=standard) == reference
 
 
 class TestInvariance:
