@@ -94,6 +94,12 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         print("error: --trials must be at least 1", file=sys.stderr)
         return USAGE_ERROR
+    if args.seed < 0:
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
+        return USAGE_ERROR
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be a finite number > 0", file=sys.stderr)
+        return USAGE_ERROR
     names = verify.SUITES.keys() if args.suite == "all" else [args.suite]
     reports = verify.run_suites(list(names), args.trials, args.seed)
     residuals = [r for rep in reports.values() for r in rep.values()]

@@ -94,11 +94,33 @@ def raise_spinor(k: np.ndarray) -> np.ndarray:
 
 def spinor_contract(a_lower: np.ndarray, b_upper: np.ndarray) -> np.ndarray:
     """a_A b^A (plain sum over the index)."""
-    return np.einsum('...A,...A->...', a_lower, b_upper)
+    a_lower, b_upper = np.asarray(a_lower), np.asarray(b_upper)
+    return a_lower[..., 0] * b_upper[..., 0] + a_lower[..., 1] * b_upper[..., 1]
 
 
 # ---------------------------------------------------------------------------
 # dyads (rank-2 spinor matrices attached to world vectors)
+#
+# vector_to_dyad, dyad_to_vector and pair_to_world are linear with constant
+# coefficients, so each is one (S, k) @ (k, m) matmul against a table built
+# here, once, from the expression that defines it.
+
+# vector p^a -> dyad entries (..., 4): rows are p^a, columns the flattened AA'
+_TO_DYAD = {
+    "up": G_UP.reshape(4, 4),
+    "low": G_LOW.reshape(4, 4),
+    # p_A^{A'} = eps^{A'B'} p_{AB'} and p^A_{A'} = eps^{AB} p_{BA'}
+    "lu": np.einsum('ac,bAc->bAa', EPS, G_LOW).reshape(4, 4),
+    "ul": np.einsum('AB,bBa->bAa', EPS, G_LOW).reshape(4, 4),
+}
+# flattened dyad -> contravariant p^a, from the "up" or the "low" valence
+_TO_VECTOR = {
+    "up": G_LOW_W.reshape(4, 4).T,
+    "low": G_UP.reshape(4, 4).T @ METRIC,
+}
+# x_{AA'BB'} -> x_ab = g_a^{AA'} g_b^{BB'} x_{AA'BB'}, flattened on both sides
+_PAIR_TO_WORLD = np.einsum('aim,bjn->imjnab', G_UP, G_UP).reshape(16, 16)
+
 
 def vector_to_dyad(p: np.ndarray, valence: str = "up") -> np.ndarray:
     """Spinor matrix of a world vector.
@@ -106,18 +128,10 @@ def vector_to_dyad(p: np.ndarray, valence: str = "up") -> np.ndarray:
     valence "up" gives p^{AA'} = p^a g_a^{AA'}, "low" gives p_{AA'}; the mixed
     forms "lu" (p_A^{A'}) and "ul" (p^A_{A'}) follow by epsilon raising.
     """
-    p = np.asarray(p).astype(complex)
-    if valence == "up":
-        return np.einsum('aij,...a->...ij', G_UP, p)
-    if valence == "low":
-        return np.einsum('aij,...a->...ij', G_LOW, p)
-    if valence == "lu":
-        low = np.einsum('aij,...a->...ij', G_LOW, p)
-        return np.einsum('ac,...Ac->...Aa', EPS, low)
-    if valence == "ul":
-        low = np.einsum('aij,...a->...ij', G_LOW, p)
-        return np.einsum('AB,...Ba->...Aa', EPS, low)
-    raise ValueError(f"unknown valence {valence!r}")
+    if valence not in _TO_DYAD:
+        raise ValueError(f"unknown valence {valence!r}")
+    p = np.asarray(p)
+    return (p @ _TO_DYAD[valence]).reshape(p.shape[:-1] + (2, 2))
 
 
 def dyad_to_vector(d: np.ndarray, valence: str = "up") -> np.ndarray:
@@ -125,18 +139,23 @@ def dyad_to_vector(d: np.ndarray, valence: str = "up") -> np.ndarray:
 
     Returns contravariant components p^a in both cases.
     """
+    if valence not in _TO_VECTOR:
+        raise ValueError(f"unknown valence {valence!r}")
     d = np.asarray(d)
-    if valence == "up":
-        return np.einsum('aij,...ij->...a', G_LOW_W, d)
-    if valence == "low":
-        low = np.einsum('aij,...ij->...a', G_UP, d)
-        return low @ METRIC
-    raise ValueError(f"unknown valence {valence!r}")
+    return d.reshape(d.shape[:-2] + (4,)) @ _TO_VECTOR[valence]
+
+
+def pair_to_world(x: np.ndarray) -> np.ndarray:
+    """World tensor x_ab = g_a^{AA'} g_b^{BB'} x_{AA'BB'} of x, shape (..., 2, 2, 2, 2)."""
+    x = np.asarray(x)
+    lead = x.shape[:-4]
+    return (x.reshape(lead + (16,)) @ _PAIR_TO_WORLD).reshape(lead + (4, 4))
 
 
 def flagpole(k_upper: np.ndarray) -> np.ndarray:
     """Null future-pointing world vector kappa^A kappabar^{A'} of a spinor."""
-    d = np.einsum('...A,...B->...AB', k_upper, np.conj(k_upper))
+    k_upper = np.asarray(k_upper)
+    d = k_upper[..., :, None] * np.conj(k_upper)[..., None, :]
     return np.real(dyad_to_vector(d, "up"))
 
 
@@ -148,10 +167,11 @@ def trace_reversal_residual(p: np.ndarray) -> float:
     """Max deviation of p_{AB'} p_{BA'} = p_a p_b - (p.p/2) g_{ab} in world components."""
     p = np.asarray(p, dtype=float)
     pl = vector_to_dyad(p, "low")
-    lhs_spinor = np.einsum('...Ab,...Ba->...AaBb', pl, pl)
-    lhs = np.einsum('...imjn,aim,bjn->...ab', lhs_spinor, G_UP, G_UP)
+    # p_{Ab'} p_{Ba'} with its indices in the order A a' B b'
+    lhs_spinor = pl[..., :, None, None, :] * np.swapaxes(pl, -1, -2)[..., None, :, :, None]
+    lhs = pair_to_world(lhs_spinor)
     plow = lower_vector(p)
-    rhs = (np.einsum('...a,...b->...ab', plow, plow)
+    rhs = (plow[..., :, None] * plow[..., None, :]
            - 0.5 * mass_squared(p)[..., None, None] * METRIC)
     scale = np.maximum(1.0, np.max(np.abs(plow), axis=-1) ** 2)
     return float(np.max(np.abs(lhs - rhs) / scale[..., None, None]))
@@ -172,14 +192,30 @@ def iw_generators() -> tuple[np.ndarray, np.ndarray]:
 SIGMA, SIGMABAR = iw_generators()
 
 
+# flattened (ab, cd) tables acting on a pair of world indices
+_LOWER_PAIR = np.einsum('ac,bd->abcd', METRIC, METRIC).reshape(16, 16)
+_DUAL_PAIR = 0.5 * np.einsum('abcd,ce,df->abef', LEVI_UP, METRIC, METRIC).reshape(16, 16)
+
+
 def lower_world_pair(t: np.ndarray) -> np.ndarray:
     """T^{ab...} -> T_{ab...} on the two leading world indices."""
-    return np.einsum('ac,bd,cd...->ab...', METRIC, METRIC, t)
+    t = np.asarray(t)
+    return (_LOWER_PAIR @ t.reshape(16, -1)).reshape(t.shape)
+
+
+def lower_tensor(f: np.ndarray) -> np.ndarray:
+    """F^{ab} -> F_{ab} on the two trailing world indices of (..., 4, 4).
+
+    The metric is its own inverse, so the same map raises F_{ab} to F^{ab}.
+    """
+    f = np.asarray(f)
+    return (f.reshape(f.shape[:-2] + (16,)) @ _LOWER_PAIR.T).reshape(f.shape)
 
 
 def dual_pair(t: np.ndarray) -> np.ndarray:
     """*T^{ab} = (1/2) e^{abcd} T_{cd} on the two leading world indices."""
-    return 0.5 * np.einsum('abcd,cd...->ab...', LEVI_UP, lower_world_pair(t))
+    t = np.asarray(t)
+    return (_DUAL_PAIR @ t.reshape(16, -1)).reshape(t.shape)
 
 
 def generator_spinor_form() -> tuple[np.ndarray, np.ndarray]:
@@ -202,31 +238,42 @@ def _check_unit_det(a: np.ndarray, tol: float = 1e-9) -> None:
         raise NonUnitDeterminant(f"|det A - 1| = {np.max(np.abs(det - 1.0)):.3e}")
 
 
+# (A_BC) -> eps_{BA} A_BC eps_{CD}, flattened (BC, AD)
+_LOWER_REP = np.einsum('BA,CD->BCAD', EPS, EPS).reshape(4, 4)
+
+
 def sl2c_lower_rep(a: np.ndarray) -> np.ndarray:
     """Matrix acting on lower-index unprimed spinors for A acting on upper ones."""
-    return np.einsum('BA,...BC,CD->...AD', EPS, np.asarray(a), EPS)
+    a = np.asarray(a)
+    return (a.reshape(a.shape[:-2] + (4,)) @ _LOWER_REP).reshape(a.shape)
+
+
+# Lambda^a_b = [A (e_b)^{AA'} A^dagger]^a is linear in the 16 entries
+# A_ij conj(A)_lk; rows are (i, j, l, k), columns the flattened (a, b).
+_LORENTZ = np.einsum('bjk,ila->ijlkab', vector_to_dyad(np.eye(4), "up"),
+                     dyad_to_vector(np.eye(4).reshape(4, 2, 2), "up")
+                     .reshape(2, 2, 4)).reshape(16, 16)
 
 
 def lorentz_from_sl2c(a: np.ndarray) -> np.ndarray:
     """Lorentz matrix Lambda with (Lambda p)^{AA'} = A p^{AA'} A^dagger."""
     a = np.asarray(a, dtype=complex)
     _check_unit_det(a)
-    basis = vector_to_dyad(np.eye(4), "up")       # (4, 2, 2), one dyad per axis
-    rotated = np.einsum('...ij,bjk,...lk->...bil', a, basis, np.conj(a))
-    cols = dyad_to_vector(rotated, "up")          # (..., 4 cols, 4)
-    return np.real(np.swapaxes(cols, -1, -2))
+    lead = a.shape[:-2]
+    outer = a[..., :, :, None, None] * np.conj(a)[..., None, None, :, :]
+    return np.real(outer.reshape(lead + (16,)) @ _LORENTZ).reshape(lead + (4, 4))
 
 
 def transform_vector(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     lam = lorentz_from_sl2c(a)
-    return np.einsum('...ab,...b->...a', lam, np.asarray(p))
+    return (lam @ np.asarray(p)[..., None])[..., 0]
 
 
 def transform_dyad(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Action on p^{AA'}: D -> A D A^dagger."""
     a = np.asarray(a)
     _check_unit_det(a)
-    return np.einsum('...ij,...jk,...lk->...il', a, np.asarray(d), np.conj(a))
+    return a @ np.asarray(d) @ np.conj(np.swapaxes(a, -1, -2))
 
 
 # ---------------------------------------------------------------------------

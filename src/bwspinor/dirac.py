@@ -28,20 +28,12 @@ class GammaSet:
     current_metric: np.ndarray  # the epsilon-twisted "gamma_0" of the current
 
 
-def _raise_second(d: np.ndarray) -> np.ndarray:
-    return np.einsum('bc,Ac->Ab', core.EPS, d)
-
-
-def _raise_first(d: np.ndarray) -> np.ndarray:
-    return np.einsum('bc,cA->bA', core.EPS, d)
-
-
 def gamma_set() -> GammaSet:
     """Gamma matrices, gamma5 (product and block forms), and the current metric."""
     gam = np.zeros((4, 4, 4), dtype=complex)
     for q in range(4):
-        upper_right = _raise_second(core.G_LOW[q])    # g_{qA}^{B'}
-        lower_left = _raise_first(core.G_LOW[q])      # g_q^B_{A'}
+        upper_right = core.G_LOW[q] @ core.EPS.T      # g_{qA}^{B'}
+        lower_left = core.EPS @ core.G_LOW[q]         # g_q^B_{A'}
         m = np.zeros((4, 4), dtype=complex)
         m[0:2, 2:4] = upper_right
         m[2:4, 0:2] = -lower_left.T                   # block index (A', B)
@@ -106,8 +98,7 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     upper, lower = psi[..., 0:2], psi[..., 2:4]
     dyad = (np.einsum('...A,...B->...AB', upper, np.conj(upper))
             + np.einsum('...A,...B->...AB', np.conj(lower), lower))
-    j_low = np.sqrt(2.0) * np.real(np.einsum('aAB,...AB->...a', core.G_UP, dyad))
-    return j_low @ core.METRIC
+    return np.sqrt(2.0) * np.real(core.dyad_to_vector(dyad, "low"))
 
 
 def extract_dirac(psi: np.ndarray, frame: SpinFrame,

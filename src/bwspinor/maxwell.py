@@ -15,9 +15,10 @@ import numpy as np
 from . import core
 from .errors import InconsistentPair, NotAntisymmetric, NotNull, OrthogonalDirection
 
-# sigma_{qr AB}: generators with both world indices and both spinor indices lowered
+# sigma_{qr AB}: generators with both world indices and both spinor indices
+# lowered, flattened to a (qr, AB) table
 _SIG_LL = np.einsum('ac,bd,cdXZ,ZY->abXY', core.METRIC, core.METRIC,
-                    core.SIGMA, core.EPS)
+                    core.SIGMA, core.EPS).reshape(16, 4)
 
 _LEVI3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -35,8 +36,9 @@ def _check_antisymmetric(f: np.ndarray, tol: float = 1e-12) -> None:
 def em_spinor(f_up: np.ndarray) -> np.ndarray:
     """Symmetric spinor phi_{AB} = (i/2) F^{qr} sigma_{qr AB}."""
     _check_antisymmetric(f_up)
-    return 0.5j * np.einsum('...qr,qrXY->...XY', np.asarray(f_up, dtype=complex),
-                            _SIG_LL)
+    f_up = np.asarray(f_up)
+    lead = f_up.shape[:-2]
+    return 0.5j * (f_up.reshape(lead + (16,)) @ _SIG_LL).reshape(lead + (2, 2))
 
 
 def lorenz_residual(pot: np.ndarray, p: np.ndarray) -> float:
@@ -71,11 +73,10 @@ def field_strength_from_phi(phi: np.ndarray) -> np.ndarray:
     """Real F^{qr} with chirality parts phi and conj(phi):
     F_{AA'BB'} = phi_{AB} eps_{A'B'} + eps_{AB} conj(phi)_{A'B'}."""
     phi = np.asarray(phi, dtype=complex)
-    spin = (np.einsum('...AB,mn->...AmBn', phi, core.EPS)
-            + np.einsum('AB,...mn->...AmBn', core.EPS, np.conj(phi)))
-    low = np.einsum('...imjn,aim,bjn->...ab', spin, core.G_UP, core.G_UP)
-    up = np.einsum('ac,bd,...cd->...ab', core.METRIC, core.METRIC, low)
-    return np.real(up)
+    eps = core.EPS
+    spin = (phi[..., :, None, :, None] * eps[:, None, :]
+            + eps[:, None, :, None] * np.conj(phi)[..., None, :, None, :])
+    return np.real(core.lower_tensor(core.pair_to_world(spin)))
 
 
 def electric_field(f_up: np.ndarray) -> np.ndarray:
@@ -91,17 +92,17 @@ def magnetic_field(f_up: np.ndarray) -> np.ndarray:
 def stress_tensor_spinor(phi: np.ndarray) -> np.ndarray:
     """T_{ab} from the chirality route, phi_{AB} conj(phi)_{A'B'}."""
     phi = np.asarray(phi, dtype=complex)
-    spin = np.einsum('...AB,...mn->...AmBn', phi, np.conj(phi))
-    return np.real(np.einsum('...imjn,aim,bjn->...ab', spin, core.G_UP, core.G_UP))
+    spin = phi[..., :, None, :, None] * np.conj(phi)[..., None, :, None, :]
+    return np.real(core.pair_to_world(spin))
 
 
 def stress_tensor_field(f_up: np.ndarray) -> np.ndarray:
     """T_{ab} = (1/2)((1/4) g_{ab} F_{cd} Fbar^{cd} - F_{ac} Fbar_b^c); the
     second factor of each product carries the conjugate."""
     f_up = np.asarray(f_up, dtype=complex)
-    f_low = np.einsum('ac,bd,...cd->...ab', core.METRIC, core.METRIC, f_up)
+    f_low = core.lower_tensor(f_up)
     invariant = np.einsum('...ab,...ab->...', f_low, np.conj(f_up))
-    mixed = np.einsum('bd,...dc->...bc', core.METRIC, np.conj(f_up))
+    mixed = core.METRIC @ np.conj(f_up)
     quad = np.einsum('...ac,...bc->...ab', f_low, mixed)
     t = 0.5 * (0.25 * invariant[..., None, None] * core.METRIC - quad)
     return np.real(t)

@@ -39,22 +39,19 @@ class PLOperator:
         return out
 
 
-def pl_momentum_rep(p: np.ndarray) -> PLOperator:
-    """S^a(p) for both chirality blocks."""
-    p = np.asarray(p, dtype=float)
+def _pl_rep_blocks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^a(p) from the dyads of p; evaluated once, on the basis, for _PL_REP."""
     pl = core.vector_to_dyad(p, "low")
     pu = core.vector_to_dyad(p, "up")
     unprimed = -0.5 * (np.einsum('...XE,aYE->...aXY', pl, core.G_UP_W)
                        - np.einsum('aXE,...YE->...aXY', core.G_LOW_W, pu))
     primed = 0.5 * (np.einsum('...EX,aEY->...aXY', pl, core.G_UP_W)
                     - np.einsum('aEX,...EY->...aXY', core.G_LOW_W, pu))
-    return PLOperator(unprimed=unprimed, primed=primed, p=p)
+    return unprimed, primed
 
 
-def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S(t,p) = t_a S^a(p) for both blocks, via the closed dyad forms."""
-    t = np.asarray(t, dtype=float)
-    p = np.asarray(p, dtype=float)
+def _pl_project_blocks(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t_a S^a(p) from the closed dyad forms; evaluated once, on the basis, for _PL_PROJECT."""
     tul = core.vector_to_dyad(t, "ul")
     tlu = core.vector_to_dyad(t, "lu")
     tlow = core.vector_to_dyad(t, "low")
@@ -66,6 +63,34 @@ def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     primed = -0.5 * (np.einsum('...EY,...EX->...XY', tlu, pul)
                      + np.einsum('...EX,...EY->...XY', tlow, pup))
     return unprimed, primed
+
+
+# S^a(p) is linear in p and t_a S^a(p) bilinear in (t, p), so each is one
+# matmul against its formula evaluated on the basis vectors: rows p^b (or
+# t^c p^d), columns the flattened unprimed block followed by the primed one.
+_EYE4 = np.eye(4)
+_PL_REP = np.concatenate([b.reshape(4, 16) for b in _pl_rep_blocks(_EYE4)], axis=1)
+_PL_PROJECT = np.concatenate(
+    [b.reshape(16, 4) for b in _pl_project_blocks(_EYE4[:, None, :], _EYE4[None, :, :])],
+    axis=1)
+
+
+def pl_momentum_rep(p: np.ndarray) -> PLOperator:
+    """S^a(p) for both chirality blocks."""
+    p = np.asarray(p, dtype=float)
+    blocks = (p @ _PL_REP).reshape(p.shape[:-1] + (2, 4, 2, 2))
+    return PLOperator(unprimed=blocks[..., 0, :, :, :],
+                      primed=blocks[..., 1, :, :, :], p=p)
+
+
+def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(t,p) = t_a S^a(p) for both blocks; t and p broadcast against each other."""
+    t = np.asarray(t, dtype=float)
+    p = np.asarray(p, dtype=float)
+    tp = t[..., :, None] * p[..., None, :]
+    blocks = (tp.reshape(tp.shape[:-2] + (16,)) @ _PL_PROJECT).reshape(
+        tp.shape[:-2] + (2, 2, 2))
+    return blocks[..., 0, :, :], blocks[..., 1, :, :]
 
 
 def pl_eigenvalues(t: np.ndarray, p: np.ndarray,
@@ -140,7 +165,7 @@ def explicit_frame_projectors(frame: SpinFrame) -> dict[tuple[int, int], np.ndar
     eye = np.broadcast_to(np.eye(2), oml.shape[:-1] + (2, 2))
 
     def outer(x, y):
-        return np.einsum('...A,...B->...AB', x, y)
+        return x[..., :, None] * y[..., None, :]
 
     out = {}
     for s in (+1, -1):
@@ -192,10 +217,14 @@ def pl_eigen_relations_residual(frame: SpinFrame) -> float:
     oml = core.lower_spinor(frame.omega)
     pil = core.lower_spinor(frame.pi)
     conj = np.conj
+
+    def act(s, v):
+        return (s @ v[..., None])[..., 0]
+
     res = [
-        np.einsum('...XY,...Y->...X', su, oml) - 0.5 * tp * oml,
-        np.einsum('...XY,...Y->...X', su, pil) + 0.5 * tp * pil,
-        np.einsum('...XY,...Y->...X', sp, conj(oml)) + 0.5 * tp * conj(oml),
-        np.einsum('...XY,...Y->...X', sp, conj(pil)) - 0.5 * tp * conj(pil),
+        act(su, oml) - 0.5 * tp * oml,
+        act(su, pil) + 0.5 * tp * pil,
+        act(sp, conj(oml)) + 0.5 * tp * conj(oml),
+        act(sp, conj(pil)) - 0.5 * tp * conj(pil),
     ]
     return float(max(np.max(np.abs(r)) for r in res))

@@ -107,3 +107,138 @@ def standard_sum_bruteforce(psi) -> float:
             member = dense_pattern(psi, primed_at)
             total += float(np.sum(np.abs(member) ** 2))
     return total
+
+
+# ---------------------------------------------------------------------------
+# constant-coefficient maps of core and pauli_lubanski, one batch entry at a
+# time, from the conventions written out again as plain Python lists:
+# sigma_a = (1, sigma_x, sigma_y, sigma_z), g_a^{AA'} = sigma_a / sqrt2,
+# eps_{01} = eps^{01} = +1, metric (+, -, -, -).
+
+_SIGMA = (((1, 0), (0, 1)), ((0, 1), (1, 0)),
+          ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+_EPS = ((0, 1), (-1, 0))
+_METRIC = (1, -1, -1, -1)
+_R2 = 2 ** 0.5
+
+
+def _g_up(a, i, j):
+    return _SIGMA[a][i][j] / _R2
+
+
+def _g_low(a, i, j):
+    """g_{aAA'} = g_a^{BB'} eps_{BA} eps_{B'A'}."""
+    return sum(_EPS[b][i] * _g_up(a, b, c) * _EPS[c][j]
+               for b in range(2) for c in range(2))
+
+
+def _dyad_one(v, valence):
+    up = [[sum(v[a] * _g_up(a, i, j) for a in range(4)) for j in range(2)]
+          for i in range(2)]
+    low = [[sum(v[a] * _g_low(a, i, j) for a in range(4)) for j in range(2)]
+           for i in range(2)]
+    if valence == "up":
+        return up
+    if valence == "low":
+        return low
+    if valence == "lu":     # p_A^{A'} = eps^{A'B'} p_{AB'}
+        return [[sum(_EPS[j][c] * low[i][c] for c in range(2)) for j in range(2)]
+                for i in range(2)]
+    if valence == "ul":     # p^A_{A'} = eps^{AB} p_{BA'}
+        return [[sum(_EPS[i][b] * low[b][j] for b in range(2)) for j in range(2)]
+                for i in range(2)]
+    raise ValueError(f"unknown valence {valence!r}")
+
+
+def vector_to_dyad_loop(p, valence: str = "up") -> np.ndarray:
+    p = np.asarray(p)
+    out = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+    for idx in np.ndindex(p.shape[:-1]):
+        v = [complex(x) for x in p[idx]]
+        out[idx] = _dyad_one(v, valence)
+    return out
+
+
+def dyad_to_vector_loop(d, valence: str = "up") -> np.ndarray:
+    """p^a = (1/sqrt2) tr(sigma_a d^{up}); a "low" dyad is raised with eps first."""
+    d = np.asarray(d)
+    out = np.zeros(d.shape[:-2] + (4,), dtype=complex)
+    for idx in np.ndindex(d.shape[:-2]):
+        m = [[complex(d[idx][i, j]) for j in range(2)] for i in range(2)]
+        if valence == "low":    # p^{AA'} = eps^{AB} eps^{A'B'} p_{BB'}
+            m = [[sum(_EPS[i][b] * m[b][c] * _EPS[j][c]
+                      for b in range(2) for c in range(2)) for j in range(2)]
+                 for i in range(2)]
+        elif valence != "up":
+            raise ValueError(f"unknown valence {valence!r}")
+        out[idx] = [sum(_SIGMA[a][j][i] * m[i][j] for i in range(2) for j in range(2)) / _R2
+                    for a in range(4)]
+    return out
+
+
+def lorentz_from_sl2c_loop(a) -> np.ndarray:
+    """Lambda^a_b = (1/2) Re tr(sigma_a A sigma_b A^dagger)."""
+    a = np.asarray(a)
+    out = np.zeros(a.shape[:-2] + (4, 4))
+    for idx in np.ndindex(a.shape[:-2]):
+        m = a[idx]
+        for r in range(4):
+            for c in range(4):
+                val = 0j
+                for i, j, k, l in itertools.product(range(2), repeat=4):
+                    val += (_SIGMA[r][l][i] * m[i, j] * _SIGMA[c][j][k]
+                            * np.conj(m[l, k]))
+                out[idx + (r, c)] = 0.5 * val.real
+    return out
+
+
+def pair_to_world_loop(x) -> np.ndarray:
+    """x_ab = g_a^{AA'} g_b^{BB'} x_{AA'BB'}."""
+    x = np.asarray(x)
+    out = np.zeros(x.shape[:-4] + (4, 4), dtype=complex)
+    for idx in np.ndindex(x.shape[:-4]):
+        for a, b in itertools.product(range(4), repeat=2):
+            out[idx + (a, b)] = sum(
+                _g_up(a, i, m) * _g_up(b, j, n) * x[idx + (i, m, j, n)]
+                for i, m, j, n in itertools.product(range(2), repeat=4))
+    return out
+
+
+def pl_momentum_rep_loop(p) -> tuple[np.ndarray, np.ndarray]:
+    """S^a(p) = -(1/2)(p_{XE'} g^{aYE'} - g^a_{XE'} p^{YE'}) on the unprimed
+    block and (1/2)(p_{EX'} g^{aEY'} - g^a_{EX'} p^{EY'}) on the primed one,
+    with g^a = METRIC^{aa} g_a."""
+    p = np.asarray(p, dtype=float)
+    unprimed = np.zeros(p.shape[:-1] + (4, 2, 2), dtype=complex)
+    primed = np.zeros_like(unprimed)
+    for idx in np.ndindex(p.shape[:-1]):
+        v = [float(x) for x in p[idx]]
+        pl, pu = _dyad_one(v, "low"), _dyad_one(v, "up")
+        for a, x, y in itertools.product(range(4), range(2), range(2)):
+            eta = _METRIC[a]
+            unprimed[idx + (a, x, y)] = -0.5 * sum(
+                pl[x][e] * eta * _g_up(a, y, e) - eta * _g_low(a, x, e) * pu[y][e]
+                for e in range(2))
+            primed[idx + (a, x, y)] = 0.5 * sum(
+                pl[e][x] * eta * _g_up(a, e, y) - eta * _g_low(a, e, x) * pu[e][y]
+                for e in range(2))
+    return unprimed, primed
+
+
+def pl_project_loop(t, p) -> tuple[np.ndarray, np.ndarray]:
+    """t_a S^a(p): (1/2)(t^Y_E p_X^E + t_{XE} p^{YE}) and its primed partner
+    -(1/2)(t_E^{Y'} p^E_{X'} + t_{EX'} p^{EY'}); t and p broadcast."""
+    t, p = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(p, dtype=float))
+    unprimed = np.zeros(t.shape[:-1] + (2, 2), dtype=complex)
+    primed = np.zeros_like(unprimed)
+    for idx in np.ndindex(t.shape[:-1]):
+        tv = [float(x) for x in t[idx]]
+        pv = [float(x) for x in p[idx]]
+        tul, tlu, tlow = (_dyad_one(tv, v) for v in ("ul", "lu", "low"))
+        plu, pul, pup = (_dyad_one(pv, v) for v in ("lu", "ul", "up"))
+        for x, y in itertools.product(range(2), repeat=2):
+            unprimed[idx + (x, y)] = 0.5 * sum(
+                tul[y][e] * plu[x][e] + tlow[x][e] * pup[y][e] for e in range(2))
+            primed[idx + (x, y)] = -0.5 * sum(
+                tlu[e][y] * pul[e][x] + tlow[e][x] * pup[e][y] for e in range(2))
+    return unprimed, primed

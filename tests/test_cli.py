@@ -44,6 +44,20 @@ class TestVerify:
         assert code == 2
         assert "--trials" in err
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--seed", "-1"], "--seed"),
+        (["--tol", "inf"], "--tol"),
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "0"], "--tol"),
+        (["--tol", "-1"], "--tol"),
+    ])
+    def test_bad_seed_or_tolerance_usage_error(self, capsys, extra, flag):
+        code, out, err = run_cli(["verify", "--suite", "core", "--trials", "5",
+                                  *extra], capsys)
+        assert code == 2
+        assert flag in err and len(err.strip().splitlines()) == 1
+        assert out == ""
+
     def test_bogus_suite_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "bogus"])
