@@ -12,17 +12,15 @@ term but the pure-pi one.  The quadratic tensor T pairs each member with its
 conjugate, and the norm integrand [t...t T] / [t_1.p ... t_n.p] is
 independent of the chosen directions t_k.
 
-The production kernels work in graded (r+1)(s+1) coordinates: a 2x2 dyad on
-every slot of a symmetric group is one (r+1)x(r+1) matrix of
-`multispinor.sym_power_matrices`.  Only the distinct-direction T contraction
-(the direction-independence check), the field-equation and helicity residuals
-and the Hertz route expand members densely to 2^n entries.
+Every kernel works in graded (r+1)(s+1) coordinates: a 2x2 dyad on every
+slot of a symmetric group is one (r+1)x(r+1) matrix of
+`multispinor.sym_power_matrices`, and the T contraction with a distinct
+direction on each slot steps the same recurrence slot by slot.  No member is
+expanded to its 2^n dense entries.
 """
 
 from __future__ import annotations
 
-import itertools
-import string
 from dataclasses import dataclass
 from math import comb
 
@@ -31,18 +29,15 @@ import numpy as np
 from . import core
 from .errors import (FrameMismatch, NonUnitDeterminant, NotMassive, NotNull,
                      OrthogonalDirection, ValenceMismatch)
-from .frames import SpinFrame, frame_massless
-from .multispinor import (SymMultiSpinor, _binomials, _sym_power_coeffs,
-                          apply_matrix_per_slot, contract_same,
-                          dense_from_graded, graded_from_dense,
-                          sym_power_matrices)
+from .frames import SpinFrame, _reject, frame_massless
+from .multispinor import (SymMultiSpinor, _binomials, _shift_add,
+                          _sym_power_coeffs, apply_matrix_per_slot,
+                          contract_same, sym_power_matrices)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
-_PSI = string.ascii_uppercase
-_BAR = string.ascii_lowercase
-
-# the distinct-direction T check loops over 2^n labelled members of 2^n dense
-# entries each; the storage contract caps the doubled spin where it stays cheap
+# every kernel is polynomial in n; the cap stands for precision, not cost:
+# double-precision extraction with a general reference spinor and the
+# form="p" pairing lose digits as n grows, and no rule yet sets the limit
 MAX_N = 10
 
 
@@ -141,12 +136,11 @@ def resolve_directions(spec, n: int, psi: BWComponent,
         equal = bool(np.all(ts == ts[0]))
     else:
         raise TypeError(f"not a direction spec: {spec!r}")
-    tp = core.minkowski(ts, psi.p)
+    finite = np.all(np.isfinite(ts), axis=-1)
+    tp = core.minkowski(np.where(finite[..., None], ts, 0.0), psi.p)
     scale = np.maximum(np.abs(ts[..., 0] * psi.p[..., 0]), 1e-300)
-    bad = np.abs(tp) < 1e-12 * scale
-    if np.any(bad):
-        raise OrthogonalDirection(
-            f"t.p vanishes at sample index {np.argwhere(bad)[0].tolist()}")
+    _reject(~finite | ~(np.abs(tp) >= 1e-12 * scale), OrthogonalDirection,
+            "t.p must be finite and nonzero")
     return ts, equal
 
 
@@ -208,68 +202,34 @@ def extract_massive(psi: BWComponent, frame: SpinFrame,
                       f=np.stack(fs, axis=-1))
 
 
-def _contract_one_slot(dense: np.ndarray, n: int, axis: int, matrix: np.ndarray,
-                       contract_second: bool) -> np.ndarray:
-    """Contract slot `axis` (of the trailing n axes) with a 2x2 dyad.
-
-    contract_second sums over the dyad's second index (free first index takes
-    the slot's place); otherwise over the first.
-    """
-    letters = _PSI[:n]
-    src = "..." + letters
-    m_sub = "..." + (("z" + letters[axis]) if contract_second
-                     else (letters[axis] + "z"))
-    dst = "..." + letters[:axis] + "z" + letters[axis + 1:]
-    return np.einsum(f"{src},{m_sub}->{dst}", dense, matrix, optimize=True)
-
-
 def field_equation_residual_massive(psi: BWComponent) -> float:
     """Max residual of both momentum-space equation families over all slots,
     relative to the component and momentum scale."""
     if psi.mass <= 0:
         raise NotMassive("massive field equations need m > 0")
     n, m, e = psi.n, psi.mass, psi.sign
-    pul = core.vector_to_dyad(psi.p, "ul")   # p^A_{A'}
-    plu = core.vector_to_dyad(psi.p, "lu")   # p_A^{A'}
+    pul = core.vector_to_dyad(psi.p, "ul")[..., None, :, :]           # p^A_{A'}
+    plu_t = np.swapaxes(core.vector_to_dyad(psi.p, "lu"), -1, -2)[..., None, :, :]
     scale = max(1.0, max(float(np.max(np.abs(c.comp))) for c in psi.comps)
                 * max(float(np.max(np.abs(psi.p))), m))
     worst = 0.0
     for k in range(n):
-        r = n - k
-        da = dense_from_graded(psi.comps[k].comp, r, k)
-        db = dense_from_graded(psi.comps[k + 1].comp, r - 1, k + 1)
+        lo, hi = psi.comps[k].comp, psi.comps[k + 1].comp
+        # one contracted slot leaves a free index z beside the two groups:
+        # lo_z[i, j, z] = lo[i + z, j] and hi_z[i, j, z] = hi[i, j + z]
+        lo_z = np.stack([lo[..., :-1, :], lo[..., 1:, :]], axis=-1)
+        hi_z = np.stack([hi[..., :-1], hi[..., 1:]], axis=-1)
         # e p^A_{A'} psi^{..0..}_{..A..} = -(m/sqrt2) psi^{..1..}_{..A'..}
-        lhs = e * _contract_one_slot(da, n, r - 1, pul, contract_second=False)
-        worst = max(worst, float(np.max(np.abs(lhs + (m / np.sqrt(2.0)) * db))))
+        res = e * lo_z @ pul + (m / np.sqrt(2.0)) * hi_z
+        worst = np.maximum(worst, np.max(np.abs(res)))   # a NaN propagates
         # e p_A^{A'} psi^{..1..}_{..A'..} = +(m/sqrt2) psi^{..0..}_{..A..}
-        lhs2 = e * _contract_one_slot(db, n, r - 1, plu, contract_second=True)
-        worst = max(worst, float(np.max(np.abs(lhs2 - (m / np.sqrt(2.0)) * da))))
-    return worst / scale
+        res = e * hi_z @ plu_t - (m / np.sqrt(2.0)) * lo_z
+        worst = np.maximum(worst, np.max(np.abs(res)))
+    return float(worst / scale)
 
 
 # ---------------------------------------------------------------------------
 # the quadratic tensor and norm integrands
-
-def _pattern_contraction(dense: np.ndarray, tdy: np.ndarray, n: int,
-                         primed_at: tuple[int, ...]) -> np.ndarray:
-    """Contract one labelled member with its conjugate and one dyad per slot.
-
-    dense holds the canonical (unprimed..., primed...) axis order; primed_at
-    assigns those axes to world slots and fixes the pairing orientation.
-    """
-    r = n - len(primed_at)
-    unprimed_at = tuple(i for i in range(n) if i not in primed_at)
-    psi_sub = "..." + _PSI[:n]
-    bar_sub = "..." + _BAR[:n]
-    subs = [psi_sub, bar_sub]
-    ops = [dense, np.conj(dense)]
-    for axis in range(n):
-        slot = unprimed_at[axis] if axis < r else primed_at[axis - r]
-        pair = (_PSI[axis] + _BAR[axis]) if axis < r else (_BAR[axis] + _PSI[axis])
-        subs.append("..." + pair)
-        ops.append(tdy[slot])
-    return np.einsum(",".join(subs) + "->...", *ops, optimize=True)
-
 
 def _hermitian_factor(dyad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B and signs J with dyad = B diag(J) B^H for a batch of Hermitian 2x2s.
@@ -317,30 +277,56 @@ def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
     return total
 
 
+def _slot_states(tdy: np.ndarray, kmax: int) -> dict[int, np.ndarray]:
+    """Z[a][i, i', j', j] = sum over the splits of the slots into a unprimed
+    (U) and u primed (P) of A_U[i, i'] B_P[j', j], batch-last.
+
+    tdy is (n, 2, 2, *batch).  Slot l multiplies A_U or B_P by
+    (t00 + t01 y + t10 x + t11 x y); splits with more than kmax primed slots
+    are dropped.
+    """
+    batch = tdy.shape[3:]
+    states = {0: np.ones((1, 1, 1, 1) + batch, dtype=complex)}
+    for done, m in enumerate(tdy, start=1):
+        nxt = {}
+        for a in range(max(0, done - kmax), done + 1):
+            u = done - a
+            z = np.zeros((a + 1, a + 1, u + 1, u + 1) + batch, dtype=complex)
+            if a in states:         # slot l primed
+                _shift_add(z, states[a], m, axis=2)
+            if a - 1 in states:     # slot l unprimed
+                _shift_add(z, states.pop(a - 1), m, axis=0)
+            nxt[a] = z
+        states = nxt
+    return states
+
+
 def contract_T(psi: BWComponent, ts: np.ndarray,
                equal_slots: bool | None = None) -> np.ndarray:
     """t_1...t_n T, summing the quadratic tensor over all 2^n labelled members.
 
-    With identical direction vectors on every slot the pattern sum reduces to
-    binomial multiplicities of the canonical members, and each member pairs
-    in graded form: sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with
+    A member with unprimed slots U and primed slots P pairs with its
+    conjugate as sum c[i, j] conj(c[i', j']) A_U[i, i'] B_P[j', j], where A_U
+    holds the coefficients of x^i y^i' in prod_{l in U} (t00 + t01 y + t10 x
+    + t11 x y) and B_P the same over P with j' on x.  With identical direction vectors on
+    every slot the pattern sum reduces to binomial multiplicities of the
+    canonical members: sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with
     K = S(t^{AA'}) from `sym_power_matrices`, evaluated as a sum of squares
-    by `_square_pairing`.  Distinct directions take the dense route over
-    every labelled member; that route is the direction-independence check,
-    not a production path.
+    by `_square_pairing`.  Distinct directions sum the splits slot by slot
+    (`_slot_states`); member k reads the state with n - k unprimed slots.
     """
     n = psi.n
     if equal_slots is None:
         equal_slots = bool(np.all(ts == ts[0]))
     if equal_slots:
         return _square_pairing(psi, core.vector_to_dyad(ts[0], "up"))
-    tdy = core.vector_to_dyad(ts, "up")
-    total = None
+    tdy = np.moveaxis(core.vector_to_dyad(ts, "up"), (-2, -1), (1, 2))
+    states = _slot_states(tdy, len(psi.comps) - 1)
+    total = 0.0
     for k, comp in enumerate(psi.comps):
-        dense = dense_from_graded(comp.comp, n - k, k)
-        for primed_at in itertools.combinations(range(n), k):
-            term = _pattern_contraction(dense, tdy, n, primed_at)
-            total = term if total is None else total + term
+        c = np.moveaxis(comp.comp, (-2, -1), (0, 1))
+        total = total + np.einsum("ij...,IJ...,iIJj...->...",
+                                  c, np.conj(c), states.pop(n - k))
     return np.real(total)
 
 
@@ -409,43 +395,39 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1,
     lower unprimed index.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(np.abs(core.mass_squared(p)) > tol * np.maximum(p[..., 0] ** 2, 1e-300)):
-        raise NotNull("hertz_psi needs a null momentum")
+    finite = np.all(np.isfinite(p), axis=-1)
+    off = np.abs(core.mass_squared(np.where(finite[..., None], p, 0.0)))
+    _reject(~finite | (off > tol * np.maximum(p[..., 0] ** 2, 1e-300)), NotNull,
+            "hertz_psi needs a finite null momentum")
     if xi.r != 0:
         raise ValenceMismatch("hertz generator must be all-primed")
     n = xi.s
     _check_spin(n)
     pl = core.vector_to_dyad(p, "low")
-    dense = dense_from_graded(xi.comp, 0, n)
-    subs = ["..." + _BAR[:n]]
-    ops: list[np.ndarray] = [dense]
-    for i in range(n):
-        subs.append("..." + _PSI[i] + _BAR[i])
-        ops.append(pl)
-    out = np.einsum(",".join(subs) + "->..." + _PSI[:n], *ops, optimize=True)
-    comp = SymMultiSpinor(n, 0, graded_from_dense((-1j * sign) ** n * out, n, 0))
+    moved = apply_matrix_per_slot(xi, pl, pl).comp     # (..., 1, n+1)
+    comp = SymMultiSpinor(n, 0, (-1j * sign) ** n * np.swapaxes(moved, -1, -2))
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
 
 def helicity_residual_massless(psi: BWComponent) -> float:
     """Max over the world index of |sum_slots S^a psi + (n/2) p^a psi|,
-    relative to the component and momentum scale."""
+    relative to the component and momentum scale.
+
+    For one 2x2 M acting on each slot in turn, the slot sum maps graded
+    components c_i to (n-i)(M00 c_i + M01 c_{i+1}) + i(M11 c_i + M10 c_{i-1}):
+    of the slots of an entry with i ones, n - i hold a 0 and i hold a 1.
+    """
     if psi.mass != 0.0:
         raise NotNull("helicity relation applies to massless components")
     n = psi.n
-    s_op = pl_momentum_rep(psi.p).unprimed      # (..., 4, 2, 2)
-    dense = dense_from_graded(psi.comps[0].comp, n, 0)
-    letters = _PSI[:n]
-    acc = None
-    for slot in range(n):
-        dst = letters[:slot] + "z" + letters[slot + 1:]
-        acted = np.einsum(f"...{letters},...wz{letters[slot]}->w...{dst}",
-                          dense, s_op, optimize=True)
-        acc = acted if acc is None else acc + acted
-    pa = np.moveaxis(psi.p, -1, 0)
-    pa = pa.reshape(pa.shape + (1,) * n)
-    res = acc + 0.5 * n * pa * dense[None]
-    scale = max(1.0, float(np.max(np.abs(dense))) * float(np.max(np.abs(psi.p))))
+    s_op = pl_momentum_rep(psi.p).unprimed[..., None]     # (..., 4, 2, 2, 1)
+    cp = psi.comps[0].comp[..., None, :, 0]               # (..., 1, n+1)
+    cp = np.pad(cp, [(0, 0)] * (cp.ndim - 1) + [(1, 1)])  # c_{-1} = c_{n+1} = 0
+    c, i = cp[..., 1:-1], np.arange(n + 1)
+    acc = ((n - i) * (s_op[..., 0, 0, :] * c + s_op[..., 0, 1, :] * cp[..., 2:])
+           + i * (s_op[..., 1, 1, :] * c + s_op[..., 1, 0, :] * cp[..., :-2]))
+    res = acc + 0.5 * n * psi.p[..., None] * c
+    scale = max(1.0, float(np.max(np.abs(c))) * float(np.max(np.abs(psi.p))))
     return float(np.max(np.abs(res))) / scale
 
 
@@ -475,8 +457,10 @@ def wigner_state(psi: BWComponent, spec,
 def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     """Slotwise SL(2,C) action and momentum map p -> Lambda p."""
     a = np.asarray(a, dtype=complex)
-    if np.max(np.abs(np.linalg.det(a) - 1.0)) > 1e-9:
-        raise NonUnitDeterminant("transform needs det A = 1")
+    finite = np.all(np.isfinite(a), axis=(-2, -1))
+    det = np.linalg.det(np.where(finite[..., None, None], a, np.eye(2)))
+    _reject(~finite | (np.abs(det - 1.0) > 1e-9), NonUnitDeterminant,
+            "transform needs a finite A with det A = 1")
     a_low = core.sl2c_lower_rep(a)
     new_p = core.transform_vector(a, psi.p)
     comps = tuple(apply_matrix_per_slot(c, a_low, np.conj(a_low))

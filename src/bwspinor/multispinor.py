@@ -4,9 +4,9 @@ A tensor symmetric in r unprimed and s primed two-valued indices has
 (r+1)(s+1) independent components, labelled by the number of 1-values in each
 group.  The graded array is the canonical storage and every operation here
 works on it directly: a 2x2 matrix acting on all r slots of a group is the
-(r+1)x(r+1) matrix of `sym_power_matrices`.  The dense (2,)*(r+s) expansion
-remains for diagnostics and brute-force cross-checks.  Index height is not
-tracked here; each operation states the valence it expects.
+(r+1)x(r+1) matrix of `sym_power_matrices`.  Nothing here expands a tensor to
+its 2^(r+s) dense entries.  Index height is not tracked here; each operation
+states the valence it expects.
 """
 
 from __future__ import annotations
@@ -21,24 +21,9 @@ from .errors import ValenceMismatch
 
 
 @lru_cache(maxsize=None)
-def _bitcounts(r: int) -> np.ndarray:
-    return np.array([bin(i).count("1") for i in range(2 ** r)])
-
-
-@lru_cache(maxsize=None)
 def _binomials(r: int) -> np.ndarray:
     """The row C(r, 0..r); the class sizes of the graded components."""
     return np.array([comb(r, i) for i in range(r + 1)], dtype=float)
-
-
-@lru_cache(maxsize=None)
-def _class_average(r: int) -> np.ndarray:
-    """Matrix (2^r, r+1) averaging dense positions into graded classes."""
-    bits = _bitcounts(r)
-    w = np.zeros((2 ** r, r + 1))
-    for d, b in enumerate(bits):
-        w[d, b] = 1.0
-    return w / w.sum(axis=0, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -49,31 +34,8 @@ class SymMultiSpinor:
     s: int
     comp: np.ndarray    # (..., r+1, s+1) complex
 
-    def dense(self) -> np.ndarray:
-        """Expansion to shape (..., 2,...,2) with r unprimed axes then s primed."""
-        return dense_from_graded(self.comp, self.r, self.s)
-
     def scaled(self, factor) -> "SymMultiSpinor":
         return SymMultiSpinor(self.r, self.s, self.comp * np.asarray(factor)[..., None, None])
-
-
-def dense_from_graded(comp: np.ndarray, r: int, s: int) -> np.ndarray:
-    comp = np.asarray(comp)
-    flat = comp[..., _bitcounts(r)[:, None], _bitcounts(s)[None, :]]
-    return flat.reshape(comp.shape[:-2] + (2,) * (r + s))
-
-
-def graded_from_dense(dense: np.ndarray, r: int, s: int) -> np.ndarray:
-    """Class averages of a dense tensor; exact inverse on symmetric input."""
-    dense = np.asarray(dense)
-    flat = dense.reshape(dense.shape[: dense.ndim - (r + s)] + (2 ** r, 2 ** s))
-    return np.einsum('...DE,Di,Ej->...ij', flat, _class_average(r), _class_average(s))
-
-
-def symmetry_residual(dense: np.ndarray, r: int, s: int) -> float:
-    """Max deviation of a dense tensor from its symmetrized self."""
-    sym = dense_from_graded(graded_from_dense(dense, r, s), r, s)
-    return float(np.max(np.abs(dense - sym)))
 
 
 def _sym_power_coeffs(factors: list[np.ndarray]) -> np.ndarray:
@@ -159,14 +121,26 @@ def sym_power_matrices(m: np.ndarray, n: int) -> list[np.ndarray]:
     m = np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
     out = [np.ones((1, 1) + m.shape[2:], dtype=complex)]
     for r in range(1, n + 1):
-        prev = out[-1]
         s = np.zeros((r + 1, r + 1) + m.shape[2:], dtype=complex)
-        s[:-1, :-1] += m[0, 0] * prev
-        s[:-1, 1:] += m[0, 1] * prev
-        s[1:, :-1] += m[1, 0] * prev
-        s[1:, 1:] += m[1, 1] * prev
+        _shift_add(s, out[-1], m)
         out.append(s)
     return [np.moveaxis(s, (0, 1), (-2, -1)) for s in out]
+
+
+def _shift_add(out: np.ndarray, prev: np.ndarray, m: np.ndarray,
+               axis: int = 0) -> None:
+    """out += (m00 + m01 y + m10 x + m11 x y) prev, one step of the recurrence.
+
+    The powers of x and y index axes `axis` and `axis + 1`, which are one
+    longer in out than in prev; m is (2, 2, *batch) and both arrays end in
+    the batch axes.
+    """
+    lead = (slice(None),) * axis
+    lo, hi = slice(None, -1), slice(1, None)
+    out[lead + (lo, lo)] += m[0, 0] * prev
+    out[lead + (lo, hi)] += m[0, 1] * prev
+    out[lead + (hi, lo)] += m[1, 0] * prev
+    out[lead + (hi, hi)] += m[1, 1] * prev
 
 
 def apply_matrix_per_slot(t: SymMultiSpinor, m_unprimed: np.ndarray,

@@ -1,13 +1,19 @@
 """Brute-force reference implementations used as independent oracles.
 
-Everything here enumerates index tuples in plain Python and accumulates with
+The oracles enumerate index tuples in plain Python and accumulate with
 scalar arithmetic, deliberately sharing no code path with the vectorized
-production routines.
+production routines.  Two vectorized helpers sit beside them: the dense
+(2,)*(r+s) expansion of graded storage and its inverse, and
+`contract_T_dense`, the distinct-direction T route that expanded every
+labelled member to its 2^n dense entries before the slot recursion replaced
+it in `bw`.
 """
 
 from __future__ import annotations
 
 import itertools
+import string
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,6 +22,49 @@ from bwspinor import core
 
 def dyad_up(t: np.ndarray) -> np.ndarray:
     return np.einsum('aij,a->ij', core.G_UP, np.asarray(t, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# dense (2,)*(r+s) expansion of graded symmetric storage
+
+@lru_cache(maxsize=None)
+def _bitcounts(r: int) -> np.ndarray:
+    return np.array([bin(i).count("1") for i in range(2 ** r)])
+
+
+@lru_cache(maxsize=None)
+def _class_average(r: int) -> np.ndarray:
+    """Matrix (2^r, r+1) averaging dense positions into graded classes."""
+    bits = _bitcounts(r)
+    w = np.zeros((2 ** r, r + 1))
+    for d, b in enumerate(bits):
+        w[d, b] = 1.0
+    return w / w.sum(axis=0, keepdims=True)
+
+
+def dense_from_graded(comp: np.ndarray, r: int, s: int) -> np.ndarray:
+    comp = np.asarray(comp)
+    flat = comp[..., _bitcounts(r)[:, None], _bitcounts(s)[None, :]]
+    return flat.reshape(comp.shape[:-2] + (2,) * (r + s))
+
+
+def dense(t) -> np.ndarray:
+    """Expansion of a SymMultiSpinor to shape (..., 2,...,2), r unprimed axes
+    then s primed."""
+    return dense_from_graded(t.comp, t.r, t.s)
+
+
+def graded_from_dense(dense: np.ndarray, r: int, s: int) -> np.ndarray:
+    """Class averages of a dense tensor; exact inverse on symmetric input."""
+    dense = np.asarray(dense)
+    flat = dense.reshape(dense.shape[: dense.ndim - (r + s)] + (2 ** r, 2 ** s))
+    return np.einsum('...DE,Di,Ej->...ij', flat, _class_average(r), _class_average(s))
+
+
+def symmetry_residual(dense: np.ndarray, r: int, s: int) -> float:
+    """Max deviation of a dense tensor from its symmetrized self."""
+    sym = dense_from_graded(graded_from_dense(dense, r, s), r, s)
+    return float(np.max(np.abs(dense - sym)))
 
 
 def dense_pattern(psi, primed_at: tuple[int, ...]) -> np.ndarray:
@@ -54,6 +103,42 @@ def contract_T_bruteforce(psi, ts: list[np.ndarray]) -> float:
     return float(np.real(total))
 
 
+_PSI = string.ascii_uppercase
+_BAR = string.ascii_lowercase
+
+
+def _pattern_contraction(dense: np.ndarray, tdy: np.ndarray, n: int,
+                         primed_at: tuple[int, ...]) -> np.ndarray:
+    """Contract one labelled member with its conjugate and one dyad per slot.
+
+    dense holds the canonical (unprimed..., primed...) axis order; primed_at
+    assigns those axes to world slots and fixes the pairing orientation.
+    """
+    r = n - len(primed_at)
+    unprimed_at = tuple(i for i in range(n) if i not in primed_at)
+    subs = ["..." + _PSI[:n], "..." + _BAR[:n]]
+    ops = [dense, np.conj(dense)]
+    for axis in range(n):
+        slot = unprimed_at[axis] if axis < r else primed_at[axis - r]
+        pair = (_PSI[axis] + _BAR[axis]) if axis < r else (_BAR[axis] + _PSI[axis])
+        subs.append("..." + pair)
+        ops.append(tdy[slot])
+    return np.einsum(",".join(subs) + "->...", *ops, optimize=True)
+
+
+def contract_T_dense(psi, ts: np.ndarray) -> np.ndarray:
+    """t_1...t_n T over every labelled member expanded to 2^n dense entries,
+    one einsum per member; batched, ts of shape (n, ..., 4)."""
+    n = psi.n
+    tdy = core.vector_to_dyad(ts, "up")
+    total = 0.0
+    for k, comp in enumerate(psi.comps):
+        member = dense_from_graded(comp.comp, n - k, k)
+        for primed_at in itertools.combinations(range(n), k):
+            total = total + _pattern_contraction(member, tdy, n, primed_at)
+    return np.real(total)
+
+
 def extract_bruteforce(psi, frame, n_scale: complex) -> np.ndarray:
     """Amplitudes via explicit sums of omega contractions."""
     n = psi.n
@@ -73,6 +158,66 @@ def extract_bruteforce(psi, frame, n_scale: complex) -> np.ndarray:
             val += w
         out.append(val / n_scale ** n)
     return np.array(out)
+
+
+def field_equation_residual_loop(psi) -> float:
+    """Both momentum-space equation families of a single massive component,
+    contracting the last unprimed slot of member k (the first primed slot of
+    member k+1) index tuple by index tuple; relative to the same scale as
+    `bw.field_equation_residual_massive`."""
+    n, m, e = psi.n, psi.mass, psi.sign
+    pul, plu = vector_to_dyad_loop(psi.p, "ul"), vector_to_dyad_loop(psi.p, "lu")
+    c = m / 2 ** 0.5
+    worst = 0.0
+    for k in range(n):
+        r = n - k
+        lo = dense_pattern(psi, tuple(range(r, n)))
+        hi = dense_pattern(psi, tuple(range(r - 1, n)))
+        for idx in itertools.product(range(2), repeat=n):
+            z = idx[r - 1]
+            at = [idx[:r - 1] + (b,) + idx[r:] for b in range(2)]
+            lhs = e * sum(pul[b, z] * lo[at[b]] for b in range(2))
+            worst = max(worst, abs(lhs + c * hi[idx]))
+            lhs2 = e * sum(plu[z, b] * hi[at[b]] for b in range(2))
+            worst = max(worst, abs(lhs2 - c * lo[idx]))
+    scale = max(1.0, max(float(np.max(np.abs(x.comp))) for x in psi.comps)
+                * max(float(np.max(np.abs(psi.p))), m))
+    return worst / scale
+
+
+def helicity_residual_loop(psi) -> float:
+    """max_{a, idx} |sum_slots S^a psi + (n/2) p^a psi| of a single massless
+    component, slot by slot over index tuples, with S^a from
+    `pl_momentum_rep_loop`; relative as in `bw.helicity_residual_massless`."""
+    n = psi.n
+    s_op = pl_momentum_rep_loop(psi.p)[0]
+    member = dense_pattern(psi, ())
+    worst = 0.0
+    for a in range(4):
+        for idx in itertools.product(range(2), repeat=n):
+            val = 0.5 * n * psi.p[a] * member[idx]
+            for slot in range(n):
+                for b in range(2):
+                    at = idx[:slot] + (b,) + idx[slot + 1:]
+                    val += s_op[a, idx[slot], b] * member[at]
+            worst = max(worst, abs(val))
+    scale = max(1.0, float(np.max(np.abs(member))) * float(np.max(np.abs(psi.p))))
+    return worst / scale
+
+
+def hertz_loop(xi, p, sign: int) -> np.ndarray:
+    """Dense (-+i)^n p_{A_1 A'_1}...p_{A_n A'_n} xi^{A'_1...A'_n} of a single
+    all-primed xi, contracting one slot at a time over index tuples."""
+    n = xi.s
+    pl = vector_to_dyad_loop(p, "low")
+    out = dense_from_graded(xi.comp, 0, n)
+    for slot in range(n):
+        nxt = np.zeros_like(out)
+        for idx in itertools.product(range(2), repeat=n):
+            nxt[idx] = sum(pl[idx[slot], b] * out[idx[:slot] + (b,) + idx[slot + 1:]]
+                           for b in range(2))
+        out = nxt
+    return (-1j * sign) ** n * out
 
 
 def symmetrize_bruteforce(dense: np.ndarray, r: int, s: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bwspinor import core
-from bwspinor.bw import (Amplitudes, FixedList, NullOmega, RandomTimelike,
+from bwspinor.bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                          StandardTime, contract_T, extract_massive,
                          extract_massless, eta_from_frame,
                          field_equation_residual_massive,
@@ -11,11 +11,15 @@ from bwspinor.bw import (Amplitudes, FixedList, NullOmega, RandomTimelike,
                          resolve_directions, standard_bw_integrand,
                          synth_massive, synth_massless, transform_component,
                          wigner_state, BWComponent)
-from bwspinor.errors import (FrameMismatch, NotMassive, OrthogonalDirection)
+from bwspinor.errors import (FrameMismatch, NonUnitDeterminant, NotMassive,
+                             NotNull, OrthogonalDirection)
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor, sym_outer
 from bwspinor.pauli_lubanski import chi_basis, default_normalization
-from oracles import contract_T_bruteforce, extract_bruteforce, standard_sum_bruteforce
+from oracles import (contract_T_bruteforce, dense, dense_from_graded,
+                     extract_bruteforce, field_equation_residual_loop,
+                     helicity_residual_loop, hertz_loop,
+                     standard_sum_bruteforce)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -55,13 +59,13 @@ class TestSynthMassive:
         pil = core.lower_spinor(fr.pi)
         oml = core.lower_spinor(fr.omega)
         psi_lo = synth_massive(fr, Amplitudes(2, 1.0, +1, np.array([1.0, 0, 0])))
-        assert_allclose(psi_lo.comps[0].dense(),
+        assert_allclose(dense(psi_lo.comps[0]),
                         nval ** 2 * np.einsum('A,B->AB', pil, pil), atol=1e-14)
         psi_hi = synth_massive(fr, Amplitudes(2, 1.0, +1, np.array([0.0, 0, 1.0])))
-        assert_allclose(psi_hi.comps[0].dense(),
+        assert_allclose(dense(psi_hi.comps[0]),
                         nval ** 2 * np.einsum('A,B->AB', oml, oml), atol=1e-14)
         # and the all-primed members carry the conjugate structure
-        assert_allclose(psi_lo.comps[2].dense(),
+        assert_allclose(dense(psi_lo.comps[2]),
                         nval ** 2 * np.einsum('A,B->AB', np.conj(oml), np.conj(oml)),
                         atol=1e-14)
 
@@ -150,24 +154,21 @@ class TestFieldEquations:
         psi = BWComponent(n=1, mass=1.0, sign=+1, p=p, comps=comps)
         assert field_equation_residual_massive(psi) == 0.0
 
-    def test_slot_contraction_matches_loops(self):
-        # the einsum slot contraction behind the residual vs explicit sums
-        import itertools
-        from bwspinor.bw import _contract_one_slot
-        rng = np.random.default_rng(51)
-        p = core.random_future_momentum(1.0, rng)
-        dense = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        pul = core.vector_to_dyad(p, "ul")
-        got = _contract_one_slot(dense, 3, 1, pul, contract_second=False)
-        want = np.zeros_like(dense)
-        for a, z, c in itertools.product(range(2), repeat=3):
-            want[a, z, c] = sum(pul[b, z] * dense[a, b, c] for b in range(2))
-        assert_allclose(got, want, atol=1e-14)
-        got2 = _contract_one_slot(dense, 3, 1, pul, contract_second=True)
-        want2 = np.zeros_like(dense)
-        for a, z, c in itertools.product(range(2), repeat=3):
-            want2[a, z, c] = sum(pul[z, b] * dense[a, b, c] for b in range(2))
-        assert_allclose(got2, want2, atol=1e-14)
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_graded_residual_matches_loops(self, n):
+        # the graded residual vs index-tuple loops over the dense members
+        rng = np.random.default_rng(51 + n)
+        fr, amps, psi = random_massive(rng, n, sign=-1)
+        assert field_equation_residual_massive(psi) < 1e-11
+        assert field_equation_residual_loop(psi) < 1e-11
+        comps = tuple(SymMultiSpinor(n - k, k, rng.normal(size=(n - k + 1, k + 1))
+                                     + 1j * rng.normal(size=(n - k + 1, k + 1)))
+                      for k in range(n + 1))
+        wrong = BWComponent(n=n, mass=1.0, sign=+1, p=psi.p, comps=comps)
+        got = field_equation_residual_massive(wrong)
+        want = field_equation_residual_loop(wrong)
+        assert got > 0.01
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestContractT:
@@ -265,7 +266,7 @@ class TestMassless:
         # psi_{AB} = pi_A pi_B f with pi^A = (2^{1/4}, 0): only the lowered
         # (1,1) entry survives and equals sqrt(2) f
         psi = synth_massless(np.array([2 ** 0.25, 0.0]), 1.0, 2)
-        dense = psi.comps[0].dense()
+        dense = dense_from_graded(psi.comps[0].comp, 2, 0)
         want = np.zeros((2, 2), dtype=complex)
         want[1, 1] = ROOT2
         assert_allclose(dense, want, atol=1e-14)
@@ -309,7 +310,7 @@ class TestMassless:
         p = core.random_future_momentum(0.0, rng)
         fr = frame_massless(p)
         n = 3
-        eta = eta_from_frame(fr, n, +1).dense()
+        eta = dense(eta_from_frame(fr, n, +1))
         p_low = core.vector_to_dyad(p, "low")
         val = 0.0 + 0.0j
         for idx in itertools.product(range(2), repeat=n):
@@ -328,7 +329,7 @@ class TestMassless:
         f = rng.normal(size=20) + 1j * rng.normal(size=20)
         n = 3
         psi = synth_massless(fr.pi, f, n)
-        dense = psi.comps[0].dense()
+        dense = dense_from_graded(psi.comps[0].comp, n, 0)
         pup = core.vector_to_dyad(p, "up")
         hit = np.einsum('...ABC,...Az->...zBC', dense, pup)
         assert np.max(np.abs(hit)) < 1e-13
@@ -352,6 +353,34 @@ class TestMassless:
         wrong = BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=(
             sym_outer([core.lower_spinor(fr.omega)] * 2, []),))
         assert helicity_residual_massless(wrong) > 0.01
+
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_graded_helicity_residual_matches_loops(self, n):
+        rng = np.random.default_rng(170 + n)
+        p = core.random_future_momentum(0.0, rng)
+        fr = frame_massless(p)
+        psi = synth_massless(fr.pi, rng.normal() + 1j * rng.normal(), n)
+        assert helicity_residual_massless(psi) < 1e-11
+        assert helicity_residual_loop(psi) < 1e-11
+        comp = rng.normal(size=(n + 1, 1)) + 1j * rng.normal(size=(n + 1, 1))
+        wrong = BWComponent(n=n, mass=0.0, sign=+1, p=p,
+                            comps=(SymMultiSpinor(n, 0, comp),))
+        got = helicity_residual_massless(wrong)
+        want = helicity_residual_loop(wrong)
+        assert got > 0.01
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_graded_hertz_matches_loops(self, n):
+        # a generic all-primed xi, not only the eta-built one
+        rng = np.random.default_rng(180 + n)
+        p = core.random_future_momentum(0.0, rng)
+        xi = SymMultiSpinor(0, n, rng.normal(size=(1, n + 1))
+                            + 1j * rng.normal(size=(1, n + 1)))
+        for sign in (+1, -1):
+            got = dense(hertz_psi(xi, p, sign).comps[0])
+            want = hertz_loop(xi, p, sign)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_amplitude_norm_any_direction(self):
         rng = np.random.default_rng(140)
@@ -442,3 +471,42 @@ class TestTransform:
         base = norm_integrand(psi, StandardTime())
         after = norm_integrand(moved, StandardTime())
         assert np.max(np.abs(after - base) / np.maximum(1.0, base)) < 1e-10
+
+
+class TestNonFiniteInput:
+    """NaN input is rejected with the first bad sample named, never passed
+    through as a NaN result."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_hertz_nan_momentum(self):
+        rng = np.random.default_rng(160)
+        p = core.random_future_momentum(0.0, rng, size=4)
+        xi = eta_from_frame(frame_massless(p), 2)
+        p[2, 1] = np.nan
+        with pytest.raises(NotNull, match=r"sample index \[2\]"):
+            hertz_psi(xi, p)
+
+    def test_field_equation_residual_nan_amplitude(self):
+        rng = np.random.default_rng(163)
+        fr, amps, psi = random_massive(rng, 2, size=3)
+        f = amps.f.copy()
+        f[1, 0] = np.nan
+        psi = synth_massive(fr, Amplitudes(n=2, mass=1.0, sign=+1, f=f))
+        assert np.isnan(field_equation_residual_massive(psi))
+
+    @pytest.mark.filterwarnings("error")
+    def test_transform_nan_matrix(self):
+        rng = np.random.default_rng(161)
+        fr, amps, psi = random_massive(rng, 2, size=3)
+        a = core.random_sl2c(rng, size=3)
+        a[1, 0, 1] = np.nan
+        with pytest.raises(NonUnitDeterminant, match=r"sample index \[1\]"):
+            transform_component(psi, a)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_norm_nonfinite_direction(self, bad):
+        rng = np.random.default_rng(162)
+        fr, amps, psi = random_massive(rng, 2, size=3)
+        with pytest.raises(OrthogonalDirection, match=r"sample index \[1, 0\]"):
+            norm_integrand(psi, FixedList(((1, 0, 0, 0), (bad, 0, 0, 0))))

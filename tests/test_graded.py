@@ -1,9 +1,12 @@
 """Graded kernels against their dense counterparts, at every doubled spin.
 
 `sym_power_matrices` is checked against an explicit sum over index tuples.
-For each n in 1..MAX_N the equal-slot `contract_T` is held to the dense
-pattern route (forced with equal_slots=False on identical vectors), the
-`form="p"` and null-omega integrands to sum_k C(n,k) |f_k|^2 per sample, and
+For each n in 1..MAX_N the equal-slot `contract_T` is held to the slot
+recursion of the distinct-direction route (forced with equal_slots=False on
+identical vectors), and that recursion to the dense pattern route of
+`oracles.contract_T_dense` for n <= 8.  The `form="p"` and null-omega
+integrands, and the integrand for n distinct random timelike or null
+directions per sample, are held to sum_k C(n,k) |f_k|^2 per sample;
 `standard_bw_integrand` and `transform_component` to dense evaluations.
 """
 
@@ -19,8 +22,9 @@ from bwspinor.bw import (MAX_N, Amplitudes, NullOmega, StandardTime,
                          standard_bw_integrand, synth_massive,
                          transform_component)
 from bwspinor.frames import frame_massive
-from bwspinor.multispinor import dense_from_graded, sym_power_matrices
+from bwspinor.multispinor import sym_power_matrices
 from bwspinor.quadrature import build_grid
+from oracles import contract_T_dense, dense, dense_from_graded
 
 SPINS = range(1, MAX_N + 1)
 
@@ -85,6 +89,31 @@ def test_direction_free_forms_are_amplitude_sum(n):
     assert relative(norm_integrand(psi, NullOmega(), fr), want) < 1e-8
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_distinct_T_matches_dense_route(n):
+    psi, _, _ = random_component(n, 3, seed=600 + n)
+    rng = np.random.default_rng(700 + n)
+    ts = np.stack([core.random_timelike(rng, size=3) for _ in range(n)])
+    assert relative(contract_T(psi, ts, False), contract_T_dense(psi, ts)) < 1e-13
+
+
+@pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("mass", [1.0, 0.0], ids=["timelike", "null"])
+def test_distinct_directions_are_amplitude_sum(n, mass):
+    # n independent random directions on every sample, timelike or null
+    grid = build_grid(1.0, 3.0, 8)
+    rng = np.random.default_rng(800 + n)
+    count = grid.p.shape[0]
+    fr = frame_massive(grid.p, core.random_spinor(rng, size=count))
+    f = rng.normal(size=(count, n + 1)) + 1j * rng.normal(size=(count, n + 1))
+    psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=+1, f=f))
+    ts = np.stack([core.random_future_momentum(mass, rng, size=count)
+                   for _ in range(n)])
+    got = contract_T(psi, ts, False) / np.prod(core.minkowski(ts, grid.p), axis=0)
+    want = np.abs(f) ** 2 @ np.array([comb(n, k) for k in range(n + 1)], dtype=float)
+    assert relative(got, want) < 1e-10
+
+
 @pytest.mark.parametrize("n", SPINS)
 def test_standard_integrand_matches_dense_sum(n):
     psi, _, _ = random_component(n, 3, seed=300 + n)
@@ -114,5 +143,5 @@ def test_transform_matches_dense_slot_action(n):
     a_low = core.sl2c_lower_rep(a)
     for k, c in enumerate(psi.comps):
         want = dense_slot_action(c.comp, n - k, k, a_low, np.conj(a_low))
-        got = moved.comps[k].dense()
+        got = dense(moved.comps[k])
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
