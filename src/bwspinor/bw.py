@@ -27,9 +27,9 @@ from math import comb
 import numpy as np
 
 from . import core
-from .errors import (FrameMismatch, NonUnitDeterminant, NotMassive, NotNull,
-                     OrthogonalDirection, ValenceMismatch)
-from .frames import SpinFrame, _reject, frame_massless
+from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
+                     ValenceMismatch, reject)
+from .frames import SpinFrame, frame_massless
 from .multispinor import (SymMultiSpinor, _binomials, _shift_add,
                           _sym_power_coeffs, apply_matrix_per_slot,
                           contract_same, sym_power_matrices)
@@ -136,11 +136,8 @@ def resolve_directions(spec, n: int, psi: BWComponent,
         equal = bool(np.all(ts == ts[0]))
     else:
         raise TypeError(f"not a direction spec: {spec!r}")
-    finite = np.all(np.isfinite(ts), axis=-1)
-    tp = core.minkowski(np.where(finite[..., None], ts, 0.0), psi.p)
-    scale = np.maximum(np.abs(ts[..., 0] * psi.p[..., 0]), 1e-300)
-    _reject(~finite | ~(np.abs(tp) >= 1e-12 * scale), OrthogonalDirection,
-            "t.p must be finite and nonzero")
+    reject(~core.nonzero_tp(ts, psi.p), OrthogonalDirection,
+           "t.p must be finite and nonzero")
     return ts, equal
 
 
@@ -181,10 +178,12 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=tuple(comps))
 
 
-def _check_frame(psi: BWComponent, frame: SpinFrame, tol: float = 1e-8) -> None:
-    if frame.p.shape != psi.p.shape or np.max(np.abs(frame.p - psi.p)) > tol * (
-            1.0 + np.max(np.abs(psi.p))):
+def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
+    if frame.p.shape != psi.p.shape:
         raise FrameMismatch("frame momentum differs from component momentum")
+    scale = 1.0 + np.max(np.abs(psi.p), initial=0.0, where=np.isfinite(psi.p))
+    reject(~(np.max(np.abs(frame.p - psi.p), axis=-1) <= 1e-8 * scale),
+           FrameMismatch, "frame momentum differs from component momentum")
 
 
 def extract_massive(psi: BWComponent, frame: SpinFrame,
@@ -387,18 +386,14 @@ def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
     return SymMultiSpinor(0, n, coeffs[..., None, :])
 
 
-def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1,
-              tol: float = 1e-10) -> BWComponent:
+def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     """Massless component (-+i)^n p_{A_1 A'_1}...p_{A_n A'_n} xi^{A'_1...A'_n}.
 
     xi carries upper primed indices; each momentum dyad converts one into a
     lower unprimed index.
     """
     p = np.asarray(p, dtype=float)
-    finite = np.all(np.isfinite(p), axis=-1)
-    off = np.abs(core.mass_squared(np.where(finite[..., None], p, 0.0)))
-    _reject(~finite | (off > tol * np.maximum(p[..., 0] ** 2, 1e-300)), NotNull,
-            "hertz_psi needs a finite null momentum")
+    reject(~core.null_shell(p), NotNull, "hertz_psi needs a finite null momentum")
     if xi.r != 0:
         raise ValenceMismatch("hertz generator must be all-primed")
     n = xi.s
@@ -431,15 +426,14 @@ def helicity_residual_massless(psi: BWComponent) -> float:
     return float(np.max(np.abs(res))) / scale
 
 
-def extract_massless(psi: BWComponent, omega: np.ndarray,
-                     tol: float = 1e-8) -> np.ndarray:
+def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
     """Amplitude f = omega^{A_1}...omega^{A_n} psi_{A_1...A_n}."""
     if psi.mass != 0.0:
         raise NotNull("extract_massless needs a massless component")
     omega = np.asarray(omega, dtype=complex)
     om_vec = core.flagpole(omega)
-    if np.max(np.abs(core.minkowski(om_vec, psi.p) - 1.0)) > tol:
-        raise FrameMismatch("omega is not a partner of the flag of p")
+    reject(~(np.abs(core.minkowski(om_vec, psi.p) - 1.0) <= 1e-8), FrameMismatch,
+           "omega is not a partner of the flag of p")
     return contract_same(psi.comps[0], omega, omega)
 
 
@@ -457,12 +451,8 @@ def wigner_state(psi: BWComponent, spec,
 def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     """Slotwise SL(2,C) action and momentum map p -> Lambda p."""
     a = np.asarray(a, dtype=complex)
-    finite = np.all(np.isfinite(a), axis=(-2, -1))
-    det = np.linalg.det(np.where(finite[..., None, None], a, np.eye(2)))
-    _reject(~finite | (np.abs(det - 1.0) > 1e-9), NonUnitDeterminant,
-            "transform needs a finite A with det A = 1")
+    new_p = core.transform_vector(a, psi.p)      # checks det A = 1
     a_low = core.sl2c_lower_rep(a)
-    new_p = core.transform_vector(a, psi.p)
     comps = tuple(apply_matrix_per_slot(c, a_low, np.conj(a_low))
                   for c in psi.comps)
     return BWComponent(n=psi.n, mass=psi.mass, sign=psi.sign, p=new_p, comps=comps)

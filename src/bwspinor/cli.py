@@ -16,8 +16,7 @@ from . import core, verify
 from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                  StandardTime, extract_massive, extract_massless, norm_integrand,
                  synth_massive, synth_massless)
-from .errors import (BWSpinorError, InvalidResolution, OrthogonalDirection,
-                     SchemaError)
+from .errors import BWSpinorError, InvalidResolution, SchemaError
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
                      write_field_file)
 from .frames import frame_for
@@ -90,16 +89,16 @@ def _fit_valence(spec, text: str, n: int):
         f"the field has n={n}, so give 1 or {n}")
 
 
+def _usage(ok: bool, message: str) -> None:
+    """Every usage error is an ArgumentTypeError: main reports it with exit 2."""
+    if not ok:
+        raise argparse.ArgumentTypeError(message)
+
+
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
-    if args.seed < 0:
-        print("error: --seed must be a non-negative integer", file=sys.stderr)
-        return USAGE_ERROR
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        print("error: --tol must be a finite number > 0", file=sys.stderr)
-        return USAGE_ERROR
+    _usage(args.trials >= 1, "--trials must be at least 1")
+    _usage(args.seed >= 0, "--seed must be a non-negative integer")
+    _usage(np.isfinite(args.tol) and args.tol > 0, "--tol must be a finite number > 0")
     names = verify.SUITES.keys() if args.suite == "all" else [args.suite]
     reports = verify.run_suites(list(names), args.trials, args.seed)
     residuals = [r for rep in reports.values() for r in rep.values()]
@@ -115,13 +114,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_frame(args) -> int:
-    if not (np.isfinite(args.mass) and args.mass >= 0):
-        print("error: --mass must be a finite number >= 0", file=sys.stderr)
-        return USAGE_ERROR
+    _usage(np.isfinite(args.mass) and args.mass >= 0,
+           "--mass must be a finite number >= 0")
+    _usage(args.mass == 0 or args.nu is not None, "--nu is required for massive frames")
     p = np.concatenate([[np.sqrt(args.mass ** 2 + np.sum(args.p ** 2))], args.p])
-    if args.mass > 0 and args.nu is None:
-        print("error: --nu is required for massive frames", file=sys.stderr)
-        return USAGE_ERROR
     fr = frame_for(p, args.mass, args.nu)
     half_plus, half_minus = pl_eigenvalues(fr.omega_vec, p)
     data = {
@@ -184,10 +180,7 @@ def cmd_norm(args) -> int:
     specs = [_parse_tspec(text) for text in texts]
     data = read_field_file(args.infile)
     psi = data.component
-    if data.weights is None:
-        print("error: norm needs per-sample weights in the field file",
-              file=sys.stderr)
-        return USAGE_ERROR
+    _usage(data.weights is not None, "norm needs per-sample weights in the field file")
     specs = [_fit_valence(spec, text, psi.n) for spec, text in zip(specs, texts)]
     fr = frame_for(psi.p, psi.mass, args.nu)
     values = []
@@ -210,12 +203,9 @@ def cmd_norm(args) -> int:
 
 def cmd_packet(args) -> int:
     # a packet the reader would reject is a usage error here, not a file
-    if not 1 <= args.n <= MAX_N:
-        print(f"error: --n must be in 1..{MAX_N}", file=sys.stderr)
-        return USAGE_ERROR
-    if not (np.isfinite(args.sigma) and args.sigma > 0):
-        print("error: --sigma must be a finite number > 0", file=sys.stderr)
-        return USAGE_ERROR
+    _usage(1 <= args.n <= MAX_N, f"--n must be in 1..{MAX_N}")
+    _usage(np.isfinite(args.sigma) and args.sigma > 0,
+           "--sigma must be a finite number > 0")
     grid = build_grid(args.mass, args.half_width, args.points)
     try:
         coeffs = tuple(complex(c) for c in args.coeffs.split(",")) if args.coeffs \
@@ -223,9 +213,8 @@ def cmd_packet(args) -> int:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --coeffs: {exc}") from exc
     want = (args.n + 1) if args.mass > 0 else 1
-    if len(coeffs) != want or not np.all(np.isfinite(coeffs)):
-        print(f"error: need {want} finite coefficients", file=sys.stderr)
-        return USAGE_ERROR
+    _usage(len(coeffs) == want and np.all(np.isfinite(coeffs)),
+           f"need {want} finite coefficients")
     packet = GaussianPacket(n=args.n, mass=args.mass, sign=+1, coeffs=coeffs,
                             center=tuple(args.center), sigma=args.sigma)
     amps = Amplitudes(n=args.n, mass=args.mass, sign=+1,
@@ -302,21 +291,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except argparse.ArgumentTypeError as exc:
+    # OSError: unreadable --in or unwritable --out; InvalidResolution: bad packet grid
+    except (argparse.ArgumentTypeError, OSError, InvalidResolution) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except SchemaError as exc:
         print(f"schema error at {exc.pointer or '/'}: {exc.message}", file=sys.stderr)
         return USAGE_ERROR
-    except OSError as exc:      # an unreadable --in or unwritable --out path
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except InvalidResolution as exc:   # only build_grid raises it: bad packet grid
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OrthogonalDirection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CHECK_ERROR
     except BWSpinorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_ERROR

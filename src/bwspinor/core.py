@@ -23,7 +23,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NegativeMass, NonUnitDeterminant
+from .errors import NegativeMass, NonUnitDeterminant, reject
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -75,6 +75,38 @@ def lower_vector(p: np.ndarray) -> np.ndarray:
 
 def mass_squared(p: np.ndarray) -> np.ndarray:
     return minkowski(p, p)
+
+
+# ---------------------------------------------------------------------------
+# input rules: each is the mask of the samples where it holds; NaN and inf
+# fail every rule, and are zeroed first so that no floating-point warning arises
+
+def _finite_vectors(*xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The mask where every vector is finite; the vectors, broadcast, zeroed elsewhere."""
+    xs = np.broadcast_arrays(*(np.asarray(x) for x in xs))
+    finite = np.logical_and.reduce([np.all(np.isfinite(x), axis=-1) for x in xs])
+    return finite, [np.where(finite[..., None], x, 0.0) for x in xs]
+
+
+def null_shell(p: np.ndarray) -> np.ndarray:
+    """Finite p with |p.p| <= 1e-10 (p^0)^2: on the light cone."""
+    finite, (p,) = _finite_vectors(p)
+    return finite & (np.abs(mass_squared(p))
+                     <= 1e-10 * np.maximum(p[..., 0] ** 2, 1e-300))
+
+
+def timelike(p: np.ndarray) -> np.ndarray:
+    """Finite p with p.p > 1e-10 (p^0)^2: inside the light cone."""
+    finite, (p,) = _finite_vectors(p)
+    return finite & (mass_squared(p) > 1e-10 * p[..., 0] ** 2)
+
+
+def nonzero_tp(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Finite t and p with |t.p| >= 1e-12 |t^0 p^0|, so that the generalized
+    product may divide by t.p; t and p broadcast against each other."""
+    finite, (t, p) = _finite_vectors(t, p)
+    scale = np.maximum(np.abs(t[..., 0] * p[..., 0]), 1e-300)
+    return finite & (np.abs(minkowski(t, p)) >= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +264,11 @@ def generator_spinor_form() -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # SL(2,C) and Lorentz transformations
 
-def _check_unit_det(a: np.ndarray, tol: float = 1e-9) -> None:
-    det = np.linalg.det(a)
-    if np.max(np.abs(det - 1.0)) > tol:
-        raise NonUnitDeterminant(f"|det A - 1| = {np.max(np.abs(det - 1.0)):.3e}")
+def _check_unit_det(a: np.ndarray) -> None:
+    finite = np.all(np.isfinite(a), axis=(-2, -1))
+    det = np.linalg.det(np.where(finite[..., None, None], a, np.eye(2)))
+    reject(~(finite & (np.abs(det - 1.0) <= 1e-9)), NonUnitDeterminant,
+           "A must be finite with det A = 1")
 
 
 # (A_BC) -> eps_{BA} A_BC eps_{CD}, flattened (BC, AD)

@@ -1,4 +1,6 @@
-"""Exception types raised by bwspinor operations."""
+"""Exception types raised by bwspinor operations, and the guard that raises them."""
+
+import numpy as np
 
 
 class BWSpinorError(Exception):
@@ -80,3 +82,12 @@ class SchemaError(BWSpinorError):
         self.pointer = pointer
         self.message = message
         super().__init__(f"{pointer}: {message}")
+
+
+def reject(bad, error: type, message: str) -> None:
+    """Raise error(message), naming the first sample where bad holds.
+
+    Write bad as ~(condition that must hold), so that a NaN fails it."""
+    if np.any(bad):
+        index = np.argwhere(bad)[0].tolist()
+        raise error(f"{message} at sample index {index}" if index else message)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core
 from .errors import (DegenerateReference, NotFuturePointing, NotNull,
-                     NotTimelike, ZeroSpinor)
+                     NotTimelike, ZeroSpinor, reject)
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,16 @@ class SpinFrame:
         return c1, c2
 
 
-def _reject(bad, error: type, message: str) -> None:
-    """Raise error(message), naming the first sample where bad holds."""
-    if np.any(bad):
-        index = np.argwhere(bad)[0].tolist()
-        raise error(f"{message} at sample index {index}" if index else message)
-
-
-def flag_decompose_massless(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
     """Spinor pi with pi^A pibar^{A'} = p^{AA'} for null future-pointing p.
 
     The free overall phase is fixed by making the largest-modulus component
     real and positive.
     """
     p = np.asarray(p, dtype=float)
-    finite = np.all(np.isfinite(p), axis=-1)
-    _reject(finite & (p[..., 0] <= 0), NotFuturePointing, "p^0 must be positive")
-    off = np.abs(core.mass_squared(np.where(finite[..., None], p, 0.0)))
-    _reject(~finite | (off > tol * np.maximum(p[..., 0] ** 2, 1e-300)), NotNull,
-            "p must be finite and null")
+    reject(np.all(np.isfinite(p), axis=-1) & ~(p[..., 0] > 0), NotFuturePointing,
+           "p^0 must be positive")
+    reject(~core.null_shell(p), NotNull, "p must be finite and null")
     d = core.vector_to_dyad(p, "up")
     diag = np.stack([np.real(d[..., 0, 0]), np.real(d[..., 1, 1])], axis=-1)
     j = np.argmax(diag, axis=-1)
@@ -74,8 +65,8 @@ def partner_massless(pi: np.ndarray) -> np.ndarray:
     """Spinor omega with pi_A omega^A = 1, orthogonal to pi in the Euclidean sense."""
     pi = np.asarray(pi, dtype=complex)
     norm2 = np.sum(np.abs(pi) ** 2, axis=-1)
-    if np.any(norm2 < 1e-24):
-        raise ZeroSpinor("flag spinor has zero norm")
+    reject(~(np.isfinite(norm2) & (norm2 >= 1e-24)), ZeroSpinor,
+           "flag spinor must be finite and nonzero")
     return np.stack([-np.conj(pi[..., 1]), np.conj(pi[..., 0])], axis=-1) / norm2[..., None]
 
 
@@ -95,7 +86,7 @@ def frame_for(p: np.ndarray, mass: float, nu=None) -> SpinFrame:
     return frame_massless(p)
 
 
-def frame_massive(p: np.ndarray, nu: np.ndarray, tol: float = 1e-10) -> SpinFrame:
+def frame_massive(p: np.ndarray, nu: np.ndarray) -> SpinFrame:
     """Spin-frame of a timelike future-pointing momentum from a reference spinor.
 
     omega^A = [m/sqrt2]^{1/2} nu^A / sqrt(p^{BB'} nu_B nubar_{B'}) and
@@ -105,26 +96,22 @@ def frame_massive(p: np.ndarray, nu: np.ndarray, tol: float = 1e-10) -> SpinFram
     """
     p = np.asarray(p, dtype=float)
     nu = np.asarray(nu, dtype=complex)
-    finite = np.all(np.isfinite(p), axis=-1)
-    m2 = core.mass_squared(np.where(finite[..., None], p, 0.0))
-    _reject(~(finite & (p[..., 0] > 0) & (m2 > tol * p[..., 0] ** 2)), NotTimelike,
-            "p must be finite, timelike and future-pointing")
-    _reject(~np.all(np.isfinite(nu), axis=-1), DegenerateReference,
-            "reference spinor nu must be finite")
-    m = np.sqrt(m2)
+    reject(~(core.timelike(p) & (p[..., 0] > 0)), NotTimelike,
+           "p must be finite, timelike and future-pointing")
+    reject(~np.all(np.isfinite(nu), axis=-1), DegenerateReference,
+           "reference spinor nu must be finite")
+    m = np.sqrt(core.mass_squared(p))
     d = core.vector_to_dyad(p, "up")
     nul = core.lower_spinor(nu)
     denom = np.real(np.einsum('...AB,...A,...B->...', d, nul, np.conj(nul)))
-    _reject(denom < tol * np.sqrt(m2), DegenerateReference,
-            "flag of nu degenerate with p")
+    reject(~(denom >= 1e-10 * m), DegenerateReference, "flag of nu degenerate with p")
     root = np.sqrt(denom)[..., None]
     omega = np.sqrt(m / np.sqrt(2.0))[..., None] * nu / root
     pi = (np.sqrt(np.sqrt(2.0) / m)[..., None]
           * np.einsum('...AB,...B->...A', d, np.conj(nul)) / root)
-    marr = np.atleast_1d(m)
-    mass = float(np.max(marr))
-    if np.max(marr) - np.min(marr) > 1e-8 * (1.0 + mass):
-        raise NotTimelike("batched momenta must share one mass shell")
+    mass = float(np.max(m))
+    reject(~(mass - m <= 1e-8 * (1.0 + mass)), NotTimelike,
+           "batched momenta must share one mass shell")
     return SpinFrame(pi=pi, omega=omega, p=p, mass=mass,
                      pi_vec=core.flagpole(pi), omega_vec=core.flagpole(omega))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core
 from .errors import (ComplexEigenvalues, DegenerateSpinDirection,
-                     MasslessNotSupported)
+                     MasslessNotSupported, reject)
 from .frames import SpinFrame
 
 
@@ -93,39 +93,36 @@ def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return blocks[..., 0, :, :], blocks[..., 1, :, :]
 
 
-def pl_eigenvalues(t: np.ndarray, p: np.ndarray,
-                   tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def pl_eigenvalues(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrix eigenvalues +-(1/2) sqrt((t.p)^2 - p.p t.t) of the projected blocks."""
     tp = core.minkowski(t, p)
     disc = tp ** 2 - core.mass_squared(p) * core.mass_squared(t)
-    scale = np.maximum(tp ** 2, 1.0)
-    if np.any(disc < -tol * scale):
-        raise ComplexEigenvalues("(t.p)^2 - m^2 t.t < 0: t lies inside the forbidden cone")
+    reject(~(disc >= -1e-10 * np.maximum(tp ** 2, 1.0)), ComplexEigenvalues,
+           "(t.p)^2 - m^2 t.t must be finite and >= 0 (t outside the forbidden cone)")
     half = 0.5 * np.sqrt(np.maximum(disc, 0.0))
     return half, -half
 
 
-def pl_spin_projectors(t: np.ndarray, p: np.ndarray,
-                       tol: float = 1e-10) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def pl_spin_projectors(t: np.ndarray,
+                       p: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Projectors on the +-lambda/2 eigenspaces; keys +1/-1, values (unprimed, primed)."""
     su, sp = pl_project(t, p)
     half, _ = pl_eigenvalues(t, p)
     scale = np.maximum(np.abs(core.minkowski(t, p)), 1.0)
-    if np.any(np.abs(half) < tol * scale):
-        raise DegenerateSpinDirection("projected spin eigenvalue vanishes")
+    reject(~(np.abs(half) >= 1e-10 * scale), DegenerateSpinDirection,
+           "projected spin eigenvalue vanishes")
     eye = np.broadcast_to(np.eye(2), su.shape)
     inv = 1.0 / half[..., None, None]
     return {s: (0.5 * (eye + s * inv * su), 0.5 * (eye + s * inv * sp))
             for s in (+1, -1)}
 
 
-def energy_projectors(p: np.ndarray, tol: float = 1e-10) -> dict[int, np.ndarray]:
+def energy_projectors(p: np.ndarray) -> dict[int, np.ndarray]:
     """P(+p), P(-p) as 4x4 bispinor matrices; massive momenta only."""
     p = np.asarray(p, dtype=float)
-    m2 = core.mass_squared(p)
-    if np.any(m2 <= tol * np.maximum(p[..., 0] ** 2, 1e-300)):
-        raise MasslessNotSupported("energy projectors need p.p > 0")
-    m = np.sqrt(m2)[..., None, None]
+    reject(~core.timelike(p), MasslessNotSupported,
+           "energy projectors need a finite p with p.p > 0")
+    m = np.sqrt(core.mass_squared(p))[..., None, None]
     plu = core.vector_to_dyad(p, "lu")
     pul = core.vector_to_dyad(p, "ul")
     out = {}
