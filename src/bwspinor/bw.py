@@ -40,6 +40,10 @@ from .pauli_lubanski import default_normalization, pl_momentum_rep
 # form="p" pairing lose digits as n grows, and no rule yet sets the limit
 MAX_N = 10
 
+# the distinct-direction recursion takes the samples in blocks whose slot
+# states hold at most this many bytes: 8097 samples at n = 4, 252 at n = 10
+_STATE_BYTES = 32 * 2 ** 20
+
 
 def _check_spin(n: int) -> None:
     if not 1 <= n <= MAX_N:
@@ -158,6 +162,10 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     """
     if amps.mass <= 0 or frame.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
+    # the tolerance within which frame_massive puts its samples on one shell
+    if not abs(amps.mass - frame.mass) <= 1e-8 * (1.0 + frame.mass):
+        raise FrameMismatch(
+            f"amplitudes of mass {amps.mass} on a frame of mass {frame.mass}")
     _check_spin(amps.n)
     n, e = amps.n, amps.sign
     n_scale = (default_normalization(frame) if normalization is None
@@ -300,6 +308,12 @@ def _slot_states(tdy: np.ndarray, kmax: int) -> dict[int, np.ndarray]:
     return states
 
 
+def _samples_last(x: np.ndarray, lead: tuple, batch: tuple) -> np.ndarray:
+    """x of shape lead + batch + (a, b), broadcast to batch, as lead + (a, b, S)."""
+    x = np.broadcast_to(x, lead + batch + x.shape[-2:])
+    return np.moveaxis(x.reshape(lead + (-1,) + x.shape[-2:]), len(lead), -1)
+
+
 def contract_T(psi: BWComponent, ts: np.ndarray,
                equal_slots: bool | None = None) -> np.ndarray:
     """t_1...t_n T, summing the quadratic tensor over all 2^n labelled members.
@@ -312,21 +326,29 @@ def contract_T(psi: BWComponent, ts: np.ndarray,
     canonical members: sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with
     K = S(t^{AA'}) from `sym_power_matrices`, evaluated as a sum of squares
     by `_square_pairing`.  Distinct directions sum the splits slot by slot
-    (`_slot_states`); member k reads the state with n - k unprimed slots.
+    (`_slot_states`) over blocks of samples whose states fit _STATE_BYTES;
+    member k reads the state with n - k unprimed slots.
     """
-    n = psi.n
+    n, kmax = psi.n, len(psi.comps) - 1
     if equal_slots is None:
         equal_slots = bool(np.all(ts == ts[0]))
     if equal_slots:
         return _square_pairing(psi, core.vector_to_dyad(ts[0], "up"))
-    tdy = np.moveaxis(core.vector_to_dyad(ts, "up"), (-2, -1), (1, 2))
-    states = _slot_states(tdy, len(psi.comps) - 1)
-    total = 0.0
-    for k, comp in enumerate(psi.comps):
-        c = np.moveaxis(comp.comp, (-2, -1), (0, 1))
-        total = total + np.einsum("ij...,IJ...,iIJj...->...",
-                                  c, np.conj(c), states.pop(n - k))
-    return np.real(total)
+    tdy = core.vector_to_dyad(ts, "up")
+    batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
+    tdy = _samples_last(tdy, (n,), batch)
+    cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
+    # complex entries per sample of the states after the last slot
+    size = sum((a + 1) ** 2 * (n - a + 1) ** 2 for a in range(n - kmax, n + 1))
+    block = max(1, _STATE_BYTES // (16 * size))
+    total = np.empty(tdy.shape[-1])
+    for start in range(0, total.size, block):
+        part = slice(start, start + block)
+        states = _slot_states(tdy[..., part], kmax)
+        total[part] = np.real(sum(
+            np.einsum("ij...,IJ...,iIJj...->...", c[..., part], np.conj(c[..., part]),
+                      states.pop(n - k)) for k, c in enumerate(cs)))
+    return total.reshape(batch)
 
 
 def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
@@ -430,16 +452,19 @@ def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
     """Amplitude f = omega^{A_1}...omega^{A_n} psi_{A_1...A_n}."""
     if psi.mass != 0.0:
         raise NotNull("extract_massless needs a massless component")
-    omega = np.asarray(omega, dtype=complex)
-    om_vec = core.flagpole(omega)
-    reject(~(np.abs(core.minkowski(om_vec, psi.p) - 1.0) <= 1e-8), FrameMismatch,
-           "omega is not a partner of the flag of p")
+    finite, (omega,) = core.finite_vectors(np.asarray(omega, dtype=complex))
+    tp = core.minkowski(core.flagpole(omega), psi.p)
+    reject(~(finite & (np.abs(tp - 1.0) <= 1e-8)), FrameMismatch,
+           "omega must be finite and a partner of the flag of p")
     return contract_same(psi.comps[0], omega, omega)
 
 
 def wigner_state(psi: BWComponent, spec,
                  frame: SpinFrame | None = None) -> SymMultiSpinor:
-    """psi / [t_1.p ... t_n.p]^{1/2}; round-trips by multiplying the root back."""
+    """psi / [t_1.p ... t_n.p]^{1/2} of a massless component; round-trips by
+    multiplying the root back."""
+    if psi.mass != 0.0:
+        raise NotNull("wigner_state needs a massless component")
     ts, _ = resolve_directions(spec, psi.n, psi, frame)
     root = np.sqrt(np.prod(core.minkowski(ts, psi.p), axis=0).astype(complex))
     return psi.comps[0].scaled(1.0 / root)

@@ -98,7 +98,7 @@ def _usage(ok: bool, message: str) -> None:
 def cmd_verify(args) -> int:
     _usage(args.trials >= 1, "--trials must be at least 1")
     _usage(args.seed >= 0, "--seed must be a non-negative integer")
-    _usage(np.isfinite(args.tol) and args.tol > 0, "--tol must be a finite number > 0")
+    _usage(0 < args.tol < np.inf, "--tol must be a finite number > 0")
     names = verify.SUITES.keys() if args.suite == "all" else [args.suite]
     reports = verify.run_suites(list(names), args.trials, args.seed)
     residuals = [r for rep in reports.values() for r in rep.values()]
@@ -114,8 +114,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_frame(args) -> int:
-    _usage(np.isfinite(args.mass) and args.mass >= 0,
-           "--mass must be a finite number >= 0")
+    _usage(0 <= args.mass < np.inf, "--mass must be a finite number >= 0")
     _usage(args.mass == 0 or args.nu is not None, "--nu is required for massive frames")
     p = np.concatenate([[np.sqrt(args.mass ** 2 + np.sum(args.p ** 2))], args.p])
     fr = frame_for(p, args.mass, args.nu)
@@ -204,8 +203,7 @@ def cmd_norm(args) -> int:
 def cmd_packet(args) -> int:
     # a packet the reader would reject is a usage error here, not a file
     _usage(1 <= args.n <= MAX_N, f"--n must be in 1..{MAX_N}")
-    _usage(np.isfinite(args.sigma) and args.sigma > 0,
-           "--sigma must be a finite number > 0")
+    _usage(0 < args.sigma < np.inf, "--sigma must be a finite number > 0")
     grid = build_grid(args.mass, args.half_width, args.points)
     try:
         coeffs = tuple(complex(c) for c in args.coeffs.split(",")) if args.coeffs \

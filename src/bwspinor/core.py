@@ -19,6 +19,7 @@ array (..., 4), a spinor (..., 2), a dyad (..., 2, 2).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -77,34 +78,34 @@ def mass_squared(p: np.ndarray) -> np.ndarray:
     return minkowski(p, p)
 
 
-# ---------------------------------------------------------------------------
 # input rules: each is the mask of the samples where it holds; NaN and inf
 # fail every rule, and are zeroed first so that no floating-point warning arises
 
-def _finite_vectors(*xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The mask where every vector is finite; the vectors, broadcast, zeroed elsewhere."""
-    xs = np.broadcast_arrays(*(np.asarray(x) for x in xs))
-    finite = np.logical_and.reduce([np.all(np.isfinite(x), axis=-1) for x in xs])
-    return finite, [np.where(finite[..., None], x, 0.0) for x in xs]
+def finite_vectors(*xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The mask of the samples where every vector of xs is finite (the xs
+    broadcast against each other), and each x with its other vectors zeroed."""
+    oks = [np.all(np.isfinite(x), axis=-1) for x in xs]
+    return (functools.reduce(np.logical_and, oks),
+            [np.where(ok[..., None], x, 0.0) for ok, x in zip(oks, xs)])
 
 
 def null_shell(p: np.ndarray) -> np.ndarray:
     """Finite p with |p.p| <= 1e-10 (p^0)^2: on the light cone."""
-    finite, (p,) = _finite_vectors(p)
+    finite, (p,) = finite_vectors(p)
     return finite & (np.abs(mass_squared(p))
                      <= 1e-10 * np.maximum(p[..., 0] ** 2, 1e-300))
 
 
 def timelike(p: np.ndarray) -> np.ndarray:
     """Finite p with p.p > 1e-10 (p^0)^2: inside the light cone."""
-    finite, (p,) = _finite_vectors(p)
+    finite, (p,) = finite_vectors(p)
     return finite & (mass_squared(p) > 1e-10 * p[..., 0] ** 2)
 
 
 def nonzero_tp(t: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Finite t and p with |t.p| >= 1e-12 |t^0 p^0|, so that the generalized
     product may divide by t.p; t and p broadcast against each other."""
-    finite, (t, p) = _finite_vectors(t, p)
+    finite, (t, p) = finite_vectors(t, p)
     scale = np.maximum(np.abs(t[..., 0] * p[..., 0]), 1e-300)
     return finite & (np.abs(minkowski(t, p)) >= 1e-12 * scale)
 

@@ -85,9 +85,8 @@ class SchemaError(BWSpinorError):
 
 
 def reject(bad, error: type, message: str) -> None:
-    """Raise error(message), naming the first sample where bad holds.
-
-    Write bad as ~(condition that must hold), so that a NaN fails it."""
+    """Raise error(message), naming the first sample where bad holds; write
+    bad as ~(condition that must hold), so that a NaN fails it."""
     if np.any(bad):
         index = np.argwhere(bad)[0].tolist()
         raise error(f"{message} at sample index {index}" if index else message)

@@ -86,6 +86,9 @@ def _header_in(doc: dict, want_normalization: bool):
     if want_normalization:
         norm = h.get("normalization", "paper-default")
         if norm != "paper-default":
+            # synth_massless takes no normalization, so it would be ignored
+            _require(mass > 0, "/header/normalization",
+                     'a massless amplitude file takes only "paper-default"')
             norm = _complex_in(norm, "/header/normalization")
     return n, float(mass), +1 if sign == "+" else -1, norm
 

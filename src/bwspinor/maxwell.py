@@ -118,11 +118,13 @@ def stress_tensor(phi: np.ndarray, f_up: np.ndarray) -> dict[str, np.ndarray]:
     largest entry, which signals that phi and F do not describe the same field.
     """
     _check_antisymmetric(f_up)
-    t_spin = stress_tensor_spinor(phi)
+    finite = np.all(np.isfinite(phi), axis=(-2, -1))
+    t_spin = stress_tensor_spinor(np.where(finite[..., None, None], phi, 0.0))
     t_field = stress_tensor_field(f_up)
     gap = np.max(np.abs(t_spin - t_field), axis=(-2, -1))
-    scale = max(1.0, np.max(np.abs(t_spin), initial=0.0, where=np.isfinite(t_spin)))
-    reject(~(gap <= 1e-8 * scale), InconsistentPair, "spinor and field-strength routes differ")
+    scale = max(1.0, float(np.max(np.abs(t_spin))))
+    reject(~(finite & (gap <= 1e-8 * scale)), InconsistentPair,
+           "phi must be finite, and the spinor and field-strength routes agree")
     e = electric_field(f_up)
     b = magnetic_field(f_up)
     t00_eb = 0.25 * (np.sum(np.abs(e) ** 2, axis=-1)

@@ -95,9 +95,10 @@ def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def pl_eigenvalues(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Matrix eigenvalues +-(1/2) sqrt((t.p)^2 - p.p t.t) of the projected blocks."""
+    finite, (t, p) = core.finite_vectors(t, p)
     tp = core.minkowski(t, p)
     disc = tp ** 2 - core.mass_squared(p) * core.mass_squared(t)
-    reject(~(disc >= -1e-10 * np.maximum(tp ** 2, 1.0)), ComplexEigenvalues,
+    reject(~(finite & (disc >= -1e-10 * np.maximum(tp ** 2, 1.0))), ComplexEigenvalues,
            "(t.p)^2 - m^2 t.t must be finite and >= 0 (t outside the forbidden cone)")
     half = 0.5 * np.sqrt(np.maximum(disc, 0.0))
     return half, -half
@@ -106,8 +107,8 @@ def pl_eigenvalues(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def pl_spin_projectors(t: np.ndarray,
                        p: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Projectors on the +-lambda/2 eigenspaces; keys +1/-1, values (unprimed, primed)."""
-    su, sp = pl_project(t, p)
     half, _ = pl_eigenvalues(t, p)
+    su, sp = pl_project(t, p)
     scale = np.maximum(np.abs(core.minkowski(t, p)), 1.0)
     reject(~(np.abs(half) >= 1e-10 * scale), DegenerateSpinDirection,
            "projected spin eigenvalue vanishes")

@@ -79,6 +79,15 @@ class TestSynthMassive:
         with pytest.raises(NotMassive):
             synth_massive(fr, Amplitudes(1, 0.0, +1, np.zeros(2)))
 
+    @pytest.mark.parametrize("mass", [2.0, 1.0 + 1e-6, np.nan])
+    def test_rejects_mass_other_than_frame(self, mass):
+        # amplitudes claiming m = 2 on an m = 1 frame gave a form="p"
+        # integrand of 0.25 against a standard one of 4, and no error
+        p = core.random_future_momentum(1.0, 150, size=4)
+        fr = frame_massive(p, np.array([1.0, 0.0]))
+        with pytest.raises(FrameMismatch, match="mass"):
+            synth_massive(fr, Amplitudes(2, mass, +1, np.ones((4, 3))))
+
 
 class TestExtractMassive:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -413,6 +422,12 @@ class TestMassless:
         scaled = BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=(w,))
         ts, eq = resolve_directions(NullOmega(), 2, psi)
         assert abs(contract_T(scaled, ts, eq) - abs(2 - 1j) ** 2) < 1e-11
+
+    def test_wigner_state_rejects_massive(self):
+        # it used to return the k = 0 member alone, scaled
+        _, _, psi = random_massive(np.random.default_rng(143), 2, size=3)
+        with pytest.raises(NotNull):
+            wigner_state(psi, StandardTime())
 
     def test_extract_needs_matching_partner(self):
         p = core.random_future_momentum(0.0, 9)

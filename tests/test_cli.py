@@ -150,6 +150,20 @@ class TestPipelines:
         assert code == 2
         assert "/header/n" in err
 
+    def test_massless_custom_normalization_schema_error(self, tmp_path, capsys):
+        amp = tmp_path / "amp.json"
+        run_cli(["packet", "--n", "2", "--mass", "0", "--out", str(amp),
+                 "--points", "2", "--half-width", "1.0"], capsys)
+        doc = json.loads(amp.read_text())
+        doc["header"]["normalization"] = [2.0, 0.0]
+        amp.write_text(json.dumps(doc))
+        field = tmp_path / "field.json"
+        code, _, err = run_cli(["synth", "--in", str(amp), "--out", str(field)],
+                               capsys)
+        assert code == 2
+        assert "/header/normalization" in err and len(err.strip().splitlines()) == 1
+        assert not field.exists()
+
     def test_unknown_direction_spec_usage_error(self, tmp_path, capsys):
         amp = tmp_path / "amp.json"
         field = tmp_path / "field.json"

@@ -350,6 +350,23 @@ class TestRejectedSamples:
             read_amplitude_file(path)
         assert err.value.pointer == "/header/normalization"
 
+    @pytest.mark.parametrize("normalization", [[2.0, 0.0], [True, 0.0]])
+    def test_massless_custom_normalization(self, tmp_path, normalization):
+        # synth_massless takes no normalization, so the file's would be ignored
+        amps, p = make_amplitudes(count=3, n=2, seed=15, mass=0.0)
+        path = tmp_path / "amp.json"
+        write_amplitude_file(path, amps, p)
+        self._edit(path, lambda d: d["header"].update(normalization=normalization))
+        with pytest.raises(SchemaError) as err:
+            read_amplitude_file(path)
+        assert err.value.pointer == "/header/normalization"
+
+    def test_massless_default_normalization(self, tmp_path):
+        amps, p = make_amplitudes(count=3, n=2, seed=15, mass=0.0)
+        path = tmp_path / "amp.json"
+        write_amplitude_file(path, amps, p, normalization="paper-default")
+        assert read_amplitude_file(path).normalization == "paper-default"
+
     def test_first_bad_sample_in_document_order(self, tmp_path):
         psi = make_field(count=3, n=2, seed=14)
         path = tmp_path / "field.json"

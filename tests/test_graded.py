@@ -8,21 +8,24 @@ identical vectors), and that recursion to the dense pattern route of
 integrands, and the integrand for n distinct random timelike or null
 directions per sample, are held to sum_k C(n,k) |f_k|^2 per sample;
 `standard_bw_integrand` and `transform_component` to dense evaluations.
+The distinct-direction route takes its samples in blocks: its peak memory
+is bounded, and its values do not depend on where the blocks split.
 """
 
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from bwspinor import core
-from bwspinor.bw import (MAX_N, Amplitudes, NullOmega, StandardTime,
-                         contract_T, norm_integrand, resolve_directions,
-                         standard_bw_integrand, synth_massive,
-                         transform_component)
+from bwspinor import bw, core
+from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
+                         StandardTime, contract_T, norm_integrand,
+                         resolve_directions, standard_bw_integrand,
+                         synth_massive, transform_component)
 from bwspinor.frames import frame_massive
-from bwspinor.multispinor import sym_power_matrices
+from bwspinor.multispinor import SymMultiSpinor, sym_power_matrices
 from bwspinor.quadrature import build_grid
 from oracles import contract_T_dense, dense, dense_from_graded
 
@@ -145,3 +148,51 @@ def test_transform_matches_dense_slot_action(n):
         want = dense_slot_action(c.comp, n - k, k, a_low, np.conj(a_low))
         got = dense(moved.comps[k])
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def _sample(psi, ts, i):
+    """Sample i of psi and of the per-sample directions ts, as batches of one."""
+    comps = tuple(SymMultiSpinor(c.r, c.s, c.comp[i:i + 1]) for c in psi.comps)
+    return BWComponent(psi.n, psi.mass, psi.sign, psi.p[i:i + 1], comps), ts[:, i:i + 1]
+
+
+def test_distinct_T_peak_memory_is_bounded():
+    # n = 10 on 512 samples holds about 76 MiB of slot states at once
+    # without sample blocks; the budget keeps them near 32 MiB
+    n = MAX_N
+    psi, _, _ = random_component(n, 512, seed=900)
+    ts = np.stack([core.random_timelike(np.random.default_rng(901 + k), size=512)
+                   for k in range(n)])
+    tracemalloc.start()
+    try:
+        contract_T(psi, ts, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20
+
+
+def test_distinct_T_block_boundary_matches_per_sample():
+    n = MAX_N
+    psi, _, _ = random_component(n, 512, seed=902)
+    ts = np.stack([core.random_timelike(np.random.default_rng(903 + k), size=512)
+                   for k in range(n)])
+    block = bw._STATE_BYTES // (16 * sum((a + 1) ** 2 * (n - a + 1) ** 2
+                                         for a in range(n + 1)))
+    assert 2 < block < 510
+    got = contract_T(psi, ts, False)
+    for i in (0, block - 2, block - 1, block, block + 1, 2 * block, 511):
+        alone = contract_T(*_sample(psi, ts, i), False)
+        assert abs(got[i] - alone[0]) <= 1e-15 * abs(alone[0])
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("budget", [1, 5000])
+def test_distinct_T_independent_of_block_size(monkeypatch, n, budget):
+    psi, _, _ = random_component(n, 37, seed=910 + n)
+    ts = np.stack([core.random_timelike(np.random.default_rng(920 + k), size=37)
+                   for k in range(n)])
+    whole = contract_T(psi, ts, False)
+    monkeypatch.setattr(bw, "_STATE_BYTES", budget)
+    blocked = contract_T(psi, ts, False)
+    assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-15

@@ -1,0 +1,164 @@
+"""Every guarded entry point rejects non-finite input.
+
+Each case puts a NaN (or an inf) into one sample of otherwise valid input
+and expects the guard's own error type; a per-sample guard must also name
+that sample.  Warnings are errors here, so a guard that computes on the bad
+value before it rejects it fails as well.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from bwspinor import bw, core, frames, maxwell, pauli_lubanski as pl
+from bwspinor.errors import (ComplexEigenvalues, DegenerateReference,
+                             FrameMismatch, InconsistentPair,
+                             MasslessNotSupported, NonUnitDeterminant,
+                             NotAntisymmetric, NotNull, NotTimelike,
+                             OrthogonalDirection, ZeroSpinor)
+
+pytestmark = pytest.mark.filterwarnings("error")
+
+COUNT, BAD = 5, 2
+
+
+def spoil(x, value, index=(BAD, 1)):
+    """A copy of x with one entry of sample BAD replaced by value (kept if None)."""
+    x = np.array(x, dtype=np.result_type(x, float))
+    if value is not None:
+        x[index] = value
+    return x
+
+
+def rng():
+    return np.random.default_rng(2024)
+
+
+def massive():
+    p = core.random_future_momentum(1.0, rng(), size=COUNT)
+    return p, frames.frame_massive(p, core.random_spinor(rng(), size=COUNT))
+
+
+def massless():
+    p = core.random_future_momentum(0.0, rng(), size=COUNT)
+    return p, frames.frame_massless(p)
+
+
+def massive_component(n=2):
+    p, fr = massive()
+    f = np.ones((COUNT, n + 1), dtype=complex)
+    return bw.synth_massive(fr, bw.Amplitudes(n, 1.0, +1, f)), fr
+
+
+def massless_component(n=2):
+    p, fr = massless()
+    return bw.synth_massless(fr.pi, np.ones(COUNT), n), fr
+
+
+def sl2c():
+    return core.random_sl2c(rng(), size=COUNT)
+
+
+def phi_and_field():
+    r = rng()
+    phi = r.normal(size=(COUNT, 2, 2)) + 1j * r.normal(size=(COUNT, 2, 2))
+    phi = phi + np.swapaxes(phi, -1, -2)
+    return phi, maxwell.field_strength_from_phi(phi)
+
+
+def potential():
+    p, _ = massless()
+    return rng().normal(size=(COUNT, 4)) + 0j, p
+
+
+T1, T2 = np.array([1.0, 0.0, 0.0, 0.0]), np.array([2.0, 0.1, 0.3, -0.2])
+
+
+def with_momentum(psi, value):
+    return dataclasses.replace(psi, p=spoil(psi.p, value))
+
+
+# name -> (call with the bad value, error, the sample index the error names)
+CASES = {
+    # core
+    "lorentz_from_sl2c": (lambda v: core.lorentz_from_sl2c(
+        spoil(sl2c(), v, (BAD, 0, 1))), NonUnitDeterminant, "2"),
+    "transform_dyad": (lambda v: core.transform_dyad(
+        spoil(sl2c(), v, (BAD, 0, 1)), np.eye(2)), NonUnitDeterminant, "2"),
+    "transform_vector": (lambda v: core.transform_vector(
+        spoil(sl2c(), v, (BAD, 1, 1)), massive()[0]), NonUnitDeterminant, "2"),
+    # frames
+    "flag_decompose_massless": (lambda v: frames.flag_decompose_massless(
+        spoil(massless()[0], v)), NotNull, "2"),
+    "frame_massless": (lambda v: frames.frame_massless(spoil(massless()[0], v)),
+                       NotNull, "2"),
+    "partner_massless": (lambda v: frames.partner_massless(
+        spoil(massless()[1].pi, v)), ZeroSpinor, "2"),
+    "frame_massive.p": (lambda v: frames.frame_massive(
+        spoil(massive()[0], v), (1.0, 0.0)), NotTimelike, "2"),
+    "frame_massive.nu": (lambda v: frames.frame_massive(
+        massive()[0], spoil(core.random_spinor(rng(), size=COUNT), v)),
+        DegenerateReference, "2"),
+    # pauli_lubanski
+    "pl_eigenvalues": (lambda v: pl.pl_eigenvalues(T2, spoil(massive()[0], v)),
+                       ComplexEigenvalues, "2"),
+    "pl_spin_projectors": (lambda v: pl.pl_spin_projectors(
+        T2, spoil(massive()[0], v)), ComplexEigenvalues, "2"),
+    "energy_projectors": (lambda v: pl.energy_projectors(spoil(massive()[0], v)),
+                          MasslessNotSupported, "2"),
+    "combined_projectors": (lambda v: pl.combined_projectors(
+        T2, spoil(massive()[0], v)), ComplexEigenvalues, "2"),
+    # maxwell
+    "phi_from_potential": (lambda v: maxwell.phi_from_potential(
+        potential()[0], spoil(potential()[1], v)), NotNull, "2"),
+    "em_spinor": (lambda v: maxwell.em_spinor(
+        spoil(phi_and_field()[1], v, (BAD, 0, 1))), NotAntisymmetric, "2"),
+    "gk_norm_integrand.p": (lambda v: maxwell.gk_norm_integrand(
+        phi_and_field()[0], spoil(massless()[0], v), T1, T2),
+        OrthogonalDirection, "2"),
+    "gk_norm_integrand.t2": (lambda v: maxwell.gk_norm_integrand(
+        phi_and_field()[0], massless()[0], T1,
+        spoil(np.broadcast_to(T2, (COUNT, 4)), v)), OrthogonalDirection, "2"),
+    "stress_tensor.phi": (lambda v: maxwell.stress_tensor(
+        spoil(phi_and_field()[0], v, (BAD, 0, 1)), phi_and_field()[1]),
+        InconsistentPair, "2"),
+    "stress_tensor.field": (lambda v: maxwell.stress_tensor(
+        phi_and_field()[0], spoil(phi_and_field()[1], v, (BAD, 1, 2))),
+        NotAntisymmetric, "2"),
+    # bw
+    "extract_massive.frame": (lambda v: bw.extract_massive(
+        massive_component()[0],
+        dataclasses.replace(massive_component()[1], p=spoil(massive()[0], v))),
+        FrameMismatch, "2"),
+    "extract_massless.omega": (lambda v: bw.extract_massless(
+        massless_component()[0], spoil(massless_component()[1].omega, v)),
+        FrameMismatch, "2"),
+    "hertz_psi": (lambda v: bw.hertz_psi(
+        bw.eta_from_frame(massless()[1], 2), spoil(massless()[0], v)), NotNull, "2"),
+    "transform_component": (lambda v: bw.transform_component(
+        massive_component()[0], spoil(sl2c(), v, (BAD, 0, 0))),
+        NonUnitDeterminant, "2"),
+    "norm_integrand.momentum": (lambda v: bw.norm_integrand(
+        with_momentum(massive_component()[0], v), bw.RandomTimelike(3)),
+        OrthogonalDirection, "0, 2"),
+    "norm_integrand.direction": (lambda v: bw.norm_integrand(
+        massive_component()[0], bw.FixedList((T1, spoil(T2, v, 0)))),
+        OrthogonalDirection, "1, 0"),
+    "wigner_state": (lambda v: bw.wigner_state(
+        with_momentum(massless_component()[0], v), bw.StandardTime()),
+        OrthogonalDirection, "0, 2"),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_unspoiled_input_passes(name):
+    CASES[name][0](None)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", CASES)
+def test_nonfinite_sample_rejected(name, value):
+    call, error, index = CASES[name]
+    with pytest.raises(error, match=rf"at sample index \[{index}\]"):
+        call(value)
