@@ -162,10 +162,8 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     """
     if amps.mass <= 0 or frame.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
-    # the tolerance within which frame_massive puts its samples on one shell
-    if not abs(amps.mass - frame.mass) <= 1e-8 * (1.0 + frame.mass):
-        raise FrameMismatch(
-            f"amplitudes of mass {amps.mass} on a frame of mass {frame.mass}")
+    reject(~core.on_shell(frame.p, amps.mass), FrameMismatch,
+           f"frame momentum off the mass shell of the amplitudes, m = {amps.mass}")
     _check_spin(amps.n)
     n, e = amps.n, amps.sign
     n_scale = (default_normalization(frame) if normalization is None
@@ -194,14 +192,12 @@ def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
            FrameMismatch, "frame momentum differs from component momentum")
 
 
-def extract_massive(psi: BWComponent, frame: SpinFrame,
-                    normalization=None) -> Amplitudes:
+def extract_massive(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
     """Wigner amplitudes via N^n f_k = omega^{A..} omegabar^{A'..} psi_k."""
     if psi.mass <= 0:
         raise NotMassive("extract_massive needs m > 0")
     _check_frame(psi, frame)
-    n_scale = (default_normalization(frame) if normalization is None
-               else np.asarray(normalization, dtype=complex))
+    n_scale = default_normalization(frame)
     om, omb = frame.omega, np.conj(frame.omega)
     fs = [contract_same(psi.comps[k], om, omb) / n_scale ** psi.n
           for k in range(psi.n + 1)]

@@ -89,17 +89,43 @@ def finite_vectors(*xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
             [np.where(ok[..., None], x, 0.0) for ok, x in zip(oks, xs)])
 
 
+def _unit_scaled(p: np.ndarray, mass=0.0):
+    """(finite, q, mu, e): p and mass over 2^e, the power of two just above
+    the largest of |p^a| and mass, NaN and inf zeroed; exact, so q.q = 4^-e p.p
+    and nothing overflows (for a causal p the largest |p^a| is p^0)."""
+    finite, (p,) = finite_vectors(p)
+    # four elementwise maxima: np.max over a last axis of 4 is many times slower
+    _, e = np.frexp(functools.reduce(np.maximum, np.moveaxis(np.abs(p), -1, 0), mass))
+    return finite, np.ldexp(p, -e[..., None]), np.ldexp(mass, -e), e
+
+
 def null_shell(p: np.ndarray) -> np.ndarray:
     """Finite p with |p.p| <= 1e-10 (p^0)^2: on the light cone."""
-    finite, (p,) = finite_vectors(p)
-    return finite & (np.abs(mass_squared(p))
-                     <= 1e-10 * np.maximum(p[..., 0] ** 2, 1e-300))
+    finite, q, _, _ = _unit_scaled(p)
+    return finite & (np.abs(mass_squared(q)) <= 1e-10 * q[..., 0] ** 2)
 
 
 def timelike(p: np.ndarray) -> np.ndarray:
     """Finite p with p.p > 1e-10 (p^0)^2: inside the light cone."""
-    finite, (p,) = finite_vectors(p)
-    return finite & (mass_squared(p) > 1e-10 * p[..., 0] ** 2)
+    finite, q, _, _ = _unit_scaled(p)
+    return finite & (mass_squared(q) > 1e-10 * q[..., 0] ** 2)
+
+
+def on_shell(p: np.ndarray, mass) -> np.ndarray:
+    """The one test of p against a declared mass: finite, p^0 > 0 and
+    |p.p - m^2| <= 1e-10 (p^0)^2, and timelike if m > 0 (as frame_massive
+    needs); so on_shell(p, 0) is null_shell(p) wherever p^0 > 0."""
+    finite, q, mu, _ = _unit_scaled(p, mass)
+    qq, band = mass_squared(q), 1e-10 * q[..., 0] ** 2
+    return (finite & (q[..., 0] > 0) & (np.abs(qq - mu ** 2) <= band)
+            & ((mass == 0) | (qq > band)))
+
+
+def invariant_mass(p: np.ndarray) -> np.ndarray:
+    """sqrt(p.p) of a timelike p, equal to np.sqrt(mass_squared(p)) wherever
+    that does not overflow or underflow."""
+    _, q, _, e = _unit_scaled(p)
+    return np.ldexp(np.sqrt(mass_squared(q)), e)
 
 
 def nonzero_tp(t: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -72,12 +72,11 @@ def dirac_operator(p: np.ndarray, sign: int = +1) -> np.ndarray:
     return mat
 
 
-def dirac_solution(frame: SpinFrame, f0, f1, sign: int = +1,
-                   normalization=None) -> np.ndarray:
+def dirac_solution(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:
     """Bispinor chi^{(+)} f1 + chi^{(-)} f0; solves the momentum Dirac equation."""
     if frame.mass <= 0:
         raise NotMassive("dirac_solution needs m > 0")
-    chis = chi_basis(frame, normalization)
+    chis = chi_basis(frame)
     f0 = np.asarray(f0, dtype=complex)[..., None]
     f1 = np.asarray(f1, dtype=complex)[..., None]
     return chis[(+1, sign)] * f1 + chis[(-1, sign)] * f0
@@ -101,11 +100,9 @@ def dirac_current(psi: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0) * np.real(core.dyad_to_vector(dyad, "low"))
 
 
-def extract_dirac(psi: np.ndarray, frame: SpinFrame,
-                  normalization=None) -> tuple[np.ndarray, np.ndarray]:
+def extract_dirac(psi: np.ndarray, frame: SpinFrame) -> tuple[np.ndarray, np.ndarray]:
     """(f0, f1) from omega^A psi^0_A = N f0 and omegabar^{A'} psi^1_{A'} = N f1."""
-    n_scale = (default_normalization(frame) if normalization is None
-               else np.asarray(normalization, dtype=complex))
+    n_scale = default_normalization(frame)
     f0 = np.einsum('...A,...A->...', frame.omega, psi[..., 0:2]) / n_scale
     f1 = np.einsum('...A,...A->...', np.conj(frame.omega), psi[..., 2:4]) / n_scale
     return f0, f1
@@ -122,13 +119,12 @@ def dirac_norm_integrand(psi: np.ndarray, frame: SpinFrame) -> np.ndarray:
     return np.real(t_up + t_dn) / core.minkowski(frame.omega_vec, frame.p)
 
 
-def dirac_component(frame: SpinFrame, f0, f1, sign: int = +1,
-                    normalization=None) -> BWComponent:
+def dirac_component(frame: SpinFrame, f0, f1, sign: int = +1) -> BWComponent:
     """The same solution as an n = 1 Bargmann-Wigner component."""
     f = np.stack([np.asarray(f0, dtype=complex),
                   np.asarray(f1, dtype=complex)], axis=-1)
     amps = Amplitudes(n=1, mass=frame.mass, sign=sign, f=f)
-    return synth_massive(frame, amps, normalization)
+    return synth_massive(frame, amps)
 
 
 def dirac_norm_integrand_bw(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:

@@ -1,15 +1,17 @@
 """JSON file formats for momentum-sampled fields and amplitudes.
 
 Both formats carry a header {version, n, mass, sign} and a list of samples
-with an on-shell momentum; complex numbers are [re, im] pairs and floats are
+with a momentum on the shell of the header's mass (`core.on_shell`, the rule
+synthesis applies too); complex numbers are [re, im] pairs and floats are
 serialized with full round-trip precision.  Validation failures raise
 SchemaError carrying a JSON pointer to the offending element.
 
-One writer and one reader serve both formats.  The writer converts whole
-columns to Python floats and streams the samples in blocks through the C
-JSON encoder.  The reader converts whole columns with one numpy call each and
-validates them in vectorized form; only when a check fails does it walk the
-samples in document order to name the first offending element.
+One writer and one reader serve both formats.  The writer converts the
+columns to Python floats one block of _BLOCK samples at a time and streams
+each block through the C JSON encoder.  The reader converts whole columns
+with one numpy call each and validates them in vectorized form; only when a
+check fails does it walk the samples in document order to name the first
+offending element.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import core
 from .bw import MAX_N, Amplitudes, BWComponent
 from .errors import SchemaError
 from .multispinor import SymMultiSpinor
@@ -93,30 +96,13 @@ def _header_in(doc: dict, want_normalization: bool):
     return n, float(mass), +1 if sign == "+" else -1, norm
 
 
-def _mass_squared(p: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow reads as off shell
-        return p[..., 0] ** 2 - p[..., 1] ** 2 - p[..., 2] ** 2 - p[..., 3] ** 2
-
-
-def _off_shell(p: np.ndarray, mass: float) -> np.ndarray:
-    """Mask of momenta with p^0 <= 0 or p.p off m^2 by more than 1e-8 max(1, (p^0)^2).
-
-    A p.p that overflows is off shell: inf - m^2 <= 1e-8 inf would pass.
-    """
-    e, msq = p[..., 0], _mass_squared(p)
-    with np.errstate(over="ignore"):
-        scale = 1e-8 * np.maximum(1.0, e ** 2)
-    return ~((e > 0) & np.isfinite(msq) & (np.abs(msq - mass ** 2) <= scale))
-
-
 def _check_momentum(p, mass: float, pointer: str) -> None:
     _require(isinstance(p, list) and len(p) == 4 and all(map(_is_number, p)),
              pointer, "p must be 4 numbers")
     _require(_finite(p), pointer, "p must be finite")
-    arr = np.asarray(p, dtype=float)
-    _require(arr[0] > 0, pointer, "p^0 must be positive")
-    _require(not _off_shell(arr, mass), pointer,
-             f"p off shell: p.p = {float(_mass_squared(arr))!r}, m^2 = {mass ** 2!r}")
+    _require(core.on_shell(np.asarray(p, dtype=float), mass), pointer,
+             f"p off shell: need p^0 > 0, |p.p - m^2| <= 1e-10 (p^0)^2 and, "
+             f"for m > 0, p.p > 1e-10 (p^0)^2; m = {mass!r}")
 
 
 def _check_pairs(obj, count: int, pointer: str, noun: str) -> None:
@@ -186,7 +172,7 @@ def _columns_in(samples: list, mass: float, columns: dict):
     count = len(samples)
     try:
         p = _floats([e["p"] for e in samples], 1, (count, 4))
-        if p is None or np.any(_off_shell(p, mass)):
+        if p is None or not np.all(core.on_shell(p, mass)):
             return None
         out = {}
         for key, sizes in columns.items():

@@ -138,6 +138,8 @@ def gk_norm_integrand(phi: np.ndarray, p: np.ndarray, t1: np.ndarray,
     """t1^a t2^b T_{ab} / ((t1.p)(t2.p)), the two-direction Maxwell integrand."""
     reject(~(core.nonzero_tp(t1, p) & core.nonzero_tp(t2, p)), OrthogonalDirection,
            "t.p must be finite and nonzero for both direction vectors")
+    reject(~np.all(np.isfinite(phi), axis=(-2, -1)), InconsistentPair,
+           "phi must be finite")
     d1 = core.minkowski(t1, p)
     d2 = core.minkowski(t2, p)
     t = stress_tensor_spinor(phi)

@@ -123,7 +123,7 @@ def energy_projectors(p: np.ndarray) -> dict[int, np.ndarray]:
     p = np.asarray(p, dtype=float)
     reject(~core.timelike(p), MasslessNotSupported,
            "energy projectors need a finite p with p.p > 0")
-    m = np.sqrt(core.mass_squared(p))[..., None, None]
+    m = core.invariant_mass(p)[..., None, None]
     plu = core.vector_to_dyad(p, "lu")
     pul = core.vector_to_dyad(p, "ul")
     out = {}
@@ -190,10 +190,9 @@ def default_normalization(frame: SpinFrame) -> np.ndarray:
     return np.sqrt(core.minkowski(frame.omega_vec, frame.p).astype(complex))
 
 
-def chi_basis(frame: SpinFrame, normalization=None) -> dict[tuple[int, int], np.ndarray]:
+def chi_basis(frame: SpinFrame) -> dict[tuple[int, int], np.ndarray]:
     """The four bispinor eigenvectors chi^{(spin)}_{energy} of the omega-direction projectors."""
-    n = default_normalization(frame) if normalization is None else normalization
-    n = np.asarray(n, dtype=complex)[..., None]
+    n = default_normalization(frame)[..., None]
     oml = core.lower_spinor(frame.omega)
     pil = core.lower_spinor(frame.pi)
     out = {}

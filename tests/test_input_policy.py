@@ -120,6 +120,9 @@ CASES = {
     "gk_norm_integrand.t2": (lambda v: maxwell.gk_norm_integrand(
         phi_and_field()[0], massless()[0], T1,
         spoil(np.broadcast_to(T2, (COUNT, 4)), v)), OrthogonalDirection, "2"),
+    "gk_norm_integrand.phi": (lambda v: maxwell.gk_norm_integrand(
+        spoil(phi_and_field()[0], v, (BAD, 0, 1)), massless()[0], T1, T2),
+        InconsistentPair, "2"),
     "stress_tensor.phi": (lambda v: maxwell.stress_tensor(
         spoil(phi_and_field()[0], v, (BAD, 0, 1)), phi_and_field()[1]),
         InconsistentPair, "2"),
