@@ -84,7 +84,8 @@ def mass_squared(p: np.ndarray) -> np.ndarray:
 def finite_vectors(*xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The mask of the samples where every vector of xs is finite (the xs
     broadcast against each other), and each x with its other vectors zeroed."""
-    oks = [np.all(np.isfinite(x), axis=-1) for x in xs]
+    # elementwise & over the last axis: np.all over an axis of 4 is many times slower
+    oks = [functools.reduce(np.logical_and, np.moveaxis(np.isfinite(x), -1, 0)) for x in xs]
     return (functools.reduce(np.logical_and, oks),
             [np.where(ok[..., None], x, 0.0) for ok, x in zip(oks, xs)])
 
@@ -94,7 +95,7 @@ def _unit_scaled(p: np.ndarray, mass=0.0):
     the largest of |p^a| and mass, NaN and inf zeroed; exact, so q.q = 4^-e p.p
     and nothing overflows (for a causal p the largest |p^a| is p^0)."""
     finite, (p,) = finite_vectors(p)
-    # four elementwise maxima: np.max over a last axis of 4 is many times slower
+    # four elementwise maxima, for the same reason
     _, e = np.frexp(functools.reduce(np.maximum, np.moveaxis(np.abs(p), -1, 0), mass))
     return finite, np.ldexp(p, -e[..., None]), np.ldexp(mass, -e), e
 

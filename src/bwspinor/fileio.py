@@ -244,9 +244,15 @@ def _write_samples(path, header: dict, p: np.ndarray, columns: dict,
         if weights.shape != (count,):
             raise ValueError(f"need {count} weights, got {weights.shape[0]}")
 
+    def flat(z: np.ndarray) -> np.ndarray:
+        # one (S, m) array per column: a reshape of a batch-last view copies
+        return np.asarray(z, dtype=complex).reshape(count, -1)
+
     def pairs(z: np.ndarray, a: int, b: int) -> list:
-        z = np.ascontiguousarray(z.reshape(count, -1)[a:b], dtype=complex)
-        return z.view(float).reshape(b - a, -1, 2).tolist()
+        return np.ascontiguousarray(z[a:b]).view(float).reshape(b - a, -1, 2).tolist()
+
+    columns = {key: tuple(map(flat, value)) if isinstance(value, tuple) else flat(value)
+               for key, value in columns.items()}
 
     with open(path, "w") as fh:
         fh.write('{"header": ' + json.dumps(header) + ', "samples": [')

@@ -62,12 +62,22 @@ def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
 
 
 def partner_massless(pi: np.ndarray) -> np.ndarray:
-    """Spinor omega with pi_A omega^A = 1, orthogonal to pi in the Euclidean sense."""
-    pi = np.asarray(pi, dtype=complex)
-    norm2 = np.sum(np.abs(pi) ** 2, axis=-1)
-    reject(~(np.isfinite(norm2) & (norm2 >= 1e-24)), ZeroSpinor,
-           "flag spinor must be finite and nonzero")
-    return np.stack([-np.conj(pi[..., 1]), np.conj(pi[..., 0])], axis=-1) / norm2[..., None]
+    """Spinor omega with pi_A omega^A = 1, orthogonal to pi in the Euclidean sense.
+
+    Scale-free: q = pi / 2^e, with 2^e the power of two just above the
+    largest real or imaginary part (`core._unit_scaled`, exact), so
+    omega = 2^-e q^perp / |q|^2 with 1/2 <= |q| < 2; every finite nonzero
+    pi whose partner is finite (largest part at least 2^-1023) is accepted.
+    """
+    pi = np.ascontiguousarray(pi, dtype=complex)
+    finite, q, _, e = core._unit_scaled(pi.view(float))
+    q = q.view(complex)
+    norm2 = np.sum(q.real ** 2 + q.imag ** 2, axis=-1)
+    perp = np.stack([-np.conj(q[..., 1]), np.conj(q[..., 0])], axis=-1)
+    # |omega| = 2^-e / |q| <= 2^(1-e): finite for every e >= -1022
+    reject(~(finite & (norm2 > 0) & (e >= -1022)), ZeroSpinor,
+           "flag spinor must be finite and nonzero, with a finite partner")
+    return perp / norm2[..., None] * np.ldexp(1.0, -e)[..., None]
 
 
 def frame_massless(p: np.ndarray) -> SpinFrame:

@@ -7,6 +7,12 @@ works on it directly: a 2x2 matrix acting on all r slots of a group is the
 (r+1)x(r+1) matrix of `sym_power_matrices`.  Nothing here expands a tensor to
 its 2^(r+s) dense entries.  Index height is not tracked here; each operation
 states the valence it expects.
+
+`SymMultiSpinor.comp` keeps the batch axes first, (..., r+1, s+1).  The
+graded kernels work batch-last: `sym_power_matrices` returns its matrices as
+(r+1, r+1, *batch), and `matmul_last` multiplies such stacks by one broadcast
+product per summed index, each over contiguous samples, where a batched `@`
+on matrices this small would dispatch one gemm per sample.
 """
 
 from __future__ import annotations
@@ -103,13 +109,14 @@ def contract_same(t: SymMultiSpinor, x: np.ndarray, y: np.ndarray) -> np.ndarray
     primed slot, evaluated in graded coordinates with binomial weights."""
     wx = _binomial_weights(t.r, np.asarray(x, dtype=complex))
     wy = _binomial_weights(t.s, np.asarray(y, dtype=complex))
-    return np.einsum('...ij,...i,...j->...', t.comp, wx, wy)
+    return np.einsum('...i,...i->...', wx, np.einsum('...ij,...j->...i', t.comp, wy))
 
 
 def sym_power_matrices(m: np.ndarray, n: int) -> list[np.ndarray]:
-    """Images S_0..S_n of a batch of 2x2 matrices on the symmetric powers.
+    """Images S_0..S_n of a batch of 2x2 matrices on the symmetric powers,
+    batch-last: m is (..., 2, 2) and S_r is (r+1, r+1, ...).
 
-    S_r[..., i, j] is the coefficient of x^i y^j in
+    S_r[i, j] is the coefficient of x^i y^j in
     (m00 + m01 y + m10 x + m11 x y)^r, i.e. the sum of prod_k m[a_k, b_k]
     over all index tuples a with i ones and b with j ones.  With
     D_r = diag C(r, i), m acting on every slot of a symmetric group maps
@@ -117,14 +124,23 @@ def sym_power_matrices(m: np.ndarray, n: int) -> list[np.ndarray]:
     S_r(m) D_r^{-1} S_r(m').  Built by the four-term recurrence
     S_r = m00 S_{r-1} + m01 shift_y + m10 shift_x + m11 shift_xy.
     """
-    # built batch-last, so every update runs over contiguous samples
     m = np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
-    out = [np.ones((1, 1) + m.shape[2:], dtype=complex)]
+    batch = m.shape[2:]
+    # one allocation for all n + 1 matrices, each a contiguous view into it
+    flat = np.zeros((power_size(n),) + batch, dtype=complex)
+    flat[0] = 1.0
+    out = [flat[:1].reshape((1, 1) + batch)]
     for r in range(1, n + 1):
-        s = np.zeros((r + 1, r + 1) + m.shape[2:], dtype=complex)
+        start = power_size(r - 1)
+        s = flat[start:start + (r + 1) ** 2].reshape((r + 1, r + 1) + batch)
         _shift_add(s, out[-1], m)
         out.append(s)
-    return [np.moveaxis(s, (0, 1), (-2, -1)) for s in out]
+    return out
+
+
+def power_size(n: int) -> int:
+    """Entries per sample of S_0..S_n: sum_r (r+1)^2."""
+    return (n + 1) * (n + 2) * (2 * n + 3) // 6
 
 
 def _shift_add(out: np.ndarray, prev: np.ndarray, m: np.ndarray,
@@ -143,14 +159,28 @@ def _shift_add(out: np.ndarray, prev: np.ndarray, m: np.ndarray,
     out[lead + (hi, hi)] += m[1, 1] * prev
 
 
+def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[i, j, ...] b[j, k, ...] for batch-last stacks of matrices,
+    one broadcast product per j.  The batch axes broadcast from the right, so
+    both stacks need the same number of them."""
+    out = a[:, 0, None] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[None, j]
+    return out
+
+
 def apply_matrix_per_slot(t: SymMultiSpinor, m_unprimed: np.ndarray,
                           m_primed: np.ndarray) -> SymMultiSpinor:
     """Apply one matrix to every unprimed slot and another to every primed slot.
 
     In graded form c -> D_r^{-1} S_r(m_unprimed) c S_s(m_primed)^T D_s^{-1}.
     """
-    su = sym_power_matrices(m_unprimed, t.r)[t.r]
-    sp = sym_power_matrices(m_primed, t.s)[t.s]
-    comp = su @ t.comp @ np.swapaxes(sp, -1, -2)
-    return SymMultiSpinor(t.r, t.s, comp / np.multiply.outer(_binomials(t.r),
-                                                             _binomials(t.s)))
+    # one batch shape for all three, so that the batch-last axes line up
+    batch = np.broadcast_shapes(np.shape(m_unprimed)[:-2], np.shape(m_primed)[:-2],
+                                t.comp.shape[:-2])
+    su = sym_power_matrices(np.broadcast_to(m_unprimed, batch + (2, 2)), t.r)[t.r]
+    sp = sym_power_matrices(np.broadcast_to(m_primed, batch + (2, 2)), t.s)[t.s]
+    c = np.moveaxis(np.broadcast_to(t.comp, batch + t.comp.shape[-2:]), (-2, -1), (0, 1))
+    comp = matmul_last(matmul_last(su, c), np.swapaxes(sp, 0, 1))
+    return SymMultiSpinor(t.r, t.s, np.moveaxis(comp, (0, 1), (-2, -1))
+                          / np.multiply.outer(_binomials(t.r), _binomials(t.s)))

@@ -139,6 +139,47 @@ def contract_T_dense(psi, ts: np.ndarray) -> np.ndarray:
     return np.real(total)
 
 
+def _lower(kappa) -> list:
+    """kappa_A = kappa^B eps_{BA} with eps_{01} = +1."""
+    return [-kappa[1], kappa[0]]
+
+
+def synth_bruteforce(frame, f: np.ndarray, sign: int, n_scale) -> list[np.ndarray]:
+    """Graded members (S, r+1, k+1) of the chi tensor-product expansion.
+
+    Per sample, an unprimed slot carries u- = -pi_A or u+ = sign omega_A and a
+    primed slot v- = -sign omegabar_A' or v+ = -pibar_A'; every routing of the
+    plus factors adds f_(number of plus factors) times the product of the
+    slot factors at the entry's indices.  Entry [i, j] of member k is read
+    at the index tuple with i unprimed and j primed ones, each group ones first.
+    """
+    f = np.asarray(f, dtype=complex)
+    count, n = f.shape[0], f.shape[1] - 1
+    members = [np.zeros((count, n - k + 1, k + 1), dtype=complex) for k in range(n + 1)]
+    for s in range(count):
+        pil, oml = _lower(frame.pi[s]), _lower(frame.omega[s])
+        u = [[-x for x in pil], [sign * x for x in oml]]
+        v = [[-sign * np.conj(x) for x in oml], [-np.conj(x) for x in pil]]
+        scale = complex(np.broadcast_to(n_scale, (count,))[s]) ** n
+        for k in range(n + 1):
+            r = n - k
+            for i in range(r + 1):
+                for j in range(k + 1):
+                    idx = (1,) * i + (0,) * (r - i)
+                    jdx = (1,) * j + (0,) * (k - j)
+                    val = 0.0 + 0.0j
+                    for sigma in itertools.product(range(2), repeat=r):
+                        for tau in itertools.product(range(2), repeat=k):
+                            w = f[s, sum(sigma) + sum(tau)]
+                            for slot in range(r):
+                                w *= u[sigma[slot]][idx[slot]]
+                            for slot in range(k):
+                                w *= v[tau[slot]][jdx[slot]]
+                            val += w
+                    members[k][s, i, j] = scale * val
+    return members
+
+
 def extract_bruteforce(psi, frame, n_scale: complex) -> np.ndarray:
     """Amplitudes via explicit sums of omega contractions."""
     n = psi.n

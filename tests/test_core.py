@@ -167,3 +167,19 @@ class TestRandomGenerators:
     def test_sl2c_unit_determinant(self):
         a = core.random_sl2c(16, size=200)
         assert np.max(np.abs(np.linalg.det(a) - 1.0)) < 1e-12
+
+
+class TestFiniteVectors:
+    @pytest.mark.parametrize("shape, dtype", [((4,), float), ((50, 4), float),
+                                              ((5, 7, 4), float), ((30, 2), complex)])
+    def test_mask_matches_all_over_last_axis(self, shape, dtype):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=shape).astype(dtype)
+        x[rng.random(size=shape) < 0.1] = np.nan
+        x[rng.random(size=shape) < 0.1] = np.inf
+        if dtype is complex:
+            x[rng.random(size=shape) < 0.1] += 1j * np.nan
+        ok, (clean,) = core.finite_vectors(x)
+        want = np.all(np.isfinite(x), axis=-1)
+        assert np.array_equal(ok, want)
+        assert np.array_equal(clean, np.where(want[..., None], x, 0.0))

@@ -8,8 +8,11 @@ identical vectors), and that recursion to the dense pattern route of
 integrands, and the integrand for n distinct random timelike or null
 directions per sample, are held to sum_k C(n,k) |f_k|^2 per sample;
 `standard_bw_integrand` and `transform_component` to dense evaluations.
-The distinct-direction route takes its samples in blocks: its peak memory
-is bounded, and its values do not depend on where the blocks split.
+Synthesis is held to the index loop over every routing of
+`oracles.synth_bruteforce`, and the signed flip that gives its primed
+powers from the unprimed ones to a direct `sym_power_matrices`.
+The kernels take their samples in blocks: their peak memory is bounded, and
+the distinct-direction values do not depend on where the blocks split.
 """
 
 import itertools
@@ -27,7 +30,8 @@ from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
 from bwspinor.frames import frame_massive
 from bwspinor.multispinor import SymMultiSpinor, sym_power_matrices
 from bwspinor.quadrature import build_grid
-from oracles import contract_T_dense, dense, dense_from_graded
+from bwspinor.pauli_lubanski import default_normalization
+from oracles import contract_T_dense, dense, dense_from_graded, synth_bruteforce
 
 SPINS = range(1, MAX_N + 1)
 
@@ -62,8 +66,42 @@ def test_sym_power_matrices_multiplicative():
     r = 6
     binom = np.array([comb(r, i) for i in range(r + 1)])
     lhs = sym_power_matrices(m1 @ m2, r)[r]
-    rhs = (sym_power_matrices(m1, r)[r] / binom) @ sym_power_matrices(m2, r)[r]
+    assert lhs.shape == (r + 1, r + 1, 3)    # batch-last
+    rhs = np.einsum("ij...,jk...->ik...", sym_power_matrices(m1, r)[r] / binom[:, None],
+                    sym_power_matrices(m2, r)[r])
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(lhs)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("normalization", [None, 0.6 - 0.8j], ids=["default", "complex"])
+def test_synth_matches_routing_sum(n, sign, normalization):
+    rng = np.random.default_rng(1000 + n)
+    p = core.random_future_momentum(1.0, rng, size=3)
+    fr = frame_massive(p, core.random_spinor(rng, size=3))
+    f = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
+    psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=sign, f=f), normalization)
+    want = synth_bruteforce(fr, f, sign, default_normalization(fr)
+                            if normalization is None else normalization)
+    for got, ref in zip(psi.comps, want):
+        err = np.max(np.abs(got.comp - ref), axis=(-2, -1))
+        assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_primed_powers_are_signed_flips(n, sign):
+    # Mv = [[0, -1], [1, 0]] conj(Mu), so S_k(Mv)[i, j] = (-1)^(k-i) conj(S_k(Mu)[k-i, j])
+    rng = np.random.default_rng(1100 + n)
+    fr = frame_massive(core.random_future_momentum(1.0, rng, size=5),
+                       core.random_spinor(rng, size=5))
+    oml, pil = core.lower_spinor(fr.omega), core.lower_spinor(fr.pi)
+    us = sym_power_matrices(np.stack([-pil, sign * oml], axis=-2), n)
+    vs = sym_power_matrices(np.stack([-sign * np.conj(oml), -np.conj(pil)], axis=-2), n)
+    for k in range(n + 1):
+        flip = (-1.0) ** (k - np.arange(k + 1))[:, None, None]
+        assert np.max(np.abs(flip * np.conj(us[k][::-1]) - vs[k])) \
+            <= 1e-14 * np.max(np.abs(vs[k]))
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -158,7 +196,7 @@ def _sample(psi, ts, i):
 
 def test_distinct_T_peak_memory_is_bounded():
     # n = 10 on 512 samples holds about 76 MiB of slot states at once
-    # without sample blocks; the budget keeps them near 32 MiB
+    # without sample blocks; the budget keeps them within _STATE_BYTES
     n = MAX_N
     psi, _, _ = random_component(n, 512, seed=900)
     ts = np.stack([core.random_timelike(np.random.default_rng(901 + k), size=512)
@@ -196,3 +234,27 @@ def test_distinct_T_independent_of_block_size(monkeypatch, n, budget):
     monkeypatch.setattr(bw, "_STATE_BYTES", budget)
     blocked = contract_T(psi, ts, False)
     assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-15
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, bound_mib", [("synth", 40), ("null-omega", 20),
+                                               ("form-p", 20)])
+def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
+    # one 4096-sample chunk of evaluate_norm at n = MAX_N; with stacked
+    # batch-first products these peaked at 86.6 MiB (synthesis) and 44.8 MiB
+    # (each pairing), and the members that synthesis returns take 17.9 MiB
+    n, count = MAX_N, 4096
+    psi, fr, f = random_component(n, count, seed=930)
+    amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
+    run = {"synth": lambda: synth_massive(fr, amps),
+           "null-omega": lambda: norm_integrand(psi, NullOmega(), fr),
+           "form-p": lambda: norm_integrand(psi, None, fr, form="p")}[kernel]
+    assert _traced_peak(run) < bound_mib * 2 ** 20

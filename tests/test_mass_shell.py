@@ -15,7 +15,7 @@ from bwspinor import core
 from bwspinor.bw import Amplitudes, synth_massive
 from bwspinor.cli import main
 from bwspinor.errors import FrameMismatch
-from bwspinor.fileio import write_amplitude_file
+from bwspinor.fileio import read_amplitude_file, write_amplitude_file
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.pauli_lubanski import energy_projectors
 
@@ -99,6 +99,32 @@ class TestLargeMomenta:
     def test_invariant_mass_matches_sqrt(self):
         p = core.random_future_momentum(1.3, 3, size=500, scale=4.0)
         assert np.array_equal(core.invariant_mass(p), np.sqrt(core.mass_squared(p)))
+
+
+class TestTinyMasslessMomenta:
+    """The flag-spinor partner is scale-free, so a null p far below unit
+    scale gets a normalized frame and passes synth and extract."""
+
+    @staticmethod
+    def momenta(p0):
+        return p0 * np.array([[1.0, 0.0, 0.0, 1.0], np.concatenate([[1.0], DIRECTION])])
+
+    @pytest.mark.parametrize("p0", [1e-30, 1e-200])
+    def test_frame_is_normalized(self, p0):
+        fr = frame_massless(self.momenta(p0))
+        contraction = core.spinor_contract(core.lower_spinor(fr.pi), fr.omega)
+        assert np.max(np.abs(contraction - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("p0", [1e-30, 1e-200])
+    def test_synthesizes_through_the_cli(self, tmp_path, capsys, p0):
+        f = np.array([[1.0 + 2.0j], [-0.5j]])
+        amp, field, back = (tmp_path / name for name in ("amp.json", "field.json", "back.json"))
+        write_amplitude_file(amp, Amplitudes(2, 0.0, +1, f), self.momenta(p0))
+        assert main(["synth", "--in", str(amp), "--out", str(field)]) == 0, \
+            capsys.readouterr().err
+        assert main(["extract", "--in", str(field), "--out", str(back)]) == 0, \
+            capsys.readouterr().err
+        assert_allclose(read_amplitude_file(back).amplitudes.f, f, rtol=1e-12)
 
 
 class TestTwoMassBatch:
