@@ -12,17 +12,13 @@ term but the pure-pi one.  The quadratic tensor T pairs each member with its
 conjugate, and the norm integrand [t...t T] / [t_1.p ... t_n.p] is
 independent of the chosen directions t_k.
 
-Every kernel works in graded (r+1)(s+1) coordinates: a 2x2 dyad on every
-slot of a symmetric group is one (r+1)x(r+1) matrix of
-`multispinor.sym_power_matrices`, and the T contraction with a distinct
-direction on each slot steps the same recurrence slot by slot.  No member is
-expanded to its 2^n dense entries.
-
-The kernels lay their working arrays out batch-last, (r+1, s+1, samples),
-so that each step is one broadcast product over contiguous samples
-(`multispinor.matmul_last`), and take the samples in blocks whose arrays fit
-_STATE_BYTES.  The members that synthesis returns keep the public
-(..., r+1, s+1) shape as views of batch-last arrays.
+Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
+of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
+dense entries.  Synthesis, the equal-slot pairing, the Lorentz action and the
+Hertz route are one slot action (`multispinor._slot_action`), each with its
+own matrix, and return (..., r+1, s+1) views of batch-last arrays;
+extraction reads one table of the powers of omega; the T contraction with a
+distinct direction per slot steps the recurrence of `sym_power_matrices`.
 """
 
 from __future__ import annotations
@@ -36,10 +32,8 @@ from . import core
 from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
                      ValenceMismatch, reject)
 from .frames import SpinFrame, frame_massless
-from .multispinor import (SymMultiSpinor, _binomials, _shift_add,
-                          _sym_power_coeffs, apply_matrix_per_slot,
-                          contract_same, matmul_last, power_size,
-                          sym_power_matrices)
+from .multispinor import (SymMultiSpinor, _binomials, _blocks, _shift_add,
+                          _slot_action, contract_same, same_slot_coeffs)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
@@ -48,9 +42,9 @@ from .pauli_lubanski import default_normalization, pl_momentum_rep
 MAX_N = 10
 
 # the kernels that hold per-sample working arrays take the samples in blocks
-# whose arrays hold at most this many bytes: the symmetric powers of
-# synthesis and the equal-slot pairing (518 samples at n = 10), the slot
-# states of the distinct-direction recursion (1012 at n = 4, 31 at n = 10).
+# whose arrays hold at most this many bytes: the symmetric powers of the slot
+# action (518 samples at n = 10), the slot states of the distinct-direction
+# recursion (1012 at n = 4, 31 at n = 10).
 # Blocks that stay near the 2 MiB L2 cache of one core ran these kernels
 # 1.4 to 1.7 times faster at n = 10 than 32 MiB blocks did (2-vCPU Xeon).
 _STATE_BYTES = 4 * 2 ** 20
@@ -165,16 +159,11 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
 
     The chi tensor-product expansion puts, on the member with r = n - k
     unprimed and k primed slots, the amplitude f_{a+b} on every routing of a
-    plus factors to unprimed and b to primed slots.  In graded form
-    psi_k = N^n U_r^T H_k V_k, where H_k[a, b] = f_{a+b} is the Hankel
-    matrix of the amplitudes, U_r = S_r(Mu) / C(r, i) with Mu = [u-; u+] and
-    V_k = S_k(Mv) / C(k, j) (S from `sym_power_matrices`); the binomial
-    divisions are applied to the product.  Since Mv = [[0, -1], [1, 0]]
-    conj(Mu), S_k(Mv)[b, j] = (-1)^(k-b) conj(S_k(Mu)[k-b, j]), so one
-    symmetric power serves both groups:
-    conj(H_k S_k(Mv))[a, j] = sum_b (-1)^b conj(f_{a+k-b}) S_k(Mu)[b, j].
-    The samples run batch-last, in blocks that keep the powers within
-    _STATE_BYTES.
+    plus factors to unprimed and b to primed slots.  With the factors
+    Mu = [-pi_A; e omega_A] unprimed and [[0, -1], [1, 0]] conj(Mu) primed,
+    that is the slot action of a = Mu^T on G_k[i, j] = (-1)^j N^n f_{i+k-j},
+    psi_k = D_r^{-1} S_r(a) G_k conj(S_k(a))^T D_k^{-1}; the columns of G_k
+    are signed slices of the amplitudes, so no G_k is built.
     """
     if amps.mass <= 0 or frame.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
@@ -184,36 +173,46 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     n, e = amps.n, amps.sign
     n_scale = (default_normalization(frame) if normalization is None
                else np.asarray(normalization, dtype=complex))
-    mu = np.stack([-core.lower_spinor(frame.pi), e * core.lower_spinor(frame.omega)],
-                  axis=-2)
-    f = np.conj(np.asarray(amps.f, dtype=complex) * np.asarray(n_scale ** n)[..., None])
-    batch = np.broadcast_shapes(mu.shape[:-2], f.shape[:-1])
-    mu = np.broadcast_to(mu, batch + (2, 2)).reshape(-1, 2, 2)
-    fc = np.ascontiguousarray(np.broadcast_to(f, batch + (n + 1,)).reshape(-1, n + 1).T)
-    comps = [np.empty((n - k + 1, k + 1, fc.shape[-1]), dtype=complex)
-             for k in range(n + 1)]
-    for part in _blocks(fc.shape[-1], power_size(n)):
-        us = sym_power_matrices(mu[part], n)
-        fcs = (fc[:, part], -fc[:, part])     # (-1)^b conj(f)
-        for k, out in enumerate(comps):
-            r = n - k
-            hv = fcs[0][k:k + r + 1, None] * us[k][0]
-            for b in range(1, k + 1):
-                hv += fcs[b % 2][k - b:k - b + r + 1, None] * us[k][b]
-            np.conj(hv, out=hv)
-            inv = 1.0 / np.multiply.outer(_binomials(r), _binomials(k))
-            np.multiply(matmul_last(np.swapaxes(us[r], 0, 1), hv), inv[..., None],
-                        out=out[..., part])
-    comps = tuple(SymMultiSpinor(n - k, k, np.moveaxis(c.reshape(c.shape[:2] + batch),
-                                                       (0, 1), (-2, -1)))
-                  for k, c in enumerate(comps))
+    mu_t = np.stack([-core.lower_spinor(frame.pi), e * core.lower_spinor(frame.omega)],
+                    axis=-1)
+    fc = np.conj(np.asarray(amps.f, dtype=complex) * np.asarray(n_scale ** n)[..., None])
+    batch = np.broadcast_shapes(mu_t.shape[:-2], fc.shape[:-1])
+    fc = np.ascontiguousarray(np.broadcast_to(fc, batch + (n + 1,)).reshape(-1, n + 1).T)
+
+    def conj_columns(part):
+        signed = (fc[:, part], -fc[:, part])
+        # column j of conj(G_k) is (-1)^j conj(N^n f)_{k-j..n-j}
+        return [[signed[j % 2][k - j:n + 1 - j] for j in range(k + 1)]
+                for k in range(n + 1)]
+
+    comps = _moved(mu_t, conj_columns, [(n - k, k) for k in range(n + 1)], batch)
     return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps)
+
+
+def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
+           batch: tuple) -> tuple[SymMultiSpinor, ...]:
+    """Members of valences (r, s) moved by a on every slot, as public views."""
+    a = np.broadcast_to(a, batch + (2, 2)).reshape(-1, 2, 2)
+    out = [np.empty((r + 1, s + 1, a.shape[0]), dtype=complex) for r, s in valences]
+    for part, i, x in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
+        r, s = valences[i]
+        inv = 1.0 / np.multiply.outer(_binomials(r), _binomials(s))
+        np.multiply(x, inv[..., None], out=out[i][..., part])
+    return tuple(SymMultiSpinor(r, s, np.moveaxis(o.reshape(o.shape[:2] + batch),
+                                                  (0, 1), (-2, -1)))
+                 for (r, s), o in zip(valences, out))
+
+
+def _conj_columns(comps, batch: tuple):
+    """The `conj_columns` of `_slot_action` for stored members."""
+    cs = [_samples_last(c.comp, (), batch) for c in comps]
+    return lambda part: [np.conj(np.swapaxes(c[..., part], 0, 1)) for c in cs]
 
 
 def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
     if frame.p.shape != psi.p.shape:
         raise FrameMismatch("frame momentum differs from component momentum")
-    scale = 1.0 + np.max(np.abs(psi.p), initial=0.0, where=np.isfinite(psi.p))
+    scale = 1.0 + np.max(np.abs(psi.p), axis=-1, initial=0.0, where=np.isfinite(psi.p))
     reject(~(np.max(np.abs(frame.p - psi.p), axis=-1) <= 1e-8 * scale),
            FrameMismatch, "frame momentum differs from component momentum")
 
@@ -223,12 +222,12 @@ def extract_massive(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
     if psi.mass <= 0:
         raise NotMassive("extract_massive needs m > 0")
     _check_frame(psi, frame)
-    n_scale = default_normalization(frame)
-    om, omb = frame.omega, np.conj(frame.omega)
-    fs = [contract_same(psi.comps[k], om, omb) / n_scale ** psi.n
-          for k in range(psi.n + 1)]
-    return Amplitudes(n=psi.n, mass=psi.mass, sign=psi.sign,
-                      f=np.stack(fs, axis=-1))
+    n = psi.n
+    om = same_slot_coeffs(frame.omega, n)
+    omb = same_slot_coeffs(np.conj(frame.omega), n)
+    f = np.stack([contract_same(c, om, omb) for c in psi.comps], axis=-1)
+    return Amplitudes(n=n, mass=psi.mass, sign=psi.sign,
+                      f=f / np.asarray(default_normalization(frame) ** n)[..., None])
 
 
 def field_equation_residual_massive(psi: BWComponent) -> float:
@@ -284,30 +283,28 @@ def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
 
     With dyad = B J B^H from `_hermitian_factor` and
     S(M M') = S(M) D^{-1} S(M'), each member gives
-    sum_ab w_a w'_b |(S_r(B)^H conj(c) S_k(B))_ab|^2 with
-    w_a = J_0^{r-a} J_1^a / C(r, a).  For a causal future-pointing direction
-    every weight is positive, so nothing cancels outside the squares;
-    multiplying out K_r conj(c) K_k instead loses digits as n grows.  The
-    samples run batch-last, in blocks that keep S(B) within _STATE_BYTES.
+    sum_ab w_a w'_b |x_ab|^2, w_a = J_0^{r-a} J_1^a / C(r, a), for the slot
+    action x of a = B^T; a = B^H on conj(c) gives conj(x), so c enters as it
+    is.  For a causal future-pointing direction every weight is positive, so
+    nothing cancels outside the squares; multiplying out K_r conj(c) K_k
+    instead loses digits as n grows.
     """
     n = psi.n
     factor, sign = _hermitian_factor(dyad)
     batch = np.broadcast_shapes(factor.shape[:-2], psi.batch_shape)
-    factor = np.broadcast_to(factor, batch + (2, 2)).reshape(-1, 2, 2)
+    factor = np.broadcast_to(np.conj(np.swapaxes(factor, -1, -2)),
+                             batch + (2, 2)).reshape(-1, 2, 2)
     sign = np.broadcast_to(sign, batch + (2,)).reshape(-1, 2).T
+    powers = sign[:, None] ** np.arange(n + 1)[:, None]
+    ws = [powers[0, r::-1] * powers[1, :r + 1] / _binomials(r)[:, None]
+          for r in range(n + 1)]
     cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
     total = np.zeros(factor.shape[0])
-    for part in _blocks(total.size, power_size(n)):
-        gs = sym_power_matrices(factor[part], n)
-        powers = sign[:, None, part] ** np.arange(n + 1)[:, None]
-        ws = [powers[0, r::-1] * powers[1, :r + 1] / _binomials(r)[:, None]
-              for r in range(n + 1)]
-        for k, c in enumerate(cs):
-            r = n - k
-            # the conjugate of S_r(B)^H conj(c) S_k(B)
-            x = matmul_last(np.swapaxes(gs[r], 0, 1), matmul_last(c[..., part], np.conj(gs[k])))
-            sq = np.sum(ws[k] * (x.real ** 2 + x.imag ** 2), axis=1)
-            total[part] += comb(n, k) * np.sum(ws[r] * sq, axis=0)
+    for part, k, x in _slot_action(factor, lambda part: [np.swapaxes(c[..., part], 0, 1)
+                                                         for c in cs], n, _STATE_BYTES):
+        r = n - k
+        sq = np.sum(ws[k][:, part] * (x.real ** 2 + x.imag ** 2), axis=1)
+        total[part] += comb(n, k) * np.sum(ws[r][:, part] * sq, axis=0)
     return total.reshape(batch)
 
 
@@ -333,13 +330,6 @@ def _slot_states(tdy: np.ndarray, kmax: int) -> dict[int, np.ndarray]:
             nxt[a] = z
         states = nxt
     return states
-
-
-def _blocks(count: int, size: int) -> list[slice]:
-    """Consecutive slices of range(count), each of as many samples as hold
-    `size` complex entries apiece within _STATE_BYTES (at least one)."""
-    block = max(1, _STATE_BYTES // (16 * size))
-    return [slice(start, start + block) for start in range(0, count, block)]
 
 
 def _samples_last(x: np.ndarray, lead: tuple, batch: tuple) -> np.ndarray:
@@ -375,7 +365,7 @@ def contract_T(psi: BWComponent, ts: np.ndarray,
     # complex entries per sample of the states after the last slot
     size = sum((a + 1) ** 2 * (n - a + 1) ** 2 for a in range(n - kmax, n + 1))
     total = np.empty(tdy.shape[-1])
-    for part in _blocks(total.size, size):
+    for part in _blocks(total.size, size, _STATE_BYTES):
         states = _slot_states(tdy[..., part], kmax)
         total[part] = np.real(sum(
             np.einsum("ij...,IJ...,iIJj...->...", c[..., part], np.conj(c[..., part]),
@@ -428,7 +418,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
     pi = np.asarray(pi, dtype=complex)
     p = core.flagpole(pi)
     pil = core.lower_spinor(pi)
-    coeffs = _sym_power_coeffs([pil] * n) * np.asarray(f, dtype=complex)[..., None]
+    coeffs = same_slot_coeffs(pil, n)[n] * np.asarray(f, dtype=complex)[..., None]
     comp = SymMultiSpinor(n, 0, coeffs[..., None])
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
@@ -436,7 +426,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
 def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
     """Hertz-type generator (+-i)^n omegabar^{A'_1}...omegabar^{A'_n}."""
     omb = np.conj(frame.omega)
-    coeffs = _sym_power_coeffs([omb] * n) * (1j * sign) ** n
+    coeffs = same_slot_coeffs(omb, n)[n] * (1j * sign) ** n
     return SymMultiSpinor(0, n, coeffs[..., None, :])
 
 
@@ -452,9 +442,10 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
         raise ValenceMismatch("hertz generator must be all-primed")
     n = xi.s
     _check_spin(n)
-    pl = core.vector_to_dyad(p, "low")
-    moved = apply_matrix_per_slot(xi, pl, pl).comp     # (..., 1, n+1)
-    comp = SymMultiSpinor(n, 0, (-1j * sign) ** n * np.swapaxes(moved, -1, -2))
+    batch = np.broadcast_shapes(p.shape[:-1], xi.comp.shape[:-2])
+    (moved,) = _moved(np.conj(core.vector_to_dyad(p, "low")), _conj_columns([xi], batch),
+                      [(0, n)], batch)
+    comp = SymMultiSpinor(n, 0, (-1j * sign) ** n * np.swapaxes(moved.comp, -1, -2))
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
 
@@ -488,7 +479,7 @@ def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
     tp = core.minkowski(core.flagpole(omega), psi.p)
     reject(~(finite & (np.abs(tp - 1.0) <= 1e-8)), FrameMismatch,
            "omega must be finite and a partner of the flag of p")
-    return contract_same(psi.comps[0], omega, omega)
+    return contract_same(psi.comps[0], same_slot_coeffs(omega, psi.n), [np.ones(1)])
 
 
 def wigner_state(psi: BWComponent, spec,
@@ -509,7 +500,7 @@ def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     """Slotwise SL(2,C) action and momentum map p -> Lambda p."""
     a = np.asarray(a, dtype=complex)
     new_p = core.transform_vector(a, psi.p)      # checks det A = 1
-    a_low = core.sl2c_lower_rep(a)
-    comps = tuple(apply_matrix_per_slot(c, a_low, np.conj(a_low))
-                  for c in psi.comps)
+    batch = np.broadcast_shapes(a.shape[:-2], psi.batch_shape)
+    comps = _moved(core.sl2c_lower_rep(a), _conj_columns(psi.comps, batch),
+                   [(c.r, c.s) for c in psi.comps], batch)
     return BWComponent(n=psi.n, mass=psi.mass, sign=psi.sign, p=new_p, comps=comps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .bw import Amplitudes, BWComponent, NullOmega, norm_integrand, synth_massive
+from .bw import Amplitudes, BWComponent, synth_massive
 from .errors import NotMassive
 from .frames import SpinFrame
 from .pauli_lubanski import chi_basis, default_normalization
@@ -126,8 +126,3 @@ def dirac_component(frame: SpinFrame, f0, f1, sign: int = +1) -> BWComponent:
     amps = Amplitudes(n=1, mass=frame.mass, sign=sign, f=f)
     return synth_massive(frame, amps)
 
-
-def dirac_norm_integrand_bw(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:
-    """Cross-check route through the n = 1 component machinery."""
-    psi = dirac_component(frame, f0, f1, sign)
-    return norm_integrand(psi, NullOmega(), frame)

@@ -9,10 +9,11 @@ its 2^(r+s) dense entries.  Index height is not tracked here; each operation
 states the valence it expects.
 
 `SymMultiSpinor.comp` keeps the batch axes first, (..., r+1, s+1).  The
-graded kernels work batch-last: `sym_power_matrices` returns its matrices as
-(r+1, r+1, *batch), and `matmul_last` multiplies such stacks by one broadcast
-product per summed index, each over contiguous samples, where a batched `@`
-on matrices this small would dispatch one gemm per sample.
+kernels work batch-last, (r+1, s+1, samples): `matmul_last` is one broadcast
+product per summed index over contiguous samples, where a batched `@` on
+matrices this small would dispatch one gemm per sample.  `_slot_action`, the
+one kernel that moves members by a matrix on every slot, takes the samples
+in blocks.
 """
 
 from __future__ import annotations
@@ -96,19 +97,21 @@ def contract_full(t: SymMultiSpinor, unprimed: list[np.ndarray],
                      _binomials(t.r) * cu, _binomials(t.s) * cv)
 
 
-def _binomial_weights(count: int, x: np.ndarray) -> np.ndarray:
-    """Weights C(count, i) x0^{count-i} x1^i used by same-spinor contractions."""
-    i = np.arange(count + 1)
-    if count == 0:
-        return np.ones(x.shape[:-1] + (1,), dtype=complex)
-    return _binomials(count) * x[..., 0, None] ** (count - i) * x[..., 1, None] ** i
+def same_slot_coeffs(x: np.ndarray, n: int) -> list[np.ndarray]:
+    """Graded components x0^(r-i) x1^i, (..., r+1), of r copies of the spinor
+    x on every slot, for r = 0..n, from one table of the powers of x."""
+    powers = np.repeat(np.asarray(x, dtype=complex)[..., None], n + 1, axis=-1)
+    powers[..., 0] = 1.0
+    np.cumprod(powers, axis=-1, out=powers)
+    return [powers[..., 0, r::-1] * powers[..., 1, :r + 1] for r in range(n + 1)]
 
 
-def contract_same(t: SymMultiSpinor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def contract_same(t: SymMultiSpinor, xs: list[np.ndarray],
+                  ys: list[np.ndarray]) -> np.ndarray:
     """Contraction with the same spinor x on every unprimed slot and y on every
-    primed slot, evaluated in graded coordinates with binomial weights."""
-    wx = _binomial_weights(t.r, np.asarray(x, dtype=complex))
-    wy = _binomial_weights(t.s, np.asarray(y, dtype=complex))
+    primed slot, from their tables xs, ys of `same_slot_coeffs`."""
+    wx = _binomials(t.r) * xs[t.r]
+    wy = _binomials(t.s) * ys[t.s]
     return np.einsum('...i,...i->...', wx, np.einsum('...ij,...j->...i', t.comp, wy))
 
 
@@ -159,28 +162,37 @@ def _shift_add(out: np.ndarray, prev: np.ndarray, m: np.ndarray,
     out[lead + (hi, hi)] += m[1, 1] * prev
 
 
-def matmul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_j a[i, j, ...] b[j, k, ...] for batch-last stacks of matrices,
-    one broadcast product per j.  The batch axes broadcast from the right, so
-    both stacks need the same number of them."""
-    out = a[:, 0, None] * b[None, 0]
-    for j in range(1, a.shape[1]):
-        out += a[:, j, None] * b[None, j]
+def matmul_last(a_cols, b) -> np.ndarray:
+    """The product a b of batch-last matrices, given a by its columns
+    a_cols[j], each (i, ...), and b by its rows b[j], each (k, ...), as
+    sequences or stacks.  The batch axes broadcast from the right."""
+    out = a_cols[0][:, None] * b[0]
+    for j in range(1, len(a_cols)):
+        out += a_cols[j][:, None] * b[j]
     return out
 
 
-def apply_matrix_per_slot(t: SymMultiSpinor, m_unprimed: np.ndarray,
-                          m_primed: np.ndarray) -> SymMultiSpinor:
-    """Apply one matrix to every unprimed slot and another to every primed slot.
+def _blocks(count: int, size: int, budget: int) -> list[slice]:
+    """Consecutive slices of range(count), each of as many samples as hold
+    `size` complex entries apiece within `budget` bytes (at least one)."""
+    block = max(1, budget // (16 * size))
+    return [slice(start, start + block) for start in range(0, count, block)]
 
-    In graded form c -> D_r^{-1} S_r(m_unprimed) c S_s(m_primed)^T D_s^{-1}.
+
+def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
+    """Slot products x = S_r(a) c conj(S_s(a))^T: a on every unprimed slot and
+    conj(a) on every primed one maps c to D_r^{-1} x D_s^{-1}.
+
+    a is (S, 2, 2); conj_columns(part) gives, for each member c at the samples
+    `part`, the columns of conj(c), each (r+1, samples), with r + s <= n.  One
+    `sym_power_matrices` per block of samples within `budget` bytes serves
+    every member.  Yields (part, index of the member, x).
     """
-    # one batch shape for all three, so that the batch-last axes line up
-    batch = np.broadcast_shapes(np.shape(m_unprimed)[:-2], np.shape(m_primed)[:-2],
-                                t.comp.shape[:-2])
-    su = sym_power_matrices(np.broadcast_to(m_unprimed, batch + (2, 2)), t.r)[t.r]
-    sp = sym_power_matrices(np.broadcast_to(m_primed, batch + (2, 2)), t.s)[t.s]
-    c = np.moveaxis(np.broadcast_to(t.comp, batch + t.comp.shape[-2:]), (-2, -1), (0, 1))
-    comp = matmul_last(matmul_last(su, c), np.swapaxes(sp, 0, 1))
-    return SymMultiSpinor(t.r, t.s, np.moveaxis(comp, (0, 1), (-2, -1))
-                          / np.multiply.outer(_binomials(t.r), _binomials(t.s)))
+    for part in _blocks(a.shape[0], power_size(n), budget):
+        # rows of S(a^T) = S(a)^T, contiguous: the columns of S_r(a), rows of S_s(a)^T
+        powers = sym_power_matrices(np.swapaxes(a[part], -1, -2), n)
+        for i, cols in enumerate(conj_columns(part)):
+            r, s = len(cols[0]) - 1, len(cols) - 1
+            t = matmul_last(cols, powers[s])
+            np.conj(t, out=t)
+            yield part, i, matmul_last(powers[r], t)

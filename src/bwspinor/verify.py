@@ -310,7 +310,7 @@ def suite_dirac(trials: int = 1000, seed: int = 3) -> dict[str, float]:
     direct = dirac.dirac_norm_integrand(psi, fr)
     closed = (np.abs(f0) ** 2 + np.abs(f1) ** 2)
     out["norm_closed_form"] = _max((direct - closed) / np.maximum(1.0, closed))
-    via_bw = dirac.dirac_norm_integrand_bw(fr, f0, f1, +1)
+    via_bw = bw.norm_integrand(dirac.dirac_component(fr, f0, f1, +1), bw.NullOmega(), fr)
     out["norm_bw_route"] = _max((via_bw - direct) / np.maximum(1.0, np.abs(direct)))
     return out
 

@@ -3,15 +3,12 @@
 Run with `pytest -s tests/test_acceptance.py` to see one line per criterion.
 """
 
-import os
-import subprocess
-import sys
 from math import comb
 
 import numpy as np
 import pytest
 
-from bwspinor import core, dirac, maxwell
+from bwspinor import bw, cli, core, dirac, maxwell, quadrature
 from bwspinor.bw import (Amplitudes, BWComponent, FixedList, NullOmega,
                          RandomTimelike, StandardTime, contract_T,
                          extract_massive, extract_massless, eta_from_frame,
@@ -364,25 +361,34 @@ def test_criterion_14_bruteforce_oracle():
                "n <= 4", worst, 1e-12)
 
 
-def test_criterion_15_thread_determinism(tmp_path):
-    env = dict(os.environ)
-    amp = tmp_path / "amp.json"
-    field = tmp_path / "field.json"
-    subprocess.run([sys.executable, "-m", "bwspinor.cli", "packet", "--n", "2",
-                    "--mass", "1.0", "--out", str(amp), "--points", "10",
-                    "--half-width", "3.0"], check=True, env=env,
-                   capture_output=True)
-    subprocess.run([sys.executable, "-m", "bwspinor.cli", "synth", "--in",
-                    str(amp), "--out", str(field)], check=True, env=env,
-                   capture_output=True)
+def test_criterion_15_block_determinism(tmp_path, monkeypatch, capsys):
+    # a value may not depend on how the samples are split: neither on the
+    # blocks of the bw kernels (_STATE_BYTES) nor on the chunks of
+    # evaluate_norm (_CHUNK); 4096 bytes is 8 samples a block for the slot
+    # action at n = 3 and 2 for the distinct-direction states
+    amp, field = tmp_path / "amp.json", tmp_path / "field.json"
+    assert cli.main(["packet", "--n", "3", "--mass", "1.0", "--out", str(amp),
+                     "--points", "10", "--half-width", "3.0"]) == 0
+    assert cli.main(["synth", "--in", str(amp), "--out", str(field)]) == 0
+    packet = GaussianPacket(n=3, mass=1.0, sign=+1, coeffs=(1.0, 0.5j, -0.25, 0.1),
+                            sigma=0.8, nu=(0.6, 0.3 + 0.2j))
+    grid = build_grid(1.0, 3.0, 10)     # 1000 samples
+
+    def run():
+        values = [evaluate_norm(packet, grid, spec)
+                  for spec in (StandardTime(), NullOmega(), RandomTimelike(7))]
+        values.append(evaluate_norm(packet, grid, standard=True))
+        capsys.readouterr()
+        code = cli.main(["norm", "--in", str(field), "--t", "standard", "--t", "null-omega",
+                         "--t", "random:7", "--standard-bw"])
+        return code, values, capsys.readouterr().out
+
     outputs = []
-    for workers in ("1", "2", "8"):
-        env["BWSPINOR_THREADS"] = workers
-        result = subprocess.run(
-            [sys.executable, "-m", "bwspinor.cli", "norm", "--in", str(field),
-             "--t", "null-omega", "--t", "standard"],
-            check=True, env=env, capture_output=True)
-        outputs.append(result.stdout)
-    identical = outputs[0] == outputs[1] == outputs[2]
-    report(15, "norm output bit-identical across 1, 2, 8 threads",
+    for budget, chunk in ((bw._STATE_BYTES, quadrature._CHUNK), (4096, 97),
+                          (2 ** 40, 10 ** 6)):
+        monkeypatch.setattr(bw, "_STATE_BYTES", budget)
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        outputs.append(run())
+    identical = outputs[0][0] == 0 and all(out == outputs[0] for out in outputs)
+    report(15, "norm output bit-identical across sample blocks and chunks",
            0.0 if identical else 1.0, 0.5)

@@ -139,6 +139,20 @@ class TestExtractMassive:
         with pytest.raises(FrameMismatch):
             extract_massive(psi, other)
 
+    def test_frame_mismatch_scaled_per_sample(self):
+        # a large momentum elsewhere in the batch must not widen the
+        # tolerance of a small one: sample 0 of the frame is 5e-5 off psi.p
+        p = np.array([[np.sqrt(1.25), 0.5, 0.0, 0.0],
+                      [np.sqrt(1.0 + 1e8), 1e4, 0.0, 0.0]])
+        off = p.copy()
+        off[0, 1] += 5e-5
+        off[0, 0] = np.sqrt(1.0 + off[0, 1] ** 2)
+        nu = np.array([1.0, 0.0])
+        amps = Amplitudes(n=2, mass=1.0, sign=+1, f=np.ones((2, 3), dtype=complex))
+        psi = synth_massive(frame_massive(p, nu), amps)
+        with pytest.raises(FrameMismatch, match=r"\[0\]"):
+            extract_massive(psi, frame_massive(off, nu))
+
 
 class TestFieldEquations:
     @pytest.mark.parametrize("n,sign", [(1, +1), (2, +1), (2, -1), (4, +1)])

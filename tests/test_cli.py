@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -277,25 +274,3 @@ class TestPipelines:
         code, _, err = run_cli(["norm", "--in", str(field)], capsys)
         assert code == 2
         assert "weights" in err
-
-
-class TestDeterminism:
-    def test_norm_bit_identical_across_threads(self, tmp_path):
-        amp = tmp_path / "amp.json"
-        field = tmp_path / "field.json"
-        env = dict(os.environ)
-        subprocess.run([sys.executable, "-m", "bwspinor.cli", "packet", "--n", "2",
-                        "--mass", "1.0", "--out", str(amp), "--points", "8",
-                        "--half-width", "2.5"], check=True, env=env,
-                       capture_output=True)
-        subprocess.run([sys.executable, "-m", "bwspinor.cli", "synth", "--in",
-                        str(amp), "--out", str(field)], check=True, env=env,
-                       capture_output=True)
-        outputs = []
-        for workers in ("1", "2", "8"):
-            env["BWSPINOR_THREADS"] = workers
-            result = subprocess.run(
-                [sys.executable, "-m", "bwspinor.cli", "norm", "--in", str(field),
-                 "--t", "null-omega"], check=True, env=env, capture_output=True)
-            outputs.append(result.stdout)
-        assert outputs[0] == outputs[1] == outputs[2]

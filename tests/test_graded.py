@@ -9,29 +9,33 @@ integrands, and the integrand for n distinct random timelike or null
 directions per sample, are held to sum_k C(n,k) |f_k|^2 per sample;
 `standard_bw_integrand` and `transform_component` to dense evaluations.
 Synthesis is held to the index loop over every routing of
-`oracles.synth_bruteforce`, and the signed flip that gives its primed
-powers from the unprimed ones to a direct `sym_power_matrices`.
-The kernels take their samples in blocks: their peak memory is bounded, and
-the distinct-direction values do not depend on where the blocks split.
+`oracles.synth_bruteforce`, extraction to the index loop of
+`oracles.extract_bruteforce`, and the signed flip between the primed and
+unprimed slot factors, on which synthesis as one slot action rests, to a
+direct `sym_power_matrices`.  The kernels take their samples in blocks:
+their peak memory is bounded, and the distinct-direction values do not
+depend on where the blocks split.
 """
 
 import itertools
 import tracemalloc
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bwspinor import bw, core
 from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
-                         StandardTime, contract_T, norm_integrand,
+                         StandardTime, contract_T, extract_massive, norm_integrand,
                          resolve_directions, standard_bw_integrand,
                          synth_massive, transform_component)
 from bwspinor.frames import frame_massive
 from bwspinor.multispinor import SymMultiSpinor, sym_power_matrices
 from bwspinor.quadrature import build_grid
 from bwspinor.pauli_lubanski import default_normalization
-from oracles import contract_T_dense, dense, dense_from_graded, synth_bruteforce
+from oracles import (contract_T_dense, dense, dense_from_graded, extract_bruteforce,
+                     synth_bruteforce)
 
 SPINS = range(1, MAX_N + 1)
 
@@ -86,6 +90,29 @@ def test_synth_matches_routing_sum(n, sign, normalization):
     for got, ref in zip(psi.comps, want):
         err = np.max(np.abs(got.comp - ref), axis=(-2, -1))
         assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_extract_matches_index_loop(n, sign):
+    rng = np.random.default_rng(1200 + n)
+    p = core.random_future_momentum(1.0, rng, size=3)
+    fr = frame_massive(p, core.random_spinor(rng, size=3))
+    f = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
+    psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=sign, f=f))
+    got = extract_massive(psi, fr).f
+    nval = default_normalization(fr)
+    for s in range(3):
+        one = BWComponent(n, 1.0, sign, p[s], tuple(
+            SymMultiSpinor(c.r, c.s, c.comp[s]) for c in psi.comps))
+        want = extract_bruteforce(one, SimpleNamespace(omega=fr.omega[s]), complex(nval[s]))
+        # the sum of the moduli of the terms of each contraction
+        om = np.abs(fr.omega[s])
+        scale = np.array([sum(comb(n - k, i) * comb(k, j) * om[0] ** (n - i - j)
+                              * om[1] ** (i + j) * abs(c.comp[s, i, j])
+                              for i in range(n - k + 1) for j in range(k + 1))
+                          for k, c in enumerate(psi.comps)]) / abs(nval[s]) ** n
+        assert np.all(np.abs(got[s] - want) <= 1e-13 * scale)
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -246,15 +273,18 @@ def _traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("kernel, bound_mib", [("synth", 40), ("null-omega", 20),
-                                               ("form-p", 20)])
+                                               ("form-p", 20), ("transform", 40)])
 def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
     # one 4096-sample chunk of evaluate_norm at n = MAX_N; with stacked
     # batch-first products these peaked at 86.6 MiB (synthesis) and 44.8 MiB
-    # (each pairing), and the members that synthesis returns take 17.9 MiB
+    # (each pairing), and the members that synthesis returns take 17.9 MiB;
+    # the Lorentz action, unblocked, peaked at 55.3 MiB
     n, count = MAX_N, 4096
     psi, fr, f = random_component(n, count, seed=930)
     amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
+    a = core.random_sl2c(np.random.default_rng(931), size=count)
     run = {"synth": lambda: synth_massive(fr, amps),
            "null-omega": lambda: norm_integrand(psi, NullOmega(), fr),
-           "form-p": lambda: norm_integrand(psi, None, fr, form="p")}[kernel]
+           "form-p": lambda: norm_integrand(psi, None, fr, form="p"),
+           "transform": lambda: transform_component(psi, a)}[kernel]
     assert _traced_peak(run) < bound_mib * 2 ** 20

@@ -4,8 +4,10 @@ from numpy.testing import assert_allclose
 
 from bwspinor import core
 from bwspinor.errors import ValenceMismatch
-from bwspinor.multispinor import (SymMultiSpinor, apply_matrix_per_slot,
-                                  contract_full, contract_same, sym_outer)
+from bwspinor.bw import MAX_N
+from bwspinor.multispinor import (SymMultiSpinor, _binomials, _slot_action,
+                                  contract_full, contract_same, same_slot_coeffs,
+                                  sym_outer)
 from oracles import (dense, dense_from_graded, graded_from_dense,
                      sym_outer_bruteforce, symmetrize_bruteforce,
                      symmetry_residual)
@@ -89,12 +91,21 @@ class TestContractions:
         assert_allclose(got, want, atol=1e-13)
 
     def test_contract_same_matches_full(self):
+        # the weights W_r(x) (x) W_s(y) of one table of powers per spinor,
+        # at every valence up to MAX_N, against the symmetrized product
         rng = np.random.default_rng(8)
-        comp = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        t = SymMultiSpinor(3, 1, comp)
-        x, y = core.random_spinor(rng), core.random_spinor(rng)
-        assert_allclose(contract_same(t, x, y),
-                        contract_full(t, [x] * 3, [y]), atol=1e-13)
+        x, y = core.random_spinor(rng, size=3), core.random_spinor(rng, size=3)
+        xs, ys = same_slot_coeffs(x, MAX_N), same_slot_coeffs(y, MAX_N)
+        for r in range(MAX_N + 1):
+            for s in range(MAX_N + 1):
+                shape = (3, r + 1, s + 1)
+                comp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                t = SymMultiSpinor(r, s, comp)
+                got = contract_same(t, xs, ys)
+                want = contract_full(t, [x] * r, [y] * s)
+                scale = np.einsum("...ij,...i,...j->...", np.abs(comp),
+                                  _binomials(r) * np.abs(xs[r]), _binomials(s) * np.abs(ys[s]))
+                assert np.all(np.abs(got - want) <= 1e-13 * scale), (r, s)
 
     def test_valence_mismatch(self):
         t = SymMultiSpinor(2, 0, np.zeros((3, 1), dtype=complex))
@@ -104,13 +115,30 @@ class TestContractions:
 
 class TestSlotMatrices:
     def test_matches_dense_application(self):
+        # A on every unprimed slot and conj(A) on every primed one moves
+        # sym_outer of the factors to sym_outer of the moved factors
         rng = np.random.default_rng(9)
-        fac_u = [core.random_spinor(rng) for _ in range(2)]
-        fac_p = [core.random_spinor(rng) for _ in range(1)]
-        t = sym_outer(fac_u, fac_p)
-        m1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        m2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        got = apply_matrix_per_slot(t, m1, m2)
-        want = sym_outer([np.einsum('AB,B->A', m1, f) for f in fac_u],
-                         [np.einsum('AB,B->A', m2, f) for f in fac_p])
-        assert_allclose(got.comp, want.comp, atol=1e-13)
+        count, n = 5, MAX_N
+        a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+        valences = [(n - k, k) for k in range(n + 1)] + [(2, 1), (0, 3), (4, 0), (0, 0)]
+        members, wants = [], []
+        for r, s in valences:
+            fac_u = [core.random_spinor(rng, size=count) for _ in range(r)]
+            fac_p = [core.random_spinor(rng, size=count) for _ in range(s)]
+            members.append(np.moveaxis(np.broadcast_to(
+                sym_outer(fac_u, fac_p).comp, (count, r + 1, s + 1)), 0, -1))
+            wants.append(sym_outer([np.einsum('...AB,...B->...A', a, f) for f in fac_u],
+                                   [np.einsum('...AB,...B->...A', np.conj(a), f)
+                                    for f in fac_p]).comp)
+        for budget in (1, 2 ** 22):     # a block per sample, one block
+            got = [np.empty(m.shape, dtype=complex) for m in members]
+            conj_columns = lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
+                                         for m in members]
+            for part, i, x in _slot_action(a, conj_columns, n, budget):
+                r, s = valences[i]
+                binom = np.multiply.outer(_binomials(r), _binomials(s))
+                got[i][..., part] = x / binom[..., None]
+            for (r, s), g, want in zip(valences, got, wants):
+                want = np.broadcast_to(want, (count, r + 1, s + 1))
+                assert_allclose(np.moveaxis(g, -1, 0), want,
+                                atol=1e-12 * np.max(np.abs(want)), rtol=0)

@@ -91,16 +91,6 @@ class TestNorms:
         order = np.log2(abs(vals[8] - vals[16]) / abs(vals[16] - vals[32]))
         assert order >= 1.9
 
-    def test_thread_count_bit_identical(self, monkeypatch):
-        packet = GaussianPacket(n=2, mass=1.0, sign=+1, coeffs=(1.0, 1.0, 1.0),
-                                sigma=0.8)
-        grid = build_grid(1.0, 3.0, 20)   # 8000 samples spans chunk boundaries
-        results = []
-        for workers in ("1", "2", "8"):
-            monkeypatch.setenv("BWSPINOR_THREADS", workers)
-            results.append(evaluate_norm(packet, grid, NullOmega()))
-        assert results[0] == results[1] == results[2]
-
 
 class TestChunks:
     """Chunked serial evaluation equals one pairwise sum over all samples."""
