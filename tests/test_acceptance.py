@@ -3,6 +3,9 @@
 Run with `pytest -s tests/test_acceptance.py` to see one line per criterion.
 """
 
+import os
+import subprocess
+import sys
 from math import comb
 
 import numpy as np
@@ -359,6 +362,28 @@ def test_criterion_14_bruteforce_oracle():
                     / max(1.0, std))
     report(14, "symmetric-storage contractions vs dense brute-force oracle, "
                "n <= 4", worst, 1e-12)
+
+
+def test_criterion_15_thread_determinism(tmp_path):
+    # the BLAS thread count is fixed when numpy loads, so each count runs in
+    # its own process
+    amp, field = tmp_path / "amp.json", tmp_path / "field.json"
+    assert cli.main(["packet", "--n", "3", "--mass", "1.0", "--out", str(amp),
+                     "--points", "10", "--half-width", "3.0"]) == 0
+    assert cli.main(["synth", "--in", str(amp), "--out", str(field)]) == 0
+    outputs = []
+    for workers in ("1", "2", "8"):
+        env = dict(os.environ, **{name: workers for name in
+                                  ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")})
+        result = subprocess.run(
+            [sys.executable, "-m", "bwspinor.cli", "norm", "--in", str(field),
+             "--t", "null-omega", "--t", "standard", "--standard-bw"],
+            check=True, env=env, capture_output=True)
+        outputs.append(result.stdout)
+    identical = bool(outputs[0]) and outputs[0] == outputs[1] == outputs[2]
+    report(15, "norm output bit-identical across 1, 2, 8 BLAS threads",
+           0.0 if identical else 1.0, 0.5)
 
 
 def test_criterion_15_block_determinism(tmp_path, monkeypatch, capsys):

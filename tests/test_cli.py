@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -274,3 +277,25 @@ class TestPipelines:
         code, _, err = run_cli(["norm", "--in", str(field)], capsys)
         assert code == 2
         assert "weights" in err
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestDeterminism:
+    def test_norm_bit_identical_across_threads(self, tmp_path):
+        # the BLAS thread count is fixed when numpy loads, so each count runs
+        # in its own process
+        amp = tmp_path / "amp.json"
+        field = tmp_path / "field.json"
+        assert main(["packet", "--n", "2", "--mass", "1.0", "--out", str(amp),
+                     "--points", "8", "--half-width", "2.5"]) == 0
+        assert main(["synth", "--in", str(amp), "--out", str(field)]) == 0
+        outputs = []
+        for workers in ("1", "2", "8"):
+            env = dict(os.environ, **{name: workers for name in BLAS_THREAD_VARS})
+            result = subprocess.run(
+                [sys.executable, "-m", "bwspinor.cli", "norm", "--in", str(field),
+                 "--t", "null-omega"], check=True, env=env, capture_output=True)
+            outputs.append(result.stdout)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2]

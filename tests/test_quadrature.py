@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,19 @@ class TestNorms:
         assert abs(vals[16] - vals[32]) < 1e-3 * abs(vals[32])
         order = np.log2(abs(vals[8] - vals[16]) / abs(vals[16] - vals[32]))
         assert order >= 1.9
+
+    def test_thread_count_bit_identical(self):
+        # evaluate_norm keeps no state between calls, so the same norm run
+        # on 1, 2 or 8 threads at once reads the same bits as a lone call
+        packet = GaussianPacket(n=2, mass=1.0, sign=+1, coeffs=(1.0, 1.0, 1.0),
+                                sigma=0.8)
+        grid = build_grid(1.0, 3.0, 20)   # 8000 samples spans chunk boundaries
+        serial = evaluate_norm(packet, grid, NullOmega())
+        for workers in (1, 2, 8):
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(lambda _: evaluate_norm(packet, grid, NullOmega()),
+                                        range(workers)))
+            assert all(value == serial for value in results)
 
 
 class TestChunks:
