@@ -31,9 +31,9 @@ import numpy as np
 from . import core
 from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
                      ValenceMismatch, reject)
-from .frames import SpinFrame, frame_massless
+from .frames import SpinFrame, frame_for
 from .multispinor import (SymMultiSpinor, _binomials, _blocks, _shift_add,
-                          _slot_action, contract_same, same_slot_coeffs)
+                          _slot_action, contract_same, power_row, same_slot_coeffs)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
@@ -103,7 +103,7 @@ class RandomTimelike:
 
 @dataclass(frozen=True)
 class FixedList:
-    """Explicit list of n world vectors."""
+    """Explicit list of n world vectors; a single vector stands for every slot."""
 
     vectors: tuple
 
@@ -112,42 +112,37 @@ DirectionSpec = StandardTime | NullOmega | RandomTimelike | FixedList
 
 
 def resolve_directions(spec, n: int, psi: BWComponent,
-                       frame: SpinFrame | None = None) -> tuple[np.ndarray, bool]:
-    """Resolve a DirectionSpec to an array (n, ..., 4).
+                       frame: SpinFrame | None = None) -> np.ndarray:
+    """Resolve a DirectionSpec to the vectors t_1..t_n, an array (n, ..., 4).
 
-    Returns (ts, equal_slots); equal_slots marks that every slot carries the
-    same vector, enabling the multiplicity fast path.  Raises
+    NullOmega takes the flagpole of omega from `frame`, or from the frame
+    `frames.frame_for` attaches to psi.p when none is given.  Raises
     OrthogonalDirection if any t_k.p vanishes at a sample.
     """
     if isinstance(spec, StandardTime):
         t = np.zeros(psi.p.shape, dtype=float)
         t[..., 0] = 1.0
         ts = np.broadcast_to(t, (n,) + t.shape)
-        equal = True
     elif isinstance(spec, NullOmega):
-        fr = frame if frame is not None else (
-            frame_massless(psi.p) if psi.mass == 0.0 else None)
-        if fr is None:
-            raise ValueError("NullOmega needs a spin-frame for massive momenta")
+        fr = frame if frame is not None else frame_for(psi.p, psi.mass)
         ts = np.broadcast_to(fr.omega_vec, (n,) + fr.omega_vec.shape)
-        equal = True
     elif isinstance(spec, RandomTimelike):
         ts = core.random_timelike(spec.seed, size=n)
         ts = ts.reshape((n,) + (1,) * len(psi.batch_shape) + (4,))
         ts = np.broadcast_to(ts, (n,) + psi.batch_shape + (4,))
-        equal = False
     elif isinstance(spec, FixedList):
         ts = np.stack([np.broadcast_to(np.asarray(v, dtype=float),
                                        psi.batch_shape + (4,))
                        for v in spec.vectors])
+        if ts.shape[0] == 1:
+            ts = np.broadcast_to(ts, (n,) + ts.shape[1:])
         if ts.shape[0] != n:
-            raise ValenceMismatch(f"need {n} direction vectors, got {ts.shape[0]}")
-        equal = bool(np.all(ts == ts[0]))
+            raise ValenceMismatch(f"need 1 or {n} direction vectors, got {ts.shape[0]}")
     else:
         raise TypeError(f"not a direction spec: {spec!r}")
     reject(~core.nonzero_tp(ts, psi.p), OrthogonalDirection,
            "t.p must be finite and nonzero")
-    return ts, equal
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +219,7 @@ def extract_massive(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
     _check_frame(psi, frame)
     n = psi.n
     om = same_slot_coeffs(frame.omega, n)
-    omb = same_slot_coeffs(np.conj(frame.omega), n)
-    f = np.stack([contract_same(c, om, omb) for c in psi.comps], axis=-1)
+    f = np.stack([contract_same(c, om) for c in psi.comps], axis=-1)
     return Amplitudes(n=n, mass=psi.mass, sign=psi.sign,
                       f=f / np.asarray(default_normalization(frame) ** n)[..., None])
 
@@ -338,26 +332,29 @@ def _samples_last(x: np.ndarray, lead: tuple, batch: tuple) -> np.ndarray:
     return np.moveaxis(x.reshape(lead + (-1,) + x.shape[-2:]), len(lead), -1)
 
 
-def contract_T(psi: BWComponent, ts: np.ndarray,
-               equal_slots: bool | None = None) -> np.ndarray:
+def contract_T(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     """t_1...t_n T, summing the quadratic tensor over all 2^n labelled members.
 
     A member with unprimed slots U and primed slots P pairs with its
     conjugate as sum c[i, j] conj(c[i', j']) A_U[i, i'] B_P[j', j], where A_U
     holds the coefficients of x^i y^i' in prod_{l in U} (t00 + t01 y + t10 x
-    + t11 x y) and B_P the same over P with j' on x.  With identical direction vectors on
-    every slot the pattern sum reduces to binomial multiplicities of the
-    canonical members: sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with
-    K = S(t^{AA'}) from `sym_power_matrices`, evaluated as a sum of squares
-    by `_square_pairing`.  Distinct directions sum the splits slot by slot
-    (`_slot_states`) over blocks of samples whose states fit _STATE_BYTES;
-    member k reads the state with n - k unprimed slots.
+    + t11 x y) and B_P the same over P with j' on x.  When every slot carries
+    the same vector at every sample, the pattern sum reduces to binomial
+    multiplicities of the canonical members: sum_k C(n,k) sum_ij c_k (K_r
+    conj(c_k) K_k)_ij with K = S(t^{AA'}) from `sym_power_matrices`,
+    evaluated as a sum of squares by `_square_pairing`.  Otherwise
+    `_slot_recursion` sums the splits slot by slot.
     """
-    n, kmax = psi.n, len(psi.comps) - 1
-    if equal_slots is None:
-        equal_slots = bool(np.all(ts == ts[0]))
-    if equal_slots:
+    if np.all(ts == ts[0]):
         return _square_pairing(psi, core.vector_to_dyad(ts[0], "up"))
+    return _slot_recursion(psi, ts)
+
+
+def _slot_recursion(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
+    """t_1...t_n T with a direction per slot: the splits summed slot by slot
+    (`_slot_states`) over blocks of samples whose states fit _STATE_BYTES;
+    member k reads the state with n - k unprimed slots."""
+    n, kmax = psi.n, len(psi.comps) - 1
     tdy = core.vector_to_dyad(ts, "up")
     batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
     tdy = _samples_last(tdy, (n,), batch)
@@ -375,25 +372,18 @@ def contract_T(psi: BWComponent, ts: np.ndarray,
 
 def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
                    form: str = "t") -> np.ndarray:
-    """The generalized norm integrand [t...t T] / [(t_1.p)...(t_n.p)].
+    """The generalized norm integrand [t_1...t_n T] / [(t_1.p)...(t_n.p)].
 
-    form "t" evaluates the direction form for the given spec; form "p" uses
-    the direction-free representation m^{-2n} p...p T for massive components,
-    which `_square_pairing` evaluates as a sum of positive squares since p is
-    timelike (for massless ones every valid direction gives the same value,
-    so the standard-time form stands in).
+    spec defaults to StandardTime().  form "p" takes t_k = p on every slot,
+    the direction-free form (p.p)^{-n} p...p T, whatever the spec; a
+    massless field has p.p = 0 there and raises OrthogonalDirection.
     """
     if form == "p":
-        if psi.mass > 0:
-            pdy = core.vector_to_dyad(psi.p, "up")
-            return _square_pairing(psi, pdy) * psi.mass ** (-2 * psi.n)
+        spec = FixedList((psi.p,))
+    elif spec is None:
         spec = StandardTime()
-    if spec is None:
-        spec = StandardTime()
-    ts, equal = resolve_directions(spec, psi.n, psi, frame)
-    num = contract_T(psi, ts, equal)
-    den = np.prod(core.minkowski(ts, psi.p), axis=0)
-    return num / den
+    ts = resolve_directions(spec, psi.n, psi, frame)
+    return contract_T(psi, ts) / np.prod(core.minkowski(ts, psi.p), axis=0)
 
 
 def standard_bw_integrand(psi: BWComponent) -> np.ndarray:
@@ -418,7 +408,8 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
     pi = np.asarray(pi, dtype=complex)
     p = core.flagpole(pi)
     pil = core.lower_spinor(pi)
-    coeffs = same_slot_coeffs(pil, n)[n] * np.asarray(f, dtype=complex)[..., None]
+    coeffs = (power_row(same_slot_coeffs(pil, n), n)
+              * np.asarray(f, dtype=complex)[..., None])
     comp = SymMultiSpinor(n, 0, coeffs[..., None])
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
@@ -426,7 +417,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
 def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
     """Hertz-type generator (+-i)^n omegabar^{A'_1}...omegabar^{A'_n}."""
     omb = np.conj(frame.omega)
-    coeffs = same_slot_coeffs(omb, n)[n] * (1j * sign) ** n
+    coeffs = power_row(same_slot_coeffs(omb, n), n) * (1j * sign) ** n
     return SymMultiSpinor(0, n, coeffs[..., None, :])
 
 
@@ -479,7 +470,7 @@ def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
     tp = core.minkowski(core.flagpole(omega), psi.p)
     reject(~(finite & (np.abs(tp - 1.0) <= 1e-8)), FrameMismatch,
            "omega must be finite and a partner of the flag of p")
-    return contract_same(psi.comps[0], same_slot_coeffs(omega, psi.n), [np.ones(1)])
+    return contract_same(psi.comps[0], same_slot_coeffs(omega, psi.n))
 
 
 def wigner_state(psi: BWComponent, spec,
@@ -488,7 +479,7 @@ def wigner_state(psi: BWComponent, spec,
     multiplying the root back."""
     if psi.mass != 0.0:
         raise NotNull("wigner_state needs a massless component")
-    ts, _ = resolve_directions(spec, psi.n, psi, frame)
+    ts = resolve_directions(spec, psi.n, psi, frame)
     root = np.sqrt(np.prod(core.minkowski(ts, psi.p), axis=0).astype(complex))
     return psi.comps[0].scaled(1.0 / root)
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import core, verify
 from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                  StandardTime, extract_massive, extract_massless, norm_integrand,
-                 synth_massive, synth_massless)
+                 standard_bw_integrand, synth_massive, synth_massless)
 from .errors import BWSpinorError, InvalidResolution, SchemaError
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
                      write_field_file)
@@ -76,17 +76,6 @@ def _parse_tspec(text: str):
                 f"fixed spec needs 4 finite components per vector in {text!r}")
         return FixedList(tuple(vecs))
     raise argparse.ArgumentTypeError(f"unknown direction spec {text!r}")
-
-
-def _fit_valence(spec, text: str, n: int):
-    """A single fixed: vector stands for every slot; a list must have n."""
-    if not isinstance(spec, FixedList) or len(spec.vectors) == n:
-        return spec
-    if len(spec.vectors) == 1:
-        return FixedList(spec.vectors * n)
-    raise argparse.ArgumentTypeError(
-        f"{text!r} gives {len(spec.vectors)} direction vectors; "
-        f"the field has n={n}, so give 1 or {n}")
 
 
 def _usage(ok: bool, message: str) -> None:
@@ -180,7 +169,10 @@ def cmd_norm(args) -> int:
     data = read_field_file(args.infile)
     psi = data.component
     _usage(data.weights is not None, "norm needs per-sample weights in the field file")
-    specs = [_fit_valence(spec, text, psi.n) for spec, text in zip(specs, texts)]
+    for text, spec in zip(texts, specs):
+        count = len(spec.vectors) if isinstance(spec, FixedList) else 1
+        _usage(count in (1, psi.n), f"{text!r} gives {count} direction vectors; "
+               f"the field has n={psi.n}, so give 1 or {psi.n}")
     fr = frame_for(psi.p, psi.mass, args.nu)
     values = []
     for text, spec in zip(texts, specs):
@@ -192,7 +184,6 @@ def cmd_norm(args) -> int:
         spread = max(abs(v - base) for v in values[1:]) / max(1.0, abs(base))
         print(f"max relative spread = {spread:.3e}")
     if args.standard_bw:
-        from .bw import standard_bw_integrand
         std = pairwise_sum(standard_bw_integrand(psi) * data.weights)
         print(f"standard-bw norm = {std!r}")
         if std != 0.0:
@@ -205,12 +196,12 @@ def cmd_packet(args) -> int:
     _usage(1 <= args.n <= MAX_N, f"--n must be in 1..{MAX_N}")
     _usage(0 < args.sigma < np.inf, "--sigma must be a finite number > 0")
     grid = build_grid(args.mass, args.half_width, args.points)
+    want = (args.n + 1) if args.mass > 0 else 1
     try:
         coeffs = tuple(complex(c) for c in args.coeffs.split(",")) if args.coeffs \
-            else tuple([1.0] * ((args.n + 1) if args.mass > 0 else 1))
+            else (1.0,) * want
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --coeffs: {exc}") from exc
-    want = (args.n + 1) if args.mass > 0 else 1
     _usage(len(coeffs) == want and np.all(np.isfinite(coeffs)),
            f"need {want} finite coefficients")
     packet = GaussianPacket(n=args.n, mass=args.mass, sign=+1, coeffs=coeffs,

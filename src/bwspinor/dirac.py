@@ -38,20 +38,8 @@ def gamma_set() -> GammaSet:
         m[0:2, 2:4] = upper_right
         m[2:4, 0:2] = -lower_left.T                   # block index (A', B)
         gam[q] = np.sqrt(2.0) * m
-    g5 = np.zeros((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            if b == a:
-                continue
-            for c in range(4):
-                if c in (a, b):
-                    continue
-                for d in range(4):
-                    if d in (a, b, c):
-                        continue
-                    g5 += core.LEVI_UP[a, b, c, d] * (
-                        gam[a] @ gam[b] @ gam[c] @ gam[d])
-    g5 *= 1j / 24.0
+    g5 = 1j / 24.0 * np.einsum('abcd,aij,bjk,ckl,dlm->im', core.LEVI_UP,
+                               gam, gam, gam, gam)
     block = np.zeros((4, 4), dtype=complex)
     block[0:2, 0:2] = -np.eye(2)
     block[2:4, 2:4] = np.eye(2)

@@ -128,11 +128,12 @@ def frame_residuals(frame: SpinFrame) -> dict[str, float]:
     out: dict[str, float] = {}
     c_om_pi, c_pi_om = frame.contractions()
     if frame.mass > 0:
-        m = frame.mass
+        m = core.invariant_mass(frame.p)      # per sample: frame.mass is the batch's largest
         out["omega_pi_contraction"] = float(np.max(np.abs(c_om_pi - 1.0)))
         out["omega_dot_p"] = float(np.max(np.abs(
-            core.minkowski(frame.omega_vec, frame.p) - m / np.sqrt(2.0)))) / max(m, 1e-300)
-        recon = (m / np.sqrt(2.0)) * (frame.omega_vec + frame.pi_vec)
+            core.minkowski(frame.omega_vec, frame.p) - m / np.sqrt(2.0))
+            / np.maximum(m, 1e-300)))
+        recon = (m / np.sqrt(2.0))[..., None] * (frame.omega_vec + frame.pi_vec)
         scale = np.maximum(1.0, np.max(np.abs(frame.p), axis=-1))
         out["momentum_decomposition"] = float(np.max(
             np.abs(frame.p - recon) / scale[..., None]))

@@ -97,21 +97,27 @@ def contract_full(t: SymMultiSpinor, unprimed: list[np.ndarray],
                      _binomials(t.r) * cu, _binomials(t.s) * cv)
 
 
-def same_slot_coeffs(x: np.ndarray, n: int) -> list[np.ndarray]:
-    """Graded components x0^(r-i) x1^i, (..., r+1), of r copies of the spinor
-    x on every slot, for r = 0..n, from one table of the powers of x."""
+def same_slot_coeffs(x: np.ndarray, n: int) -> np.ndarray:
+    """The table (..., 2, n+1) of the powers x_a^j, j = 0..n, of the spinor
+    x; `power_row` reads from it the graded components of r <= n copies."""
     powers = np.repeat(np.asarray(x, dtype=complex)[..., None], n + 1, axis=-1)
     powers[..., 0] = 1.0
     np.cumprod(powers, axis=-1, out=powers)
-    return [powers[..., 0, r::-1] * powers[..., 1, :r + 1] for r in range(n + 1)]
+    return powers
 
 
-def contract_same(t: SymMultiSpinor, xs: list[np.ndarray],
-                  ys: list[np.ndarray]) -> np.ndarray:
-    """Contraction with the same spinor x on every unprimed slot and y on every
-    primed slot, from their tables xs, ys of `same_slot_coeffs`."""
-    wx = _binomials(t.r) * xs[t.r]
-    wy = _binomials(t.s) * ys[t.s]
+def power_row(powers: np.ndarray, r: int) -> np.ndarray:
+    """Graded components x0^(r-i) x1^i, (..., r+1), of r copies of the spinor
+    x on every slot, from its table of powers."""
+    return powers[..., 0, r::-1] * powers[..., 1, :r + 1]
+
+
+def contract_same(t: SymMultiSpinor, powers: np.ndarray) -> np.ndarray:
+    """Contraction with the same spinor x on every unprimed slot and conj(x)
+    on every primed slot, from the table of powers of x; conjugation is
+    exact, so the primed row is the conjugate of the row of x."""
+    wx = _binomials(t.r) * power_row(powers, t.r)
+    wy = _binomials(t.s) * np.conj(power_row(powers, t.s))
     return np.einsum('...i,...i->...', wx, np.einsum('...ij,...j->...i', t.comp, wy))
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bw import (Amplitudes, BWComponent, NullOmega, StandardTime,
-                 norm_integrand, standard_bw_integrand, synth_massive,
-                 synth_massless, transform_component)
+from .bw import (Amplitudes, BWComponent, NullOmega, norm_integrand,
+                 standard_bw_integrand, synth_massive, synth_massless,
+                 transform_component)
 from .errors import InvalidResolution
 from .frames import SpinFrame, frame_for
 
@@ -117,13 +117,12 @@ def _integrand_values(provider, p: np.ndarray, spec, standard: bool) -> np.ndarr
 
 def evaluate_norm(provider, grid: ShellGrid, spec=None,
                   standard: bool = False) -> float:
-    """Quadrature value of the chosen norm over the grid.
+    """Quadrature value of the chosen norm over the grid; spec=None takes
+    the default of `norm_integrand`.
 
     The samples are evaluated serially in fixed chunks of _CHUNK and
     reduced with pairwise_sum.
     """
-    if spec is None:
-        spec = StandardTime()
     pieces = [_integrand_values(provider, grid.p[start:start + _CHUNK], spec, standard)
               for start in range(0, grid.p.shape[0], _CHUNK)]
     values = np.concatenate(pieces) if pieces else np.zeros(0)

@@ -246,10 +246,9 @@ def suite_bw(trials: int = 200, seed: int = 2) -> dict[str, float]:
             for v in vals0[1:])
         out[f"massless_amplitude_norm_n{n}"] = _max(
             vals0[0] - np.abs(f) ** 2)
+        # with t = (1, 0, 0, 0) on every slot, the root is (p^0)^(n/2)
         w = bw.wigner_state(psi0, bw.StandardTime())
-        root = np.sqrt(np.prod(core.minkowski(
-            bw.resolve_directions(bw.StandardTime(), n, psi0)[0], psi0.p),
-            axis=0).astype(complex))
+        root = p0[..., 0] ** (n / 2.0)
         out[f"wigner_roundtrip_n{n}"] = _max(
             w.comp * root[..., None, None] - psi0.comps[0].comp)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bwspinor import core
+from bwspinor import bw, core
 from bwspinor.bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                          StandardTime, contract_T, extract_massive,
                          extract_massless, eta_from_frame,
@@ -12,8 +12,8 @@ from bwspinor.bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike
                          synth_massive, synth_massless, transform_component,
                          wigner_state, BWComponent)
 from bwspinor.errors import (FrameMismatch, NonUnitDeterminant, NotMassive,
-                             NotNull, OrthogonalDirection)
-from bwspinor.frames import frame_massive, frame_massless
+                             NotNull, OrthogonalDirection, ValenceMismatch)
+from bwspinor.frames import frame_for, frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor, sym_outer
 from bwspinor.pauli_lubanski import chi_basis, default_normalization
 from oracles import (contract_T_bruteforce, dense, dense_from_graded,
@@ -199,7 +199,7 @@ class TestContractT:
         # t = e0 contracts to the component-square sum over sqrt(2)
         rng = np.random.default_rng(60)
         fr, amps, psi = random_massive(rng, 1)
-        ts, _ = resolve_directions(StandardTime(), 1, psi)
+        ts = resolve_directions(StandardTime(), 1, psi)
         got = contract_T(psi, ts)
         want = standard_sum_bruteforce(psi) / ROOT2
         assert_allclose(got, want, atol=1e-12)
@@ -209,7 +209,7 @@ class TestContractT:
         comps = tuple(SymMultiSpinor(1 - k, k, np.zeros((2 - k, k + 1), dtype=complex))
                       for k in range(2))
         psi = BWComponent(n=1, mass=1.0, sign=+1, p=p, comps=comps)
-        assert contract_T(psi, resolve_directions(StandardTime(), 1, psi)[0]) == 0.0
+        assert contract_T(psi, resolve_directions(StandardTime(), 1, psi)) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_bruteforce(self, n):
@@ -224,8 +224,8 @@ class TestContractT:
         rng = np.random.default_rng(70)
         fr, amps, psi = random_massive(rng, 3, size=50)
         for spec in (StandardTime(), NullOmega(), RandomTimelike(3)):
-            ts, eq = resolve_directions(spec, 3, psi, fr)
-            assert np.min(contract_T(psi, ts, eq)) > -1e-12
+            ts = resolve_directions(spec, 3, psi, fr)
+            assert np.min(contract_T(psi, ts)) > -1e-12
 
     def test_orthogonal_direction_rejected(self):
         rng = np.random.default_rng(71)
@@ -237,6 +237,66 @@ class TestContractT:
         bad = np.array([0.0, 1.0, 0.0, 0.0])   # t.p = 0 for this p
         with pytest.raises(OrthogonalDirection):
             resolve_directions(FixedList((bad, bad)), 2, psi)
+
+
+@pytest.fixture
+def no_recursion(monkeypatch):
+    def fail(psi, ts):
+        raise AssertionError("took the slot recursion")
+    monkeypatch.setattr(bw, "_slot_recursion", fail)
+
+
+class TestDirectionResolver:
+    @pytest.mark.parametrize("spec", [FixedList(((1.2, 0.3, -0.1, 0.2),) * 3),
+                                      FixedList(((1.2, 0.3, -0.1, 0.2),))],
+                             ids=["three-equal", "one-vector"])
+    def test_equal_fixed_list_pairs(self, no_recursion, spec):
+        fr, amps, psi = random_massive(np.random.default_rng(72), 3, size=20)
+        ts = resolve_directions(spec, 3, psi, fr)
+        assert np.array_equal(contract_T(psi, ts),
+                              bw._square_pairing(psi, core.vector_to_dyad(ts[0], "up")))
+
+    def test_one_random_direction_pairs(self, no_recursion):
+        fr, amps, psi = random_massive(np.random.default_rng(73), 1, size=20)
+        got = norm_integrand(psi, RandomTimelike(4), fr)
+        assert np.max(np.abs(got - np.sum(np.abs(amps.f) ** 2, axis=-1))
+                      / np.sum(np.abs(amps.f) ** 2, axis=-1)) < 1e-12
+
+    def test_distinct_directions_recurse(self, no_recursion):
+        fr, amps, psi = random_massive(np.random.default_rng(74), 2, size=5)
+        with pytest.raises(AssertionError, match="slot recursion"):
+            norm_integrand(psi, RandomTimelike(4), fr)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_vector_stands_for_every_slot(self, n):
+        rng = np.random.default_rng(75 + n)
+        fr, amps, psi = random_massive(rng, n, size=20)
+        for v in (core.random_timelike(rng), core.random_timelike(rng, size=20)):
+            one = norm_integrand(psi, FixedList((v,)), fr)
+            assert np.array_equal(one, norm_integrand(psi, FixedList((v,) * n), fr))
+        one = norm_integrand(psi, FixedList(((1.0, 0.0, 0.0, 0.0),)), fr)
+        assert np.array_equal(one, norm_integrand(psi, StandardTime(), fr))
+
+    def test_wrong_vector_count(self):
+        fr, amps, psi = random_massive(np.random.default_rng(79), 3, size=4)
+        t = core.random_timelike(np.random.default_rng(80))
+        with pytest.raises(ValenceMismatch, match="need 1 or 3"):
+            resolve_directions(FixedList((t, t)), 3, psi, fr)
+
+    def test_massless_form_p_rejected(self):
+        p = core.random_future_momentum(0.0, np.random.default_rng(81), size=6)
+        psi = synth_massless(frame_massless(p).pi, np.ones(6), 2)
+        # the index names the slot, then the sample
+        with pytest.raises(OrthogonalDirection, match=r"sample index \[0, 0\]"):
+            norm_integrand(psi, None, form="p")
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_null_omega_default_frame(self, n):
+        # without a frame, NullOmega takes the one frame_for builds
+        rng = np.random.default_rng(82 + n)
+        fr, amps, psi = random_massive(rng, n, size=20)
+        want = norm_integrand(psi, NullOmega(), frame_for(psi.p, psi.mass))
+        assert np.array_equal(norm_integrand(psi, NullOmega()), want)
 
 
 class TestNormIntegrand:
@@ -423,7 +483,7 @@ class TestMassless:
         psi = synth_massless(fr.pi, f, 2)
         w = wigner_state(psi, StandardTime())
         root = np.sqrt(np.prod(core.minkowski(
-            resolve_directions(StandardTime(), 2, psi)[0], p), axis=0))
+            resolve_directions(StandardTime(), 2, psi), p), axis=0))
         assert np.max(np.abs(w.comp * root[..., None, None]
                              - psi.comps[0].comp)) < 1e-13
 
@@ -434,8 +494,8 @@ class TestMassless:
         psi = synth_massless(fr.pi, 2.0 - 1.0j, 2)
         w = wigner_state(psi, NullOmega())
         scaled = BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=(w,))
-        ts, eq = resolve_directions(NullOmega(), 2, psi)
-        assert abs(contract_T(scaled, ts, eq) - abs(2 - 1j) ** 2) < 1e-11
+        ts = resolve_directions(NullOmega(), 2, psi)
+        assert abs(contract_T(scaled, ts) - abs(2 - 1j) ** 2) < 1e-11
 
     def test_wigner_state_rejects_massive(self):
         # it used to return the k = 0 member alone, scaled

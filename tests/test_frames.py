@@ -77,6 +77,16 @@ class TestMassiveFrame:
         fr = frame_massive(p, core.random_spinor(rng, size=2000))
         assert max(frame_residuals(fr).values()) < 1e-12
 
+    def test_residuals_of_mixed_masses(self):
+        # each sample is scaled by its own mass, not by the batch's largest
+        p = np.array([[np.sqrt(1.25), 0.5, 0, 0], [np.sqrt(4.25), 0.5, 0, 0]])
+        nu = np.array([1.0, 0.3j])
+        fr = frame_massive(p, nu)
+        assert fr.mass == pytest.approx(2.0)
+        assert max(frame_residuals(fr).values()) < 1e-12
+        for i in range(2):
+            assert max(frame_residuals(frame_massive(p[i], nu)).values()) < 1e-12
+
     def test_reference_scaling_covariance(self):
         # nu -> c nu changes omega by a pure phase; flagpoles are unchanged
         rng = np.random.default_rng(4)

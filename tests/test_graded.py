@@ -2,12 +2,14 @@
 
 `sym_power_matrices` is checked against an explicit sum over index tuples.
 For each n in 1..MAX_N the equal-slot `contract_T` is held to the slot
-recursion of the distinct-direction route (forced with equal_slots=False on
+recursion of the distinct-direction route (`bw._slot_recursion`, called on
 identical vectors), and that recursion to the dense pattern route of
 `oracles.contract_T_dense` for n <= 8.  The `form="p"` and null-omega
 integrands, and the integrand for n distinct random timelike or null
 directions per sample, are held to sum_k C(n,k) |f_k|^2 per sample;
-`standard_bw_integrand` and `transform_component` to dense evaluations.
+`form="p"`, the direction t = p on every slot, to the pairing of p scaled
+by m^(-2n); `standard_bw_integrand` and `transform_component` to dense
+evaluations.
 Synthesis is held to the index loop over every routing of
 `oracles.synth_bruteforce`, extraction to the index loop of
 `oracles.extract_bruteforce`, and the signed flip between the primed and
@@ -136,10 +138,9 @@ def test_primed_powers_are_signed_flips(n, sign):
                          ids=["standard", "null-omega"])
 def test_equal_slot_T_matches_dense_route(n, spec):
     psi, fr, _ = random_component(n, 3, seed=100 + n)
-    ts, equal = resolve_directions(spec, n, psi, fr)
-    assert equal
-    graded = contract_T(psi, ts, True)
-    dense = contract_T(psi, ts, False)
+    ts = resolve_directions(spec, n, psi, fr)
+    graded = contract_T(psi, ts)
+    dense = bw._slot_recursion(psi, ts)
     assert relative(graded, dense) < 1e-12
 
 
@@ -157,12 +158,21 @@ def test_direction_free_forms_are_amplitude_sum(n):
     assert relative(norm_integrand(psi, NullOmega(), fr), want) < 1e-8
 
 
+@pytest.mark.parametrize("n", SPINS)
+def test_form_p_is_the_momentum_direction(n):
+    # form "p" puts t = p on every slot and divides by (p.p)^n per sample; the
+    # same pairing scaled by m^(-2n) was its own branch before
+    psi, fr, _ = random_component(n, 200, seed=1200 + n)
+    want = bw._square_pairing(psi, core.vector_to_dyad(psi.p, "up")) * psi.mass ** (-2 * n)
+    assert relative(norm_integrand(psi, None, fr, form="p"), want) <= 1e-12
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_distinct_T_matches_dense_route(n):
     psi, _, _ = random_component(n, 3, seed=600 + n)
     rng = np.random.default_rng(700 + n)
     ts = np.stack([core.random_timelike(rng, size=3) for _ in range(n)])
-    assert relative(contract_T(psi, ts, False), contract_T_dense(psi, ts)) < 1e-13
+    assert relative(bw._slot_recursion(psi, ts), contract_T_dense(psi, ts)) < 1e-13
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -177,7 +187,7 @@ def test_distinct_directions_are_amplitude_sum(n, mass):
     psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=+1, f=f))
     ts = np.stack([core.random_future_momentum(mass, rng, size=count)
                    for _ in range(n)])
-    got = contract_T(psi, ts, False) / np.prod(core.minkowski(ts, grid.p), axis=0)
+    got = contract_T(psi, ts) / np.prod(core.minkowski(ts, grid.p), axis=0)
     want = np.abs(f) ** 2 @ np.array([comb(n, k) for k in range(n + 1)], dtype=float)
     assert relative(got, want) < 1e-10
 
@@ -230,7 +240,7 @@ def test_distinct_T_peak_memory_is_bounded():
                    for k in range(n)])
     tracemalloc.start()
     try:
-        contract_T(psi, ts, False)
+        bw._slot_recursion(psi, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,9 +255,9 @@ def test_distinct_T_block_boundary_matches_per_sample():
     block = bw._STATE_BYTES // (16 * sum((a + 1) ** 2 * (n - a + 1) ** 2
                                          for a in range(n + 1)))
     assert 2 < block < 510
-    got = contract_T(psi, ts, False)
+    got = bw._slot_recursion(psi, ts)
     for i in (0, block - 2, block - 1, block, block + 1, 2 * block, 511):
-        alone = contract_T(*_sample(psi, ts, i), False)
+        alone = bw._slot_recursion(*_sample(psi, ts, i))
         assert abs(got[i] - alone[0]) <= 1e-15 * abs(alone[0])
 
 
@@ -257,9 +267,9 @@ def test_distinct_T_independent_of_block_size(monkeypatch, n, budget):
     psi, _, _ = random_component(n, 37, seed=910 + n)
     ts = np.stack([core.random_timelike(np.random.default_rng(920 + k), size=37)
                    for k in range(n)])
-    whole = contract_T(psi, ts, False)
+    whole = bw._slot_recursion(psi, ts)
     monkeypatch.setattr(bw, "_STATE_BYTES", budget)
-    blocked = contract_T(psi, ts, False)
+    blocked = bw._slot_recursion(psi, ts)
     assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-15
 
 
@@ -273,12 +283,14 @@ def _traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("kernel, bound_mib", [("synth", 40), ("null-omega", 20),
-                                               ("form-p", 20), ("transform", 40)])
+                                               ("form-p", 20), ("transform", 40),
+                                               ("extract", 5)])
 def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
     # one 4096-sample chunk of evaluate_norm at n = MAX_N; with stacked
     # batch-first products these peaked at 86.6 MiB (synthesis) and 44.8 MiB
     # (each pairing), and the members that synthesis returns take 17.9 MiB;
-    # the Lorentz action, unblocked, peaked at 55.3 MiB
+    # the Lorentz action, unblocked, peaked at 55.3 MiB; extraction holding
+    # every row of the powers of omega and of conj(omega) peaked at 10.0 MiB
     n, count = MAX_N, 4096
     psi, fr, f = random_component(n, count, seed=930)
     amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
@@ -286,5 +298,6 @@ def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
     run = {"synth": lambda: synth_massive(fr, amps),
            "null-omega": lambda: norm_integrand(psi, NullOmega(), fr),
            "form-p": lambda: norm_integrand(psi, None, fr, form="p"),
-           "transform": lambda: transform_component(psi, a)}[kernel]
+           "transform": lambda: transform_component(psi, a),
+           "extract": lambda: extract_massive(psi, fr)}[kernel]
     assert _traced_peak(run) < bound_mib * 2 ** 20

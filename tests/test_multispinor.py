@@ -6,8 +6,8 @@ from bwspinor import core
 from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
 from bwspinor.multispinor import (SymMultiSpinor, _binomials, _slot_action,
-                                  contract_full, contract_same, same_slot_coeffs,
-                                  sym_outer)
+                                  contract_full, contract_same, power_row,
+                                  same_slot_coeffs, sym_outer)
 from oracles import (dense, dense_from_graded, graded_from_dense,
                      sym_outer_bruteforce, symmetrize_bruteforce,
                      symmetry_residual)
@@ -91,20 +91,22 @@ class TestContractions:
         assert_allclose(got, want, atol=1e-13)
 
     def test_contract_same_matches_full(self):
-        # the weights W_r(x) (x) W_s(y) of one table of powers per spinor,
-        # at every valence up to MAX_N, against the symmetrized product
+        # the weights W_r(x) (x) W_s(conj x) of one table of powers, at every
+        # valence up to MAX_N, against the symmetrized product
         rng = np.random.default_rng(8)
-        x, y = core.random_spinor(rng, size=3), core.random_spinor(rng, size=3)
-        xs, ys = same_slot_coeffs(x, MAX_N), same_slot_coeffs(y, MAX_N)
+        x = core.random_spinor(rng, size=3)
+        xs = same_slot_coeffs(x, MAX_N)
+        assert xs.shape == (3, 2, MAX_N + 1)
         for r in range(MAX_N + 1):
             for s in range(MAX_N + 1):
                 shape = (3, r + 1, s + 1)
                 comp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 t = SymMultiSpinor(r, s, comp)
-                got = contract_same(t, xs, ys)
-                want = contract_full(t, [x] * r, [y] * s)
+                got = contract_same(t, xs)
+                want = contract_full(t, [x] * r, [np.conj(x)] * s)
                 scale = np.einsum("...ij,...i,...j->...", np.abs(comp),
-                                  _binomials(r) * np.abs(xs[r]), _binomials(s) * np.abs(ys[s]))
+                                  _binomials(r) * np.abs(power_row(xs, r)),
+                                  _binomials(s) * np.abs(power_row(xs, s)))
                 assert np.all(np.abs(got - want) <= 1e-13 * scale), (r, s)
 
     def test_valence_mismatch(self):
