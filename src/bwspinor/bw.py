@@ -117,7 +117,8 @@ def resolve_directions(spec, n: int, psi: BWComponent,
 
     NullOmega takes the flagpole of omega from `frame`, or from the frame
     `frames.frame_for` attaches to psi.p when none is given.  Raises
-    OrthogonalDirection if any t_k.p vanishes at a sample.
+    OrthogonalDirection if any t_k.p vanishes, naming the first such sample
+    and its first such slot k.
     """
     if isinstance(spec, StandardTime):
         t = np.zeros(psi.p.shape, dtype=float)
@@ -140,8 +141,10 @@ def resolve_directions(spec, n: int, psi: BWComponent,
             raise ValenceMismatch(f"need 1 or {n} direction vectors, got {ts.shape[0]}")
     else:
         raise TypeError(f"not a direction spec: {spec!r}")
-    reject(~core.nonzero_tp(ts, psi.p), OrthogonalDirection,
-           "t.p must be finite and nonzero")
+    bad = np.moveaxis(~core.nonzero_tp(ts, psi.p), 0, -1)     # (..., n)
+    if np.any(bad):
+        k = np.argwhere(bad)[0, -1]     # the first bad slot of the first bad sample
+        reject(bad[..., k], OrthogonalDirection, f"t_{k + 1}.p must be finite and nonzero")
     return ts
 
 
@@ -160,7 +163,7 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     psi_k = D_r^{-1} S_r(a) G_k conj(S_k(a))^T D_k^{-1}; the columns of G_k
     are signed slices of the amplitudes, so no G_k is built.
     """
-    if amps.mass <= 0 or frame.mass <= 0:
+    if amps.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
     reject(~core.on_shell(frame.p, amps.mass), FrameMismatch,
            f"frame momentum off the mass shell of the amplitudes, m = {amps.mass}")
@@ -207,8 +210,8 @@ def _conj_columns(comps, batch: tuple):
 def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
     if frame.p.shape != psi.p.shape:
         raise FrameMismatch("frame momentum differs from component momentum")
-    scale = 1.0 + np.max(np.abs(psi.p), axis=-1, initial=0.0, where=np.isfinite(psi.p))
-    reject(~(np.max(np.abs(frame.p - psi.p), axis=-1) <= 1e-8 * scale),
+    finite, (fp, p) = core.finite_vectors(frame.p, psi.p)
+    reject(~(finite & (core.max_abs(fp - p) <= 1e-8 * (1.0 + core.max_abs(p)))),
            FrameMismatch, "frame momentum differs from component momentum")
 
 
@@ -226,14 +229,14 @@ def extract_massive(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
 
 def field_equation_residual_massive(psi: BWComponent) -> float:
     """Max residual of both momentum-space equation families over all slots,
-    relative to the component and momentum scale."""
+    relative to each sample's component and momentum scale."""
     if psi.mass <= 0:
         raise NotMassive("massive field equations need m > 0")
     n, m, e = psi.n, psi.mass, psi.sign
     pul = core.vector_to_dyad(psi.p, "ul")[..., None, :, :]           # p^A_{A'}
     plu_t = np.swapaxes(core.vector_to_dyad(psi.p, "lu"), -1, -2)[..., None, :, :]
-    scale = max(1.0, max(float(np.max(np.abs(c.comp))) for c in psi.comps)
-                * max(float(np.max(np.abs(psi.p))), m))
+    scale = np.maximum(1.0, np.maximum.reduce([core.max_abs(c.comp, 2) for c in psi.comps])
+                       * core.max_abs(psi.p, floor=m))
     worst = 0.0
     for k in range(n):
         lo, hi = psi.comps[k].comp, psi.comps[k + 1].comp
@@ -243,11 +246,11 @@ def field_equation_residual_massive(psi: BWComponent) -> float:
         hi_z = np.stack([hi[..., :-1], hi[..., 1:]], axis=-1)
         # e p^A_{A'} psi^{..0..}_{..A..} = -(m/sqrt2) psi^{..1..}_{..A'..}
         res = e * lo_z @ pul + (m / np.sqrt(2.0)) * hi_z
-        worst = np.maximum(worst, np.max(np.abs(res)))   # a NaN propagates
+        worst = np.maximum(worst, core.max_abs(res, 3))   # a NaN propagates
         # e p_A^{A'} psi^{..1..}_{..A'..} = +(m/sqrt2) psi^{..0..}_{..A..}
         res = e * hi_z @ plu_t - (m / np.sqrt(2.0)) * lo_z
-        worst = np.maximum(worst, np.max(np.abs(res)))
-    return float(worst / scale)
+        worst = np.maximum(worst, core.max_abs(res, 3))
+    return float(np.max(worst / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +445,7 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
 
 def helicity_residual_massless(psi: BWComponent) -> float:
     """Max over the world index of |sum_slots S^a psi + (n/2) p^a psi|,
-    relative to the component and momentum scale.
+    relative to each sample's component and momentum scale.
 
     For one 2x2 M acting on each slot in turn, the slot sum maps graded
     components c_i to (n-i)(M00 c_i + M01 c_{i+1}) + i(M11 c_i + M10 c_{i-1}):
@@ -458,8 +461,8 @@ def helicity_residual_massless(psi: BWComponent) -> float:
     acc = ((n - i) * (s_op[..., 0, 0, :] * c + s_op[..., 0, 1, :] * cp[..., 2:])
            + i * (s_op[..., 1, 1, :] * c + s_op[..., 1, 0, :] * cp[..., :-2]))
     res = acc + 0.5 * n * psi.p[..., None] * c
-    scale = max(1.0, float(np.max(np.abs(c))) * float(np.max(np.abs(psi.p))))
-    return float(np.max(np.abs(res))) / scale
+    scale = np.maximum(1.0, core.max_abs(c, 2) * core.max_abs(psi.p))
+    return float(np.max(core.max_abs(res, 2) / scale))
 
 
 def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:

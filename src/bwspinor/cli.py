@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
 def cmd_frame(args) -> int:
     _usage(0 <= args.mass < np.inf, "--mass must be a finite number >= 0")
     _usage(args.mass == 0 or args.nu is not None, "--nu is required for massive frames")
-    p = np.concatenate([[np.sqrt(args.mass ** 2 + np.sum(args.p ** 2))], args.p])
+    p = np.concatenate([[core.shell_energy(args.p, args.mass)], args.p])
     fr = frame_for(p, args.mass, args.nu)
     half_plus, half_minus = pl_eigenvalues(fr.omega_vec, p)
     data = {

@@ -90,14 +90,28 @@ def finite_vectors(*xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
             [np.where(ok[..., None], x, 0.0) for ok, x in zip(oks, xs)])
 
 
+def max_abs(x: np.ndarray, axes: int = 1, floor=0.0) -> np.ndarray:
+    """Per sample, the largest of floor and |x| over the last `axes` axes (NaN
+    propagates), as elementwise maxima: np.max over small axes is slower."""
+    x = np.abs(x)
+    x = x.reshape(x.shape[:x.ndim - axes] + (-1,))
+    return functools.reduce(np.maximum, np.moveaxis(x, -1, 0), floor)
+
+
 def _unit_scaled(p: np.ndarray, mass=0.0):
     """(finite, q, mu, e): p and mass over 2^e, the power of two just above
     the largest of |p^a| and mass, NaN and inf zeroed; exact, so q.q = 4^-e p.p
     and nothing overflows (for a causal p the largest |p^a| is p^0)."""
     finite, (p,) = finite_vectors(p)
-    # four elementwise maxima, for the same reason
-    _, e = np.frexp(functools.reduce(np.maximum, np.moveaxis(np.abs(p), -1, 0), mass))
+    _, e = np.frexp(max_abs(p, floor=mass))
     return finite, np.ldexp(p, -e[..., None]), np.ldexp(mass, -e), e
+
+
+def shell_energy(pvec: np.ndarray, mass) -> np.ndarray:
+    """p^0 = sqrt(m^2 + |pvec|^2) at unit scale, so that it overflows only
+    where p^0 does; the plain formula's bits wherever that stays in range."""
+    _, q, mu, e = _unit_scaled(pvec, mass)
+    return np.ldexp(np.sqrt(mu ** 2 + np.sum(q ** 2, axis=-1)), e)
 
 
 def null_shell(p: np.ndarray) -> np.ndarray:
@@ -233,8 +247,7 @@ def trace_reversal_residual(p: np.ndarray) -> float:
     plow = lower_vector(p)
     rhs = (plow[..., :, None] * plow[..., None, :]
            - 0.5 * mass_squared(p)[..., None, None] * METRIC)
-    scale = np.maximum(1.0, np.max(np.abs(plow), axis=-1) ** 2)
-    return float(np.max(np.abs(lhs - rhs) / scale[..., None, None]))
+    return float(np.max(max_abs(lhs - rhs, 2) / max_abs(plow, floor=1.0) ** 2))
 
 
 # ---------------------------------------------------------------------------

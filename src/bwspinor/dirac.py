@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core
 from .bw import Amplitudes, BWComponent, synth_massive
-from .errors import NotMassive
+from .errors import NotMassive, reject
 from .frames import SpinFrame
 from .pauli_lubanski import chi_basis, default_normalization
 
@@ -62,8 +62,7 @@ def dirac_operator(p: np.ndarray, sign: int = +1) -> np.ndarray:
 
 def dirac_solution(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:
     """Bispinor chi^{(+)} f1 + chi^{(-)} f0; solves the momentum Dirac equation."""
-    if frame.mass <= 0:
-        raise NotMassive("dirac_solution needs m > 0")
+    reject(~core.timelike(frame.p), NotMassive, "dirac_solution needs m > 0")
     chis = chi_basis(frame)
     f0 = np.asarray(f0, dtype=complex)[..., None]
     f1 = np.asarray(f1, dtype=complex)[..., None]
@@ -74,8 +73,8 @@ def dirac_residual(psi: np.ndarray, p: np.ndarray, mass: float,
                    sign: int = +1) -> float:
     op = dirac_operator(p, sign)
     res = np.einsum('...ab,...b->...a', op, psi) - (mass / np.sqrt(2.0)) * psi
-    scale = max(1.0, float(np.max(np.abs(psi))) * max(float(np.max(np.abs(p))), mass))
-    return float(np.max(np.abs(res))) / scale
+    scale = np.maximum(1.0, core.max_abs(psi) * core.max_abs(p, floor=mass))
+    return float(np.max(core.max_abs(res) / scale))
 
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:
@@ -98,8 +97,7 @@ def extract_dirac(psi: np.ndarray, frame: SpinFrame) -> tuple[np.ndarray, np.nda
 
 def dirac_norm_integrand(psi: np.ndarray, frame: SpinFrame) -> np.ndarray:
     """omega^a T_a / omega.p computed directly from the bispinor."""
-    if frame.mass <= 0:
-        raise NotMassive("dirac_norm_integrand needs m > 0")
+    reject(~core.timelike(frame.p), NotMassive, "dirac_norm_integrand needs m > 0")
     om_dyad = core.vector_to_dyad(frame.omega_vec, "up")
     upper, lower = psi[..., 0:2], psi[..., 2:4]
     t_up = np.einsum('...AB,...A,...B->...', om_dyad, upper, np.conj(upper))
@@ -108,9 +106,11 @@ def dirac_norm_integrand(psi: np.ndarray, frame: SpinFrame) -> np.ndarray:
 
 
 def dirac_component(frame: SpinFrame, f0, f1, sign: int = +1) -> BWComponent:
-    """The same solution as an n = 1 Bargmann-Wigner component."""
+    """The same solution as an n = 1 Bargmann-Wigner component, on sample 0's shell."""
+    reject(~core.timelike(frame.p), NotMassive, "dirac_component needs m > 0")
     f = np.stack([np.asarray(f0, dtype=complex),
                   np.asarray(f1, dtype=complex)], axis=-1)
-    amps = Amplitudes(n=1, mass=frame.mass, sign=sign, f=f)
+    mass = float(core.invariant_mass(frame.p.reshape(-1, 4)[0]))
+    amps = Amplitudes(n=1, mass=mass, sign=sign, f=f)
     return synth_massive(frame, amps)
 

@@ -9,6 +9,10 @@ The two regimes deliberately use the opposite contraction normalization
 (omega_A pi^A = +1 massive, pi_A omega^A = +1 massless); every downstream
 formula is used in the normalization of its own regime, and
 SpinFrame.contractions() reports both numbers.
+
+A frame holds one momentum per sample and no mass: the regime and the mass
+of a sample follow from its own p (`core.timelike`, `core.invariant_mass`),
+so the samples of one batch may lie on different mass shells.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from .errors import (DegenerateReference, NotFuturePointing, NotNull,
 
 @dataclass(frozen=True)
 class SpinFrame:
-    """A momentum p with its attached spin-frame spinors (upper components)."""
+    """Per sample, a momentum p with its attached spin-frame spinors (upper
+    components); the mass of a sample is core.invariant_mass(p)."""
 
     pi: np.ndarray          # (..., 2)
     omega: np.ndarray       # (..., 2)
     p: np.ndarray           # (..., 4)
-    mass: float             # the largest sqrt(p.p) of the batch
     pi_vec: np.ndarray      # flagpole of pi, (..., 4)
     omega_vec: np.ndarray   # flagpole of omega, (..., 4)
 
@@ -84,7 +88,7 @@ def frame_massless(p: np.ndarray) -> SpinFrame:
     """Spin-frame for a null momentum: pi from the flag, omega the partner."""
     pi = flag_decompose_massless(p)
     omega = partner_massless(pi)
-    return SpinFrame(pi=pi, omega=omega, p=np.asarray(p, dtype=float), mass=0.0,
+    return SpinFrame(pi=pi, omega=omega, p=np.asarray(p, dtype=float),
                      pi_vec=core.flagpole(pi), omega_vec=core.flagpole(omega))
 
 
@@ -119,7 +123,7 @@ def frame_massive(p: np.ndarray, nu: np.ndarray) -> SpinFrame:
     omega = np.sqrt(m / np.sqrt(2.0))[..., None] * nu / root
     pi = (np.sqrt(np.sqrt(2.0) / m)[..., None]
           * np.einsum('...AB,...B->...A', d, np.conj(nul)) / root)
-    return SpinFrame(pi=pi, omega=omega, p=p, mass=float(np.max(m)),
+    return SpinFrame(pi=pi, omega=omega, p=p,
                      pi_vec=core.flagpole(pi), omega_vec=core.flagpole(omega))
 
 
@@ -127,27 +131,24 @@ def frame_residuals(frame: SpinFrame) -> dict[str, float]:
     """All frame invariants as named max residuals."""
     out: dict[str, float] = {}
     c_om_pi, c_pi_om = frame.contractions()
-    if frame.mass > 0:
-        m = core.invariant_mass(frame.p)      # per sample: frame.mass is the batch's largest
+    scale = core.max_abs(frame.p, floor=1.0)
+    if np.all(core.timelike(frame.p)):
+        m = core.invariant_mass(frame.p)
         out["omega_pi_contraction"] = float(np.max(np.abs(c_om_pi - 1.0)))
         out["omega_dot_p"] = float(np.max(np.abs(
             core.minkowski(frame.omega_vec, frame.p) - m / np.sqrt(2.0))
             / np.maximum(m, 1e-300)))
         recon = (m / np.sqrt(2.0))[..., None] * (frame.omega_vec + frame.pi_vec)
-        scale = np.maximum(1.0, np.max(np.abs(frame.p), axis=-1))
-        out["momentum_decomposition"] = float(np.max(
-            np.abs(frame.p - recon) / scale[..., None]))
+        out["momentum_decomposition"] = float(np.max(core.max_abs(frame.p - recon) / scale))
     else:
         out["pi_omega_contraction"] = float(np.max(np.abs(c_pi_om - 1.0)))
         d = core.vector_to_dyad(frame.p, "up")
         outer = np.einsum('...A,...B->...AB', frame.pi, np.conj(frame.pi))
-        scale = np.maximum(1.0, np.max(np.abs(frame.p), axis=-1))
-        out["flag_reconstruction"] = float(np.max(
-            np.abs(outer - d) / scale[..., None, None]))
+        out["flag_reconstruction"] = float(np.max(core.max_abs(outer - d, 2) / scale))
         out["partner_orthogonality"] = float(np.max(np.abs(
             np.einsum('...A,...A->...', np.conj(frame.pi), frame.omega))))
     for name, v in (("omega_vec", frame.omega_vec), ("pi_vec", frame.pi_vec)):
-        scale = np.maximum(1.0, np.max(np.abs(v), axis=-1) ** 2)
-        out[f"{name}_null"] = float(np.max(np.abs(core.mass_squared(v)) / scale))
+        out[f"{name}_null"] = float(np.max(np.abs(core.mass_squared(v))
+                                           / core.max_abs(v, floor=1.0) ** 2))
         out[f"{name}_future"] = float(np.max(np.maximum(0.0, -v[..., 0])))
     return out

@@ -28,11 +28,10 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 
 def _check_antisymmetric(f: np.ndarray) -> None:
-    f = np.asarray(f)
     finite = np.all(np.isfinite(f), axis=(-2, -1))
     f = np.where(finite[..., None, None], f, 0.0)
-    scale = max(1.0, float(np.max(np.abs(f))))
-    gap = np.max(np.abs(f + np.swapaxes(f, -1, -2)), axis=(-2, -1))
+    scale = core.max_abs(f, 2, floor=1.0)
+    gap = core.max_abs(f + np.swapaxes(f, -1, -2), 2)
     reject(~(finite & (gap <= 1e-12 * scale)), NotAntisymmetric,
            "field strength must be finite and satisfy F^{qr} = -F^{rq}")
 
@@ -115,15 +114,14 @@ def stress_tensor(phi: np.ndarray, f_up: np.ndarray) -> dict[str, np.ndarray]:
     """Both stress-tensor routes plus the energy-density cross-check.
 
     Raises InconsistentPair where the routes differ by more than 1e-8 of the
-    largest entry, which signals that phi and F do not describe the same field.
+    sample's largest entry: phi and F then do not describe the same field.
     """
     _check_antisymmetric(f_up)
     finite = np.all(np.isfinite(phi), axis=(-2, -1))
     t_spin = stress_tensor_spinor(np.where(finite[..., None, None], phi, 0.0))
     t_field = stress_tensor_field(f_up)
-    gap = np.max(np.abs(t_spin - t_field), axis=(-2, -1))
-    scale = max(1.0, float(np.max(np.abs(t_spin))))
-    reject(~(finite & (gap <= 1e-8 * scale)), InconsistentPair,
+    gap = core.max_abs(t_spin - t_field, 2)
+    reject(~(finite & (gap <= 1e-8 * core.max_abs(t_spin, 2, floor=1.0))), InconsistentPair,
            "phi must be finite, and the spinor and field-strength routes agree")
     e = electric_field(f_up)
     b = magnetic_field(f_up)

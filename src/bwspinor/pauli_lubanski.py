@@ -94,13 +94,25 @@ def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pl_eigenvalues(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix eigenvalues +-(1/2) sqrt((t.p)^2 - p.p t.t) of the projected blocks."""
-    finite, (t, p) = core.finite_vectors(t, p)
+    """Matrix eigenvalues +-(1/2) sqrt((t.p)^2 - p.p t.t) of the projected blocks.
+
+    t and p are first scaled by powers of two (`core._unit_scaled`, exact),
+    so that no finite input overflows the test; disc and its threshold
+    1e-10 max((t.p)^2, 1) then carry the same factor 4^-e, and the verdict is
+    the one of the unscaled formula wherever that stays in range.
+    """
+    finite_t, t, _, e_t = core._unit_scaled(t)
+    finite_p, p, _, e_p = core._unit_scaled(p)
+    e = e_t + e_p
     tp = core.minkowski(t, p)
     disc = tp ** 2 - core.mass_squared(p) * core.mass_squared(t)
-    reject(~(finite & (disc >= -1e-10 * np.maximum(tp ** 2, 1.0))), ComplexEigenvalues,
+    # 1 at the scale of disc, clipped to what a double holds: past either end
+    # the threshold is 0, or far beyond any disc of unit-scale vectors
+    one = np.ldexp(1.0, np.clip(-2 * e, -1074, 1023))
+    reject(~(finite_t & finite_p & (disc >= -1e-10 * np.maximum(tp ** 2, one))),
+           ComplexEigenvalues,
            "(t.p)^2 - m^2 t.t must be finite and >= 0 (t outside the forbidden cone)")
-    half = 0.5 * np.sqrt(np.maximum(disc, 0.0))
+    half = np.ldexp(0.5 * np.sqrt(np.maximum(disc, 0.0)), e)
     return half, -half
 
 

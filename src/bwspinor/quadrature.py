@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .bw import (Amplitudes, BWComponent, NullOmega, norm_integrand,
                  standard_bw_integrand, synth_massive, synth_massless,
                  transform_component)
@@ -52,7 +53,8 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
 
     For mass 0 any sample with |pvec| < 1e-8 is dropped so the weight stays
     finite.  A negative or non-finite mass, a non-positive or non-finite
-    half width, or fewer than two points raises InvalidResolution.
+    half width, fewer than two points, or a p^0 or weight that overflows
+    raises InvalidResolution.
     """
     if not (np.isfinite(mass) and mass >= 0 and np.isfinite(half_width)
             and half_width > 0 and points_per_axis >= 2):
@@ -66,9 +68,13 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
     if mass == 0.0:
         keep = np.linalg.norm(pvec, axis=-1) >= 1e-8
         pvec = pvec[keep]
-    p0 = np.sqrt(mass ** 2 + np.sum(pvec ** 2, axis=-1))
+    # in numpy, h^3 overflows to inf (a Python float raises); rejected below
+    with np.errstate(over="ignore"):
+        p0 = core.shell_energy(pvec, mass)
+        weights = np.float64(h) ** 3 / (2.0 * p0)
+    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(weights))):
+        raise InvalidResolution(f"p^0 or a weight overflows (m = {mass}, L = {half_width})")
     p = np.concatenate([p0[:, None], pvec], axis=-1)
-    weights = h ** 3 / (2.0 * p0)
     return ShellGrid(mass=mass, p=p, weights=weights,
                      half_width=half_width, points_per_axis=n)
 

@@ -64,7 +64,7 @@ def suite_core(trials: int = 1000, seed: int = 0) -> dict[str, float]:
 
     a = core.random_sl2c(rng, size=trials)
     lam_m = core.lorentz_from_sl2c(a)
-    lam_scale = np.maximum(1.0, np.max(np.abs(lam_m), axis=(-2, -1)) ** 2)
+    lam_scale = core.max_abs(lam_m, 2, floor=1.0) ** 2
     out["lorentz_metric"] = _max(
         (np.einsum('...ba,bc,...cd->...ad', lam_m, core.METRIC, lam_m)
          - core.METRIC) / lam_scale[..., None, None])

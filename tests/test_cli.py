@@ -79,6 +79,23 @@ class TestFrame:
         assert abs(data["pi"][0][0] - 2 ** 0.25) < 1e-9
         assert abs(data["pi"][0][1]) < 1e-12
 
+    def test_frame_at_1e200(self, capsys):
+        # p^0 = sqrt(m^2 + |p|^2) would overflow if formed as written
+        code, out, err = run_cli(["frame", "--p", "0,0,1e200", "--mass", "0", "--json"],
+                                 capsys)
+        assert code == 0, err
+        data = json.loads(out)
+        np.testing.assert_allclose(data["pi_vec"], data["p"], rtol=1e-14, atol=0.0)
+        assert data["p"] == [1e200, 0.0, 0.0, 1e200]
+
+    def test_massive_frame_at_1e155(self, capsys):
+        code, out, err = run_cli(["frame", "--p", "0,0,0", "--mass", "1e155", "--nu", "1,0",
+                                  "--json"], capsys)
+        assert code == 0, err
+        data = json.loads(out)
+        np.testing.assert_allclose(data["omega_dot_p"], 1e155 / np.sqrt(2.0), rtol=1e-14)
+        np.testing.assert_allclose(data["lambda_plus"], 1e155 / np.sqrt(2.0), rtol=1e-14)
+
     def test_missing_nu_massive(self, capsys):
         code, _, err = run_cli(["frame", "--p", "0,0,0", "--mass", "1"], capsys)
         assert code == 2
@@ -114,6 +131,16 @@ class TestPipelines:
         before = read_amplitude_file(amp)
         after = read_amplitude_file(amp2)
         assert np.max(np.abs(before.amplitudes.f - after.amplitudes.f)) < 1e-12
+
+    def test_packet_at_mass_1e155_synthesizes(self, tmp_path, capsys):
+        amp, field = tmp_path / "amp.json", tmp_path / "field.json"
+        code, _, err = run_cli(["packet", "--n", "2", "--mass", "1e155", "--out", str(amp),
+                                "--points", "2"], capsys)
+        assert code == 0, err
+        data = read_amplitude_file(amp)
+        assert data.amplitudes.mass == 1e155
+        assert np.all(np.isfinite(data.weights)) and np.all(data.weights > 0)
+        assert run_cli(["synth", "--in", str(amp), "--out", str(field)], capsys)[0] == 0
 
     def test_norm_direction_agreement(self, tmp_path, capsys):
         amp = tmp_path / "amp.json"
@@ -191,7 +218,8 @@ class TestPipelines:
                                        ["--coeffs", "1,abc,2"], ["--coeffs", "1,inf,2"],
                                        ["--points", "0"], ["--points", "1"],
                                        ["--mass", "-1"], ["--mass", "nan"],
-                                       ["--half-width", "-2"], ["--half-width", "inf"]])
+                                       ["--half-width", "-2"], ["--half-width", "inf"],
+                                       ["--half-width", "1e200"]])
     def test_packet_usage_error(self, tmp_path, capsys, extra):
         out = tmp_path / "amp.json"
         args = ["packet", "--n", "2", "--mass", "1.0", "--out", str(out), "--points", "2"]

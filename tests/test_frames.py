@@ -82,7 +82,6 @@ class TestMassiveFrame:
         p = np.array([[np.sqrt(1.25), 0.5, 0, 0], [np.sqrt(4.25), 0.5, 0, 0]])
         nu = np.array([1.0, 0.3j])
         fr = frame_massive(p, nu)
-        assert fr.mass == pytest.approx(2.0)
         assert max(frame_residuals(fr).values()) < 1e-12
         for i in range(2):
             assert max(frame_residuals(frame_massive(p[i], nu)).values()) < 1e-12

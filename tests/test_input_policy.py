@@ -3,7 +3,8 @@
 Each case puts a NaN (or an inf) into one sample of otherwise valid input
 and expects the guard's own error type; a per-sample guard must also name
 that sample.  Warnings are errors here, so a guard that computes on the bad
-value before it rejects it fails as well.
+value before it rejects it fails as well.  The mixed-scale cases at the end
+put a valid sample 1e8 times larger beside a bad one.
 """
 
 import dataclasses
@@ -11,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bwspinor import bw, core, frames, maxwell, pauli_lubanski as pl
+from bwspinor import bw, core, dirac, frames, maxwell, pauli_lubanski as pl
 from bwspinor.errors import (ComplexEigenvalues, DegenerateReference,
                              FrameMismatch, InconsistentPair,
                              MasslessNotSupported, NonUnitDeterminant,
@@ -144,13 +145,13 @@ CASES = {
         NonUnitDeterminant, "2"),
     "norm_integrand.momentum": (lambda v: bw.norm_integrand(
         with_momentum(massive_component()[0], v), bw.RandomTimelike(3)),
-        OrthogonalDirection, "0, 2"),
+        OrthogonalDirection, "2"),
     "norm_integrand.direction": (lambda v: bw.norm_integrand(
         massive_component()[0], bw.FixedList((T1, spoil(T2, v, 0)))),
-        OrthogonalDirection, "1, 0"),
+        OrthogonalDirection, "0"),
     "wigner_state": (lambda v: bw.wigner_state(
         with_momentum(massless_component()[0], v), bw.StandardTime()),
-        OrthogonalDirection, "0, 2"),
+        OrthogonalDirection, "2"),
 }
 
 
@@ -165,3 +166,141 @@ def test_nonfinite_sample_rejected(name, value):
     call, error, index = CASES[name]
     with pytest.raises(error, match=rf"at sample index \[{index}\]"):
         call(value)
+
+
+# Mixed scales: a valid sample 1e8 times larger must not hide a bad one,
+# since every tolerance and residual scales by the sample's own entries.
+
+BIG = 1e8
+
+
+def pick(kinds, big, bad):
+    """The samples named by kinds ("big" or "bad"), stacked into one batch."""
+    return np.stack([np.asarray(big if k == "big" else bad) for k in kinds])
+
+
+def pair(mass):
+    """Two momenta on the shell of mass, and two reference spinors."""
+    r = rng()
+    return core.random_future_momentum(mass, r, size=2), core.random_spinor(r, size=2)
+
+
+def one_field():
+    phi, f = phi_and_field()
+    return phi[0], f[0]
+
+
+def skewed(f):
+    """f with F^{01} 1e-6 away from -F^{10}."""
+    f = f.copy()
+    f[0, 1] += 1e-6
+    return f
+
+
+def massive_frame(kinds, scale=1.0):
+    (p, nu) = pair(1.0)
+    return frames.frame_massive(pick(kinds, scale * p[0], p[1]), pick(kinds, nu[0], nu[1]))
+
+
+def em_spinor_case(kinds):
+    _, f = one_field()
+    maxwell.em_spinor(pick(kinds, BIG * f, skewed(f)))
+
+
+def stress_phi_case(kinds):
+    phi, f = one_field()
+    maxwell.stress_tensor(pick(kinds, BIG * phi, 1.001 * phi), pick(kinds, BIG * f, f))
+
+
+def stress_field_case(kinds):
+    phi, f = one_field()
+    maxwell.stress_tensor(pick(kinds, BIG * phi, phi), pick(kinds, BIG * f, skewed(f)))
+
+
+def extract_frame_case(kinds):
+    psi, fr = massive_component()
+    p = pick(kinds, BIG * psi.p[0], psi.p[1])
+    bw.extract_massive(dataclasses.replace(psi, p=p),
+                       dataclasses.replace(fr, p=p * pick(kinds, 1.0, 1.0 + 1e-6)[:, None]))
+
+
+# name -> (call on the samples kinds, error); the bad sample alone and after
+# a big one must raise the same error, at the bad sample
+MIXED_GUARDS = {
+    "em_spinor": (em_spinor_case, NotAntisymmetric),
+    "stress_tensor.phi": (stress_phi_case, InconsistentPair),
+    "stress_tensor.field": (stress_field_case, NotAntisymmetric),
+    "extract_massive.frame": (extract_frame_case, FrameMismatch),
+}
+
+
+def field_equation_case(kinds):
+    fr = massive_frame(kinds)
+    f = pick(kinds, BIG, 1.0)[:, None] * np.ones(3)
+    psi = bw.synth_massive(fr, bw.Amplitudes(2, 1.0, +1, f))
+    lo, hi, *rest = psi.comps
+    spoiled = (lo, hi.scaled(pick(kinds, 1.0, 1.01)), *rest)   # one member 1 % off
+    return bw.field_equation_residual_massive(dataclasses.replace(psi, comps=spoiled))
+
+
+def helicity_case(kinds):
+    p, _ = pair(0.0)
+    fr = frames.frame_massless(pick(kinds, p[0], p[1]))
+    psi = bw.synth_massless(fr.pi, pick(kinds, BIG, 1.0), 2)
+    (member,) = psi.comps
+    comp = member.comp.copy()
+    comp[:, 1, 0] *= pick(kinds, 1.0, 1.01)     # one entry 1 % off
+    return bw.helicity_residual_massless(
+        dataclasses.replace(psi, comps=(dataclasses.replace(member, comp=comp),)))
+
+
+def dirac_case(kinds):
+    fr = massive_frame(kinds)
+    f = pick(kinds, BIG, 1.0)
+    psi = dirac.dirac_solution(fr, f, f) * pick(kinds, np.ones(4), [1.01, 1, 1, 1])  # 1 % off
+    return dirac.dirac_residual(psi, fr.p, 1.0)
+
+
+def frame_case(kinds):
+    fr = massive_frame(kinds, scale=BIG)
+    spoiled = fr.pi_vec * pick(kinds, 1.0, 1.01)[:, None]
+    return max(frames.frame_residuals(dataclasses.replace(fr, pi_vec=spoiled)).values())
+
+
+# name -> residual of the samples kinds; the bad sample's residual must not
+# shrink beside a big one
+MIXED_RESIDUALS = {
+    "field_equation_residual_massive": field_equation_case,
+    "helicity_residual_massless": helicity_case,
+    "dirac_residual": dirac_case,
+    "frame_residuals": frame_case,
+}
+
+
+@pytest.mark.parametrize("name", MIXED_GUARDS)
+def test_guard_scale_is_per_sample(name):
+    call, error = MIXED_GUARDS[name]
+    with pytest.raises(error) as alone:
+        call(("bad",))
+    with pytest.raises(error) as mixed:
+        call(("big", "bad"))
+    assert str(alone.value).endswith(" at sample index [0]")
+    assert str(mixed.value) == str(alone.value)[:-len("[0]")] + "[1]"
+
+
+@pytest.mark.parametrize("name", MIXED_RESIDUALS)
+def test_residual_scale_is_per_sample(name):
+    residual = MIXED_RESIDUALS[name]
+    assert residual(("big",)) < 1e-12
+    alone = residual(("bad",))
+    assert alone > 1e-4
+    assert residual(("big", "bad")) >= alone * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("masses", [(1.0, 2.0), (2.0, 1.0)])
+def test_dirac_component_declares_the_first_sample_mass(masses):
+    # p = m (1.25, 0.75, 0, 0) lies on the shell of m exactly
+    p = np.array([[1.25 * m, 0.75 * m, 0.0, 0.0] for m in masses])
+    fr = frames.frame_massive(p, np.array([1.0, 0.3j]))
+    with pytest.raises(FrameMismatch, match=rf"m = {masses[0]} at sample index \[1\]$"):
+        dirac.dirac_component(fr, np.ones(2), np.ones(2))

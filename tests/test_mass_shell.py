@@ -17,7 +17,7 @@ from bwspinor.cli import main
 from bwspinor.errors import FrameMismatch
 from bwspinor.fileio import read_amplitude_file, write_amplitude_file
 from bwspinor.frames import frame_massive, frame_massless
-from bwspinor.pauli_lubanski import energy_projectors
+from bwspinor.pauli_lubanski import energy_projectors, pl_eigenvalues
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -87,14 +87,22 @@ class TestLargeMomenta:
     def test_massive_frame_at_1e200(self):
         p = np.array([1e200, 3e199, 0.0, 4e199])
         fr = frame_massive(p, np.array([0.6, 0.8j]))
-        assert_allclose(fr.mass, np.sqrt(0.75) * 1e200, rtol=1e-14)
-        recon = fr.mass / np.sqrt(2.0) * (fr.omega_vec + fr.pi_vec)
+        m = core.invariant_mass(fr.p)
+        assert_allclose(m, np.sqrt(0.75) * 1e200, rtol=1e-14)
+        recon = m / np.sqrt(2.0) * (fr.omega_vec + fr.pi_vec)
         assert_allclose(recon, p, rtol=0.0, atol=1e-14 * 1e200)
 
     def test_energy_projectors_at_1e200(self):
         proj = energy_projectors(np.array([1e200, 0.0, 0.0, 0.0]))
         assert_allclose(proj[+1] + proj[-1], np.eye(4), atol=1e-14)
         assert_allclose(proj[+1] @ proj[+1], proj[+1], atol=1e-14)
+
+    def test_pl_eigenvalues_scale_exactly(self):
+        # homogeneous of degree one in p, with no overflow at 1e200
+        p = core.random_future_momentum(1.0, 5, size=50)
+        t = core.random_timelike(6, size=50)
+        scale = 2.0 ** 660
+        assert np.array_equal(pl_eigenvalues(t, scale * p)[0], scale * pl_eigenvalues(t, p)[0])
 
     def test_invariant_mass_matches_sqrt(self):
         p = core.random_future_momentum(1.3, 3, size=500, scale=4.0)
