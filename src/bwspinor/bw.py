@@ -19,12 +19,15 @@ Hertz route are one slot action (`multispinor._slot_action`), each with its
 own matrix, and return (..., r+1, s+1) views of batch-last arrays;
 extraction reads one table of the powers of omega; the T contraction with a
 distinct direction per slot steps the recurrence of `sym_power_matrices`.
+The working arrays of the slot action and of that recursion are views into
+one reused per-thread buffer (`multispinor.workspace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 
 import numpy as np
 
@@ -32,8 +35,8 @@ from . import core
 from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
                      ValenceMismatch, reject)
 from .frames import SpinFrame, frame_for
-from .multispinor import (SymMultiSpinor, _binomials, _blocks, _shift_add,
-                          _slot_action, contract_same, power_row, same_slot_coeffs)
+from .multispinor import (SymMultiSpinor, _binomials, _blocks, _shift_add, _slot_action,
+                          _views, contract_same, power_row, same_slot_coeffs, workspace)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
@@ -42,9 +45,10 @@ from .pauli_lubanski import default_normalization, pl_momentum_rep
 MAX_N = 10
 
 # the kernels that hold per-sample working arrays take the samples in blocks
-# whose arrays hold at most this many bytes: the symmetric powers of the slot
-# action (518 samples at n = 10), the slot states of the distinct-direction
-# recursion (1012 at n = 4, 31 at n = 10).
+# whose arrays hold at most this many bytes, which also bounds the per-thread
+# workspace they share: the symmetric powers and products of the slot action
+# (426 samples at n = 10), the slot states and the scratch of the
+# distinct-direction recursion (814 at n = 4, 26 at n = 10).
 # Blocks that stay near the 2 MiB L2 cache of one core ran these kernels
 # 1.4 to 1.7 times faster at n = 10 than 32 MiB blocks did (2-vCPU Xeon).
 _STATE_BYTES = 4 * 2 ** 20
@@ -305,28 +309,83 @@ def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
     return total.reshape(batch)
 
 
-def _slot_states(tdy: np.ndarray, kmax: int) -> dict[int, np.ndarray]:
+def _layer(done: int, kmax: int, batch: tuple) -> dict[int, tuple]:
+    """Shapes of the states after `done` slots, by the count a of unprimed
+    slots: (a+1, a+1, u+1, u+1, *batch) with u = done - a <= kmax."""
+    return {a: (a + 1, a + 1, done - a + 1, done - a + 1) + batch
+            for a in range(max(0, done - kmax), done + 1)}
+
+
+def _slot_states(tdy: np.ndarray, kmax: int, buf: np.ndarray) -> dict[int, np.ndarray]:
     """Z[a][i, i', j', j] = sum over the splits of the slots into a unprimed
     (U) and u primed (P) of A_U[i, i'] B_P[j', j], batch-last.
 
     tdy is (n, 2, 2, *batch).  Slot l multiplies A_U or B_P by
     (t00 + t01 y + t10 x + t11 x y); splits with more than kmax primed slots
-    are dropped.
+    are dropped.  The states sit in the flat buffer buf where
+    `_state_layout` places them, followed by the scratch of each step; the
+    returned states are views into buf.
     """
-    batch = tdy.shape[3:]
-    states = {0: np.ones((1, 1, 1, 1) + batch, dtype=complex)}
+    n, batch = tdy.shape[0], tdy.shape[3:]
+    count = prod(batch)
+    offsets, span, _ = _state_layout(n, kmax)
+    scratch = buf[span * count:]
+
+    def placed(done):
+        return {a: _views(buf[offsets[done][a] * count:], shape)[0]
+                for a, shape in _layer(done, kmax, batch).items()}
+
+    states = placed(0)
+    states[0].fill(1.0)
     for done, m in enumerate(tdy, start=1):
-        nxt = {}
-        for a in range(max(0, done - kmax), done + 1):
-            u = done - a
-            z = np.zeros((a + 1, a + 1, u + 1, u + 1) + batch, dtype=complex)
+        nxt = placed(done)
+        for a in sorted(nxt, reverse=done % 2 == 1):     # the order the layout frees
+            z = nxt[a]
+            z.fill(0.0)
             if a in states:         # slot l primed
-                _shift_add(z, states[a], m, axis=2)
+                _shift_add(z, states[a], m, scratch, axis=2)
             if a - 1 in states:     # slot l unprimed
-                _shift_add(z, states.pop(a - 1), m, axis=0)
-            nxt[a] = z
+                _shift_add(z, states[a - 1], m, scratch, axis=0)
         states = nxt
     return states
+
+
+@lru_cache(maxsize=None)
+def _state_layout(n: int, kmax: int) -> tuple[list[dict[int, int]], int, int]:
+    """Where `_slot_states` keeps its states, in complex entries per sample:
+    (offsets, span, scratch), offsets[d][a] the start of the state after d
+    slots with a unprimed ones.
+
+    One span holds two layers at once, the old one being read and the new
+    one being written, each new state overwriting only old states already
+    read.  Layer 0 sits at the start.  A layer at the start is followed by
+    one written down from the end in descending a; one at the end by one
+    written up from the start in ascending a.  New state a reads old states
+    a and a - 1, so once it is written a descending pass is done with old
+    state a and an ascending pass with old state a - 1.  span is the least
+    length that keeps every state still to be read intact, and the scratch,
+    which holds one product of a step, the largest state read.
+    """
+    sizes = [{a: prod(shape) for a, shape in _layer(done, kmax, ()).items()}
+             for done in range(n + 1)]
+    span = 1
+    for done in range(1, n + 1):
+        old, new = sizes[done - 1], sizes[done]
+        if done % 2:        # old at the start: write down from the end
+            for a in new:
+                written = sum(v for b, v in new.items() if b >= a)
+                span = max(span, written + sum(v for b, v in old.items() if b <= a))
+        else:               # old at the end: write up from the start
+            for a in new:
+                written = sum(v for b, v in new.items() if b <= a)
+                span = max(span, written + sum(v for b, v in old.items() if b >= a - 1))
+    offsets = []
+    for done, layer in enumerate(sizes):
+        if done % 2:
+            offsets.append({a: span - sum(v for b, v in layer.items() if b >= a) for a in layer})
+        else:
+            offsets.append({a: sum(v for b, v in layer.items() if b < a) for a in layer})
+    return offsets, span, max(sizes[n - 1].values())
 
 
 def _samples_last(x: np.ndarray, lead: tuple, batch: tuple) -> np.ndarray:
@@ -355,21 +414,22 @@ def contract_T(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
 
 def _slot_recursion(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     """t_1...t_n T with a direction per slot: the splits summed slot by slot
-    (`_slot_states`) over blocks of samples whose states fit _STATE_BYTES;
-    member k reads the state with n - k unprimed slots."""
+    (`_slot_states`) over blocks of samples whose working regions fit
+    _STATE_BYTES; member k reads the state with n - k unprimed slots."""
     n, kmax = psi.n, len(psi.comps) - 1
     tdy = core.vector_to_dyad(ts, "up")
     batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
     tdy = _samples_last(tdy, (n,), batch)
     cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
-    # complex entries per sample of the states after the last slot
-    size = sum((a + 1) ** 2 * (n - a + 1) ** 2 for a in range(n - kmax, n + 1))
+    _, span, scratch = _state_layout(n, kmax)
     total = np.empty(tdy.shape[-1])
-    for part in _blocks(total.size, size, _STATE_BYTES):
-        states = _slot_states(tdy[..., part], kmax)
-        total[part] = np.real(sum(
-            np.einsum("ij...,IJ...,iIJj...->...", c[..., part], np.conj(c[..., part]),
-                      states.pop(n - k)) for k, c in enumerate(cs)))
+    parts = _blocks(total.size, span + scratch, _STATE_BYTES)
+    with workspace((span + scratch) * (parts[0].stop if parts else 0)) as buf:
+        for part in parts:
+            states = _slot_states(tdy[..., part], kmax, buf)
+            total[part] = np.real(sum(
+                np.einsum("ij...,IJ...,iIJj...->...", c[..., part], np.conj(c[..., part]),
+                          states[n - k]) for k, c in enumerate(cs)))
     return total.reshape(batch)
 
 

@@ -114,14 +114,15 @@ def stress_tensor(phi: np.ndarray, f_up: np.ndarray) -> dict[str, np.ndarray]:
     """Both stress-tensor routes plus the energy-density cross-check.
 
     Raises InconsistentPair where the routes differ by more than 1e-8 of the
-    sample's largest entry: phi and F then do not describe the same field.
+    sample's largest entry (at least 1): phi and F then do not describe the
+    same field.  `route_gap` is the largest of these per-sample relative gaps.
     """
     _check_antisymmetric(f_up)
     finite = np.all(np.isfinite(phi), axis=(-2, -1))
     t_spin = stress_tensor_spinor(np.where(finite[..., None, None], phi, 0.0))
     t_field = stress_tensor_field(f_up)
-    gap = core.max_abs(t_spin - t_field, 2)
-    reject(~(finite & (gap <= 1e-8 * core.max_abs(t_spin, 2, floor=1.0))), InconsistentPair,
+    gap = core.max_abs(t_spin - t_field, 2) / core.max_abs(t_spin, 2, floor=1.0)
+    reject(~(finite & (gap <= 1e-8)), InconsistentPair,
            "phi must be finite, and the spinor and field-strength routes agree")
     e = electric_field(f_up)
     b = magnetic_field(f_up)

@@ -14,13 +14,25 @@ product per summed index over contiguous samples, where a batched `@` on
 matrices this small would dispatch one gemm per sample.  `_slot_action`, the
 one kernel that moves members by a matrix on every slot, takes the samples
 in blocks.
+
+Working arrays live in one complex buffer per thread, `workspace`, which
+grows to the largest request and is then reused: each block's table
+S_0..S_n and the product buffers of `_slot_action` (and the slot states of
+`bw`'s distinct-direction recursion) are views into it, and the products
+write through `out=` with one scratch term, so a warm call allocates no
+working array and touches no fresh pages.  A member x that `_slot_action`
+yields is such a view, valid until the generator takes its next step; a
+second slot action started in the same thread while one is suspended works
+in a private buffer.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -121,7 +133,8 @@ def contract_same(t: SymMultiSpinor, powers: np.ndarray) -> np.ndarray:
     return np.einsum('...i,...i->...', wx, np.einsum('...ij,...j->...i', t.comp, wy))
 
 
-def sym_power_matrices(m: np.ndarray, n: int) -> list[np.ndarray]:
+def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
+                       scratch: np.ndarray | None = None) -> list[np.ndarray]:
     """Images S_0..S_n of a batch of 2x2 matrices on the symmetric powers,
     batch-last: m is (..., 2, 2) and S_r is (r+1, r+1, ...).
 
@@ -132,19 +145,27 @@ def sym_power_matrices(m: np.ndarray, n: int) -> list[np.ndarray]:
     graded components c to D_r^{-1} S_r c, and S_r(m m') =
     S_r(m) D_r^{-1} S_r(m').  Built by the four-term recurrence
     S_r = m00 S_{r-1} + m01 shift_y + m10 shift_x + m11 shift_xy.
+
+    The S_r are contiguous views into one table (power_size(n), ...), `out`
+    when given; `scratch`, a flat complex buffer of at least n^2 entries per
+    sample, holds each product of the recurrence.  Both are allocated when
+    not given.
     """
     m = np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
     batch = m.shape[2:]
-    # one allocation for all n + 1 matrices, each a contiguous view into it
-    flat = np.zeros((power_size(n),) + batch, dtype=complex)
-    flat[0] = 1.0
-    out = [flat[:1].reshape((1, 1) + batch)]
+    if out is None:
+        out = np.empty((power_size(n),) + batch, dtype=complex)
+    if scratch is None:
+        scratch = np.empty(n * n * prod(batch), dtype=complex)
+    out.fill(0.0)
+    out[0] = 1.0
+    powers = [out[:1].reshape((1, 1) + batch)]
     for r in range(1, n + 1):
         start = power_size(r - 1)
-        s = flat[start:start + (r + 1) ** 2].reshape((r + 1, r + 1) + batch)
-        _shift_add(s, out[-1], m)
-        out.append(s)
-    return out
+        s = out[start:start + (r + 1) ** 2].reshape((r + 1, r + 1) + batch)
+        _shift_add(s, powers[-1], m, scratch)
+        powers.append(s)
+    return powers
 
 
 def power_size(n: int) -> int:
@@ -153,36 +174,87 @@ def power_size(n: int) -> int:
 
 
 def _shift_add(out: np.ndarray, prev: np.ndarray, m: np.ndarray,
-               axis: int = 0) -> None:
+               scratch: np.ndarray, axis: int = 0) -> None:
     """out += (m00 + m01 y + m10 x + m11 x y) prev, one step of the recurrence.
 
     The powers of x and y index axes `axis` and `axis + 1`, which are one
     longer in out than in prev; m is (2, 2, *batch) and both arrays end in
-    the batch axes.
+    the batch axes.  Each product m_ab prev is formed in the flat buffer
+    `scratch` before it is added.
     """
     lead = (slice(None),) * axis
-    lo, hi = slice(None, -1), slice(1, None)
-    out[lead + (lo, lo)] += m[0, 0] * prev
-    out[lead + (lo, hi)] += m[0, 1] * prev
-    out[lead + (hi, lo)] += m[1, 0] * prev
-    out[lead + (hi, hi)] += m[1, 1] * prev
+    shift = (slice(None, -1), slice(1, None))
+    term = _views(scratch, prev.shape)[0]
+    for a in (0, 1):
+        for b in (0, 1):
+            np.multiply(m[a, b], prev, out=term)
+            out[lead + (shift[a], shift[b])] += term
 
 
-def matmul_last(a_cols, b) -> np.ndarray:
+def matmul_last(a_cols, b, out: np.ndarray, term: np.ndarray) -> np.ndarray:
     """The product a b of batch-last matrices, given a by its columns
     a_cols[j], each (i, ...), and b by its rows b[j], each (k, ...), as
-    sequences or stacks.  The batch axes broadcast from the right."""
-    out = a_cols[0][:, None] * b[0]
+    sequences or stacks, written to out (i, k, ...); each term is formed in
+    `term`, of the shape of out, before it is added.  The batch axes
+    broadcast from the right."""
+    np.multiply(a_cols[0][:, None], b[0], out=out)
     for j in range(1, len(a_cols)):
-        out += a_cols[j][:, None] * b[j]
+        np.multiply(a_cols[j][:, None], b[j], out=term)
+        out += term
     return out
+
+
+def _views(buf: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Consecutive C-ordered arrays of the given shapes at the start of the
+    flat buffer buf."""
+    views, start = [], 0
+    for shape in shapes:
+        views.append(buf[start:start + prod(shape)].reshape(shape))
+        start += prod(shape)
+    return views
+
+
+class _Workspace:
+    """One thread's working buffer, and whether a caller holds it."""
+
+    def __init__(self):
+        self.buf = np.empty(0, dtype=complex)
+        self.busy = False
+
+
+_threads = threading.local()
+
+
+@contextmanager
+def workspace(size: int):
+    """A flat complex buffer of `size` entries, of undefined content, held
+    for the duration of the block.
+
+    It is this thread's workspace, grown to the largest request seen and then
+    kept, so a warm kernel call touches no fresh pages.  A request made while
+    the workspace is held (a second `_slot_action` started while one is
+    suspended) gets a private buffer.
+    """
+    ws = getattr(_threads, "ws", None)
+    if ws is None:
+        ws = _threads.ws = _Workspace()
+    if ws.busy:
+        yield np.empty(size, dtype=complex)
+        return
+    if ws.buf.size < size:
+        ws.buf = np.empty(size, dtype=complex)
+    ws.busy = True
+    try:
+        yield ws.buf[:size]
+    finally:
+        ws.busy = False
 
 
 def _blocks(count: int, size: int, budget: int) -> list[slice]:
     """Consecutive slices of range(count), each of as many samples as hold
     `size` complex entries apiece within `budget` bytes (at least one)."""
     block = max(1, budget // (16 * size))
-    return [slice(start, start + block) for start in range(0, count, block)]
+    return [slice(start, min(start + block, count)) for start in range(0, count, block)]
 
 
 def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
@@ -191,14 +263,31 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
 
     a is (S, 2, 2); conj_columns(part) gives, for each member c at the samples
     `part`, the columns of conj(c), each (r+1, samples), with r + s <= n.  One
-    `sym_power_matrices` per block of samples within `budget` bytes serves
-    every member.  Yields (part, index of the member, x).
+    `sym_power_matrices` per block of samples serves every member; a block's
+    powers and products fit `budget` bytes.  Yields (part, index of the
+    member, x).
+
+    The symmetric powers and the two products of each member live in this
+    thread's `workspace`, so a warm call allocates no working array.  The
+    yielded x is a view into it and holds its values only until the
+    generator is advanced: a caller consumes x before the next step.  A slot
+    action started in the same thread while this one is suspended works in
+    a private buffer.
     """
-    for part in _blocks(a.shape[0], power_size(n), budget):
-        # rows of S(a^T) = S(a)^T, contiguous: the columns of S_r(a), rows of S_s(a)^T
-        powers = sym_power_matrices(np.swapaxes(a[part], -1, -2), n)
-        for i, cols in enumerate(conj_columns(part)):
-            r, s = len(cols[0]) - 1, len(cols) - 1
-            t = matmul_last(cols, powers[s])
-            np.conj(t, out=t)
-            yield part, i, matmul_last(powers[r], t)
+    size = power_size(n)
+    # the two products and a term of the largest member, or a term of the powers
+    products = max(3 * max((r + 1) * (n - r + 1) for r in range(n + 1)), n * n)
+    parts = _blocks(a.shape[0], size + products, budget)
+    most = parts[0].stop if parts else 0
+    with workspace((size + products) * most) as buf:
+        for part in parts:
+            count = part.stop - part.start
+            table, rest = _views(buf, (size, count), (products * count,))
+            # rows of S(a^T) = S(a)^T, contiguous: the columns of S_r(a), rows of S_s(a)^T
+            powers = sym_power_matrices(np.swapaxes(a[part], -1, -2), n, table, rest)
+            for i, cols in enumerate(conj_columns(part)):
+                r, s = len(cols[0]) - 1, len(cols) - 1
+                t, x, term = _views(rest, *3 * [(r + 1, s + 1, count)])
+                matmul_last(cols, powers[s], t, term)
+                np.conj(t, out=t)
+                yield part, i, matmul_last(powers[r], t, x, term)

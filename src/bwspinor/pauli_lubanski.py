@@ -215,25 +215,23 @@ def chi_basis(frame: SpinFrame) -> dict[tuple[int, int], np.ndarray]:
 
 
 def pl_eigen_relations_residual(frame: SpinFrame) -> float:
-    """Max residual of the four spin-frame eigenrelations of S(omega_vec, p).
+    """Largest per-sample relative residual of the four spin-frame
+    eigenrelations of S(omega_vec, p).
 
     With t.p = omega.p, the relations are S omega = +(t.p/2) omega and
     S pi = -(t.p/2) pi on the unprimed block, with flipped signs on the primed
-    block; the massless frame obeys the same pattern with t.p = 1.
+    block; the massless frame obeys the same pattern with t.p = 1.  Each
+    relation S v = c v is divided by the sample's (|S| + |t.p|/2) |v|, |.| the
+    largest entry, which bounds either side.
     """
     su, sp = pl_project(frame.omega_vec, frame.p)
-    tp = core.minkowski(frame.omega_vec, frame.p)[..., None]
+    tp = core.minkowski(frame.omega_vec, frame.p)
     oml = core.lower_spinor(frame.omega)
     pil = core.lower_spinor(frame.pi)
-    conj = np.conj
-
-    def act(s, v):
-        return (s @ v[..., None])[..., 0]
-
-    res = [
-        act(su, oml) - 0.5 * tp * oml,
-        act(su, pil) + 0.5 * tp * pil,
-        act(sp, conj(oml)) + 0.5 * tp * conj(oml),
-        act(sp, conj(pil)) - 0.5 * tp * conj(pil),
-    ]
-    return float(max(np.max(np.abs(r)) for r in res))
+    worst = 0.0
+    for s, v, c in ((su, oml, 0.5), (su, pil, -0.5),
+                    (sp, np.conj(oml), -0.5), (sp, np.conj(pil), 0.5)):
+        res = (s @ v[..., None])[..., 0] - c * tp[..., None] * v
+        scale = (core.max_abs(s, 2) + 0.5 * np.abs(tp)) * core.max_abs(v)
+        worst = np.maximum(worst, core.max_abs(res) / np.maximum(scale, np.finfo(float).tiny))
+    return float(np.max(worst))

@@ -326,7 +326,8 @@ def suite_maxwell(trials: int = 1000, seed: int = 4) -> dict[str, float]:
     out["em_spinor_roundtrip"] = _max(maxwell.em_spinor(f_real) - phi)
     report = maxwell.stress_tensor(phi, f_real)
     out["stress_routes"] = report["route_gap"]
-    out["t00_energy_density"] = _max(report["spinor"][..., 0, 0] - report["t00_eb"])
+    out["t00_energy_density"] = _max((report["spinor"][..., 0, 0] - report["t00_eb"])
+                                     / core.max_abs(report["spinor"], 2, floor=1.0))
 
     p = core.random_future_momentum(0.0, rng, size=size)
     pot = rng.normal(size=(size, 4)) + 1j * rng.normal(size=(size, 4))

@@ -126,6 +126,19 @@ class TestStressTensor:
         assert np.max(np.abs(report["spinor"][..., 0, 0]
                              - report["t00_eb"])) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_routes_agree_per_sample_at_large_amplitude(self, scale):
+        # the batch's absolute gap read 9.5e-7 at 1e4 and 96 at 1e8 on
+        # consistent pairs; each sample's gap relative to its own largest
+        # entry stays at rounding, for the routes and for T_00
+        rng = np.random.default_rng(17)
+        phi = scale * random_phi(rng, size=100)
+        report = stress_tensor(phi, field_strength_from_phi(phi))
+        assert report["route_gap"] < 1e-12
+        t00_gap = ((report["spinor"][..., 0, 0] - report["t00_eb"])
+                   / core.max_abs(report["spinor"], 2, floor=1.0))
+        assert np.max(np.abs(t00_gap)) < 1e-12
+
     def test_potential_pairs_through_realform(self):
         rng = np.random.default_rng(8)
         p = core.random_future_momentum(0.0, rng, size=100)

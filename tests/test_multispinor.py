@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from bwspinor import core
 from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
+from bwspinor import multispinor
 from bwspinor.multispinor import (SymMultiSpinor, _binomials, _slot_action,
                                   contract_full, contract_same, power_row,
                                   same_slot_coeffs, sym_outer)
@@ -144,3 +145,53 @@ class TestSlotMatrices:
                 want = np.broadcast_to(want, (count, r + 1, s + 1))
                 assert_allclose(np.moveaxis(g, -1, 0), want,
                                 atol=1e-12 * np.max(np.abs(want)), rtol=0)
+
+
+def _action(seed, n, count=9, budget=16 * 55 * 4):
+    """A slot action at doubled spin n on random members, four samples a
+    block at n = 4."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+    members = [rng.normal(size=(n - k + 1, k + 1, count))
+               + 1j * rng.normal(size=(n - k + 1, k + 1, count)) for k in range(n + 1)]
+    return _slot_action(a, lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
+                                         for m in members], n, budget)
+
+
+def _copies(action):
+    return [(part, i, x.copy()) for part, i, x in action]
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for (part, i, x), (part_w, i_w, x_w) in zip(got, want):
+        assert (part, i) == (part_w, i_w)
+        assert np.array_equal(x, x_w)
+
+
+class TestWorkspace:
+    """The slot action works in one per-thread buffer; a yielded x holds its
+    values until the generator is advanced."""
+
+    def test_interleaved_actions_match_sequential(self):
+        want = [_copies(_action(seed, 4)) for seed in (1, 2)]
+        first, second = _action(1, 4), _action(2, 4)
+        got = ([], [])
+        for x1, x2 in zip(first, second):
+            # x1 is read after the second action has stepped
+            got[0].append((x1[0], x1[1], x1[2].copy()))
+            got[1].append((x2[0], x2[1], x2[2].copy()))
+        assert next(first, None) is None and next(second, None) is None
+        _assert_same(got[0], want[0])
+        _assert_same(got[1], want[1])
+
+    @pytest.mark.parametrize("n_abandoned", [2, 4, 6])
+    def test_abandoned_action_leaves_next_call_correct(self, n_abandoned):
+        want = _copies(_action(1, 4))
+        abandoned = _action(3, n_abandoned)
+        next(abandoned)
+        next(abandoned)
+        _assert_same(_copies(_action(1, 4)), want)      # while it is suspended
+        del abandoned
+        assert not multispinor._threads.ws.busy
+        _assert_same(_copies(_action(1, 4)), want)

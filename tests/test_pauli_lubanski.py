@@ -293,6 +293,18 @@ class TestEigenRelations:
         fr = frame_massive(np.array([1.0, 0, 0, 0]), np.array([1.0, 0.0]))
         assert pl_eigen_relations_residual(fr) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+    def test_residual_is_relative_per_sample(self, scale):
+        # valid frames on momenta scaled by 1e4 and 1e8 read 6.4e-12 and
+        # 1.0e-7 as an absolute residual; relative to each sample's sizes the
+        # relations hold to rounding at every scale, massive and massless
+        rng = np.random.default_rng(21)
+        p = scale * core.random_future_momentum(1.0, rng, size=100)
+        assert pl_eigen_relations_residual(
+            frame_massive(p, core.random_spinor(rng, size=100))) < 1e-13
+        p0 = scale * core.random_future_momentum(0.0, rng, size=100)
+        assert pl_eigen_relations_residual(frame_massless(p0)) < 1e-13
+
     def test_eigenvalue_readout(self):
         # S(omega, p) omega_low = +(1/2)(m/sqrt2) omega_low at m = 1
         fr = frame_massive(np.array([1.0, 0, 0, 0]), np.array([1.0, 0.0]))

@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -94,17 +95,25 @@ class TestNorms:
         assert order >= 1.9
 
     def test_thread_count_bit_identical(self):
-        # evaluate_norm keeps no state between calls, so the same norm run
-        # on 1, 2 or 8 threads at once reads the same bits as a lone call
+        # every thread works in its own workspace, so the same norm run on
+        # 1, 2 or 8 threads at once, switching often, reads the same bits as
+        # a lone call, through the slot action and the slot recursion alike
         packet = GaussianPacket(n=2, mass=1.0, sign=+1, coeffs=(1.0, 1.0, 1.0),
                                 sigma=0.8)
         grid = build_grid(1.0, 3.0, 20)   # 8000 samples spans chunk boundaries
-        serial = evaluate_norm(packet, grid, NullOmega())
-        for workers in (1, 2, 8):
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda _: evaluate_norm(packet, grid, NullOmega()),
-                                        range(workers)))
-            assert all(value == serial for value in results)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for spec in (NullOmega(), RandomTimelike(3)):
+                serial = evaluate_norm(packet, grid, spec)
+                for workers in (1, 2, 8):
+                    with ThreadPoolExecutor(max_workers=workers) as pool:
+                        results = list(pool.map(lambda _: evaluate_norm(packet, grid, spec),
+                                                range(workers), timeout=60))
+                    assert len(results) == workers
+                    assert all(value == serial for value in results)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestChunks:
