@@ -14,13 +14,23 @@ independent of the chosen directions t_k.
 
 Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
 of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
-dense entries.  Synthesis, the equal-slot pairing, the Lorentz action and the
-Hertz route are one slot action (`multispinor._slot_action`), each with its
-own matrix, and return (..., r+1, s+1) views of batch-last arrays;
-extraction reads one table of the powers of omega; the T contraction with a
-distinct direction per slot steps the recurrence of `sym_power_matrices`.
-The working arrays of the slot action and of that recursion are views into
-one reused per-thread buffer (`multispinor.workspace`).
+dense entries.  Synthesis, the general equal-slot pairing, the Lorentz
+action and the Hertz route are one slot action (`multispinor._slot_action`),
+each with its own matrix, and return (..., r+1, s+1) views of batch-last
+arrays; extraction reads one table of the powers of omega; the T
+contraction with a distinct direction per slot steps the recurrence of
+`sym_power_matrices`.  The working arrays of the slot action and of that
+recursion are views into one reused per-thread buffer
+(`multispinor.workspace`).
+
+The T contraction takes one of four routes, picked from the directions at
+every sample: a direction per slot takes the slot recursion; one vector on
+every slot takes the closed form its dyad t^{AA'} allows.  A diagonal dyad
+(t in the t-z plane, as the standard time direction) weighs |c|^2 by powers
+of its two entries.  A dyad of rank one to rounding, J tau taubar (a null
+t, as the flagpole of omega), pairs each member by one contraction with the
+powers of tau, like extraction: "formulas are simpler if one chooses null
+directions".  Any other dyad takes the slot action as a sum of squares.
 """
 
 from __future__ import annotations
@@ -196,7 +206,7 @@ def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
     """Members of valences (r, s) moved by a on every slot, as public views."""
     a = np.broadcast_to(a, batch + (2, 2)).reshape(-1, 2, 2)
     out = [np.empty((r + 1, s + 1, a.shape[0]), dtype=complex) for r, s in valences]
-    for part, i, x in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
+    for part, i, x, _ in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
         r, s = valences[i]
         inv = 1.0 / np.multiply.outer(_binomials(r), _binomials(s))
         np.multiply(x, inv[..., None], out=out[i][..., part])
@@ -260,12 +270,20 @@ def field_equation_residual_massive(psi: BWComponent) -> float:
 # ---------------------------------------------------------------------------
 # the quadratic tensor and norm integrands
 
+def _eigenvalues(dyad: np.ndarray) -> np.ndarray:
+    """The eigenvalues mean + radius and mean - radius, (..., 2), of a batch
+    of Hermitian 2x2s."""
+    a, d, b = np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]), dyad[..., 0, 1]
+    mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
+    return np.stack([mean + radius, mean - radius], axis=-1)
+
+
 def _hermitian_factor(dyad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B and signs J with dyad = B diag(J) B^H for a batch of Hermitian 2x2s.
 
     A closed-form Jacobi rotation: with dyad_01 = |b| e^{i phi},
     U = diag(1, e^{-i phi}) R(theta), tan 2 theta = 2|b| / (dyad_00 - dyad_11),
-    diagonalizes the dyad to eigenvalues mean +- radius; B = U |Lambda|^{1/2}.
+    diagonalizes the dyad to the `_eigenvalues` Lambda; B = U |Lambda|^{1/2}.
     """
     a, d, b = np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]), dyad[..., 0, 1]
     theta = 0.5 * np.arctan2(2.0 * np.abs(b), a - d)
@@ -273,9 +291,63 @@ def _hermitian_factor(dyad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     phase = np.exp(-1j * np.angle(b))
     u = np.stack([np.stack([c, -s], axis=-1),
                   np.stack([phase * s, phase * c], axis=-1)], axis=-2)
-    mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
-    lam = np.stack([mean + radius, mean - radius], axis=-1)
+    lam = _eigenvalues(dyad)
     return u * np.sqrt(np.abs(lam))[..., None, :], np.where(lam < 0, -1.0, 1.0)
+
+
+def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
+    """t...t T with the same vector t (..., 4) on every slot, by the route
+    its dyad allows at every sample.
+
+    A diagonal dyad takes `_diagonal_pairing`.  A dyad of rank one to
+    rounding, whose smaller |eigenvalue| is at most 8 eps times the larger,
+    takes `_rank_one_pairing` with the dominant column of its factor; the
+    dropped direction moves the value by about 8 n eps relative.  Any other
+    takes `_square_pairing`.
+    """
+    dyad = core.vector_to_dyad(t, "up")
+    if np.all(dyad[..., 0, 1] == 0):
+        return _diagonal_pairing(psi, np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]))
+    lam = np.abs(_eigenvalues(dyad))
+    if np.all(lam.min(axis=-1) <= 8 * np.finfo(float).eps * lam.max(axis=-1)):
+        factor, sign = _hermitian_factor(dyad)
+        second = lam[..., 1] > lam[..., 0]      # the second column dominates
+        return _rank_one_pairing(psi, np.where(second[..., None], factor[..., 1], factor[..., 0]),
+                                 np.where(second, sign[..., 1], sign[..., 0]))
+    return _square_pairing(psi, dyad)
+
+
+def _diagonal_pairing(psi: BWComponent, d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """The pairing through the dyad diag(d0, d1) on every slot:
+    sum_k C(n,k) sum_ab C(r,a) C(s,b) d0^(n-a-b) d1^(a+b) |c_ab|^2.
+
+    K = S(dyad) is diagonal, so each entry pairs with its own conjugate; the
+    signed d0, d1 of a past-pointing or spacelike t enter as they are.
+    """
+    n = psi.n
+    # g[..., m] = d0^(n-m) d1^m, real: the imaginary parts of the table are 0
+    g = np.real(power_row(same_slot_coeffs(np.stack([d0, d1], axis=-1), n), n))
+    total = 0.0
+    for k, c in enumerate(psi.comps):
+        r = n - k
+        weights = np.multiply.outer(_binomials(r), _binomials(k))
+        degree = np.add.outer(np.arange(r + 1), np.arange(k + 1))
+        total = total + comb(n, k) * np.sum(
+            weights * g[..., degree] * (c.comp.real ** 2 + c.comp.imag ** 2), axis=(-2, -1))
+    return total
+
+
+def _rank_one_pairing(psi: BWComponent, tau: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The pairing through the dyad J tau taubar on every slot:
+    J^n sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2, one contraction
+    per member from one table of the powers of tau."""
+    n = psi.n
+    powers = same_slot_coeffs(tau, n)
+    total = 0.0
+    for k, c in enumerate(psi.comps):
+        z = contract_same(c, powers)
+        total = total + comb(n, k) * (z.real ** 2 + z.imag ** 2)
+    return sign ** n * total
 
 
 def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
@@ -288,7 +360,9 @@ def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
     action x of a = B^T; a = B^H on conj(c) gives conj(x), so c enters as it
     is.  For a causal future-pointing direction every weight is positive, so
     nothing cancels outside the squares; multiplying out K_r conj(c) K_k
-    instead loses digits as n grows.
+    instead loses digits as n grows.  The squares and the weighted sums are
+    written into the spare floats the slot action yields beside x, in this
+    thread's workspace, so a warm call allocates no per-member array.
     """
     n = psi.n
     factor, sign = _hermitian_factor(dyad)
@@ -301,11 +375,13 @@ def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
           for r in range(n + 1)]
     cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
     total = np.zeros(factor.shape[0])
-    for part, k, x in _slot_action(factor, lambda part: [np.swapaxes(c[..., part], 0, 1)
-                                                         for c in cs], n, _STATE_BYTES):
-        r = n - k
-        sq = np.sum(ws[k][:, part] * (x.real ** 2 + x.imag ** 2), axis=1)
-        total[part] += comb(n, k) * np.sum(ws[r][:, part] * sq, axis=0)
+    for part, k, x, spare in _slot_action(factor, lambda part: [np.swapaxes(c[..., part], 0, 1)
+                                                                for c in cs], n, _STATE_BYTES):
+        sq, weighted, row, share = _views(spare, x.shape, x.shape, x.shape[::2], x.shape[2:])
+        np.add(np.square(x.real, out=sq), np.square(x.imag, out=weighted), out=sq)
+        np.sum(np.multiply(ws[k][:, part], sq, out=weighted), axis=1, out=row)
+        np.sum(np.multiply(ws[n - k][:, part], row, out=row), axis=0, out=share)
+        total[part] += np.multiply(comb(n, k), share, out=share)
     return total.reshape(batch)
 
 
@@ -403,12 +479,19 @@ def contract_T(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     + t11 x y) and B_P the same over P with j' on x.  When every slot carries
     the same vector at every sample, the pattern sum reduces to binomial
     multiplicities of the canonical members: sum_k C(n,k) sum_ij c_k (K_r
-    conj(c_k) K_k)_ij with K = S(t^{AA'}) from `sym_power_matrices`,
-    evaluated as a sum of squares by `_square_pairing`.  Otherwise
-    `_slot_recursion` sums the splits slot by slot.
+    conj(c_k) K_k)_ij with K = S(t^{AA'}) from `sym_power_matrices`, and
+    `_equal_pairing` picks its route from the dyad t^{AA'}, checked at every
+    sample:
+    - off-diagonal exactly 0 (the standard time direction, any t in the
+      t-z plane): `_diagonal_pairing`, a weighted sum of |c|^2;
+    - rank one to rounding, t^{AA'} = J tau^A taubar^{A'} (a null t; the
+      paper: "formulas are simpler if one chooses null directions"):
+      `_rank_one_pairing`, J^n sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2;
+    - any other: `_square_pairing`, the slot action as a sum of squares.
+    Otherwise `_slot_recursion` sums the splits slot by slot.
     """
     if np.all(ts == ts[0]):
-        return _square_pairing(psi, core.vector_to_dyad(ts[0], "up"))
+        return _equal_pairing(psi, ts[0])
     return _slot_recursion(psi, ts)
 
 

@@ -21,7 +21,8 @@ S_0..S_n and the product buffers of `_slot_action` (and the slot states of
 `bw`'s distinct-direction recursion) are views into it, and the products
 write through `out=` with one scratch term, so a warm call allocates no
 working array and touches no fresh pages.  A member x that `_slot_action`
-yields is such a view, valid until the generator takes its next step; a
+yields is such a view, valid until the generator takes its next step, and
+so are the spare floats it yields beside x for the caller's own sums; a
 second slot action started in the same thread while one is suspended works
 in a private buffer.
 """
@@ -265,14 +266,15 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
     `part`, the columns of conj(c), each (r+1, samples), with r + s <= n.  One
     `sym_power_matrices` per block of samples serves every member; a block's
     powers and products fit `budget` bytes.  Yields (part, index of the
-    member, x).
+    member, x, spare), spare a flat float array of 4 x.size entries that the
+    caller may overwrite.
 
     The symmetric powers and the two products of each member live in this
     thread's `workspace`, so a warm call allocates no working array.  The
-    yielded x is a view into it and holds its values only until the
-    generator is advanced: a caller consumes x before the next step.  A slot
-    action started in the same thread while this one is suspended works in
-    a private buffer.
+    yielded x and spare are views into it and hold their values only until
+    the generator is advanced: a caller consumes x before the next step.  A
+    slot action started in the same thread while this one is suspended
+    works in a private buffer.
     """
     size = power_size(n)
     # the two products and a term of the largest member, or a term of the powers
@@ -287,7 +289,9 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
             powers = sym_power_matrices(np.swapaxes(a[part], -1, -2), n, table, rest)
             for i, cols in enumerate(conj_columns(part)):
                 r, s = len(cols[0]) - 1, len(cols) - 1
-                t, x, term = _views(rest, *3 * [(r + 1, s + 1, count)])
+                x, t, term = _views(rest, *3 * [(r + 1, s + 1, count)])
                 matmul_last(cols, powers[s], t, term)
                 np.conj(t, out=t)
-                yield part, i, matmul_last(powers[r], t, x, term)
+                # t and term, read no more, are the caller's spare floats
+                spare = rest[x.size:3 * x.size].view(float)
+                yield part, i, matmul_last(powers[r], t, x, term), spare

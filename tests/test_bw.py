@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -297,6 +299,89 @@ class TestDirectionResolver:
         fr, amps, psi = random_massive(rng, n, size=20)
         want = norm_integrand(psi, NullOmega(), frame_for(psi.p, psi.mass))
         assert np.array_equal(norm_integrand(psi, NullOmega()), want)
+
+
+@pytest.fixture
+def no_slot_action(monkeypatch):
+    def fail(psi, dyad):
+        raise AssertionError("took the slot action")
+    monkeypatch.setattr(bw, "_square_pairing", fail)
+
+
+def random_members(rng, n, mass):
+    """A component whose members are random, not synthesized from amplitudes."""
+    p = core.random_future_momentum(mass, rng)
+    shapes = [(n - k + 1, k + 1) for k in range(n + 1 if mass > 0 else 1)]
+    comps = tuple(SymMultiSpinor(r - 1, s - 1, rng.normal(size=(r, s))
+                                 + 1j * rng.normal(size=(r, s))) for r, s in shapes)
+    return BWComponent(n=n, mass=mass, sign=+1, p=p, comps=comps)
+
+
+# one vector on every slot whose dyad is diagonal or of rank one to rounding;
+# p below is future-pointing timelike, so each has t.p != 0
+CLOSED_FORM = {"diagonal-null": (1.0, 0.0, 0.0, 1.0),
+               "rank-one": (1.0, 0.6, 0.0, 0.8),
+               "past-null": (-1.0, 0.6, 0.0, 0.8),
+               "spacelike-diagonal": (0.3, 0.0, 0.0, 1.0)}
+
+
+def cancellation(spec, p, n):
+    """(t'.p / |t.p|)^n for a FixedList t in the t-z plane, t' the vector
+    whose dyad holds the moduli of the entries of the dyad of t: the factor
+    by which the moduli of the terms of an indefinite pairing exceed its
+    value.  1 for every other spec, whose dyad is semi-definite."""
+    if not isinstance(spec, FixedList) or np.any(np.asarray(spec.vectors[0])[1:3]):
+        return 1.0
+    t0, t3 = spec.vectors[0][0], spec.vectors[0][3]
+    plus, minus = abs(t0 + t3), abs(t0 - t3)
+    t_abs = np.array([0.5 * (plus + minus), 0.0, 0.0, 0.5 * (plus - minus)])
+    return (core.minkowski(t_abs, p) / np.abs(core.minkowski(np.asarray(spec.vectors[0]), p))) ** n
+
+
+class TestPairingRoutes:
+    """Equal directions whose dyad is diagonal or of rank one pair in closed
+    form, without the slot action; every other equal direction takes it."""
+
+    @pytest.mark.parametrize("spec, mass", [
+        (StandardTime(), 1.0), (NullOmega(), 1.0), (NullOmega(), 0.0),
+        *[(FixedList((t,)), 1.0) for t in CLOSED_FORM.values()]],
+        ids=["standard", "null-omega", "null-omega-massless", *CLOSED_FORM])
+    def test_closed_forms_skip_the_slot_action(self, no_slot_action, spec, mass):
+        rng = np.random.default_rng(140)
+        if mass > 0:
+            fr, amps, psi = random_massive(rng, 3, size=20)
+            want = sum(comb(3, k) * np.abs(amps.f[..., k]) ** 2 for k in range(4))
+        else:
+            p = core.random_future_momentum(0.0, rng, size=20)
+            fr = frame_massless(p)
+            f = rng.normal(size=20) + 1j * rng.normal(size=20)
+            psi = synth_massless(fr.pi, f, 3)
+            want = np.abs(f) ** 2
+        got = norm_integrand(psi, spec, fr)
+        assert np.max(np.abs(got - want) / (want * cancellation(spec, psi.p, 3))) < 1e-12
+
+    # near-null is on the light cone by core.null_shell, but its dyad is
+    # about 1.8e4 eps from rank one
+    @pytest.mark.parametrize("form, t", [
+        ("p", None), ("t", (1.2, 0.3, -0.1, 0.2)), ("t", (1.0, 0.6, 0.0, 0.8 + 1e-11))],
+        ids=["form-p", "timelike", "near-null"])
+    def test_general_dyads_take_the_slot_action(self, no_slot_action, form, t):
+        fr, amps, psi = random_massive(np.random.default_rng(141), 3, size=20)
+        spec = None if t is None else FixedList((t,))
+        with pytest.raises(AssertionError, match="slot action"):
+            norm_integrand(psi, spec, fr, form=form)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
+    @pytest.mark.parametrize("t", [(1.0, 0.0, 0.0, 0.0), *CLOSED_FORM.values()],
+                             ids=["standard", *CLOSED_FORM])
+    def test_closed_forms_match_bruteforce(self, no_slot_action, n, mass, t):
+        rng = np.random.default_rng(150 + n)
+        psi = random_members(rng, n, mass)
+        t = np.array(t)
+        got = float(contract_T(psi, np.broadcast_to(t, (n, 4))))
+        want = contract_T_bruteforce(psi, [t] * n)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestNormIntegrand:

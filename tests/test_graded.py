@@ -159,6 +159,26 @@ def test_direction_free_forms_are_amplitude_sum(n):
 
 
 @pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("spec", [StandardTime(), NullOmega()], ids=["diagonal", "rank-one"])
+def test_closed_form_pairings_keep_the_slot_action_digits(n, sign, spec):
+    # each closed-form route against the amplitude sum, held to twice the
+    # error of the slot action on the same samples, or 64 eps
+    grid = build_grid(1.0, 3.0, 8)
+    rng = np.random.default_rng(900 + n)
+    count = grid.p.shape[0]
+    fr = frame_massive(grid.p, core.random_spinor(rng, size=count))
+    f = rng.normal(size=(count, n + 1)) + 1j * rng.normal(size=(count, n + 1))
+    psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=sign, f=f))
+    want = np.abs(f) ** 2 @ np.array([comb(n, k) for k in range(n + 1)], dtype=float)
+    ts = resolve_directions(spec, n, psi, fr)
+    tp = np.prod(core.minkowski(ts, psi.p), axis=0)
+    route = relative(contract_T(psi, ts) / tp, want)
+    square = relative(bw._square_pairing(psi, core.vector_to_dyad(ts[0], "up")) / tp, want)
+    assert route <= max(2 * square, 64 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("n", SPINS)
 def test_form_p_is_the_momentum_direction(n):
     # form "p" puts t = p on every slot and divides by (p.p)^n per sample; the
     # same pairing scaled by m^(-2n) was its own branch before

@@ -137,7 +137,7 @@ class TestSlotMatrices:
             got = [np.empty(m.shape, dtype=complex) for m in members]
             conj_columns = lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
                                          for m in members]
-            for part, i, x in _slot_action(a, conj_columns, n, budget):
+            for part, i, x, _ in _slot_action(a, conj_columns, n, budget):
                 r, s = valences[i]
                 binom = np.multiply.outer(_binomials(r), _binomials(s))
                 got[i][..., part] = x / binom[..., None]
@@ -159,7 +159,7 @@ def _action(seed, n, count=9, budget=16 * 55 * 4):
 
 
 def _copies(action):
-    return [(part, i, x.copy()) for part, i, x in action]
+    return [(part, i, x.copy()) for part, i, x, _ in action]
 
 
 def _assert_same(got, want):

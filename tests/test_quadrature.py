@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bwspinor import core, quadrature
-from bwspinor.bw import (NullOmega, RandomTimelike, StandardTime, norm_integrand,
-                         standard_bw_integrand)
+from bwspinor.bw import (FixedList, NullOmega, RandomTimelike, StandardTime,
+                         norm_integrand, standard_bw_integrand)
 from bwspinor.errors import InvalidResolution
 from bwspinor.quadrature import (GaussianPacket, build_grid, evaluate_norm,
                                  invariance_report, pairwise_sum)
@@ -97,14 +97,16 @@ class TestNorms:
     def test_thread_count_bit_identical(self):
         # every thread works in its own workspace, so the same norm run on
         # 1, 2 or 8 threads at once, switching often, reads the same bits as
-        # a lone call, through the slot action and the slot recursion alike
+        # a lone call, on every route: the rank-one and diagonal closed
+        # forms, the slot action and the slot recursion
         packet = GaussianPacket(n=2, mass=1.0, sign=+1, coeffs=(1.0, 1.0, 1.0),
                                 sigma=0.8)
         grid = build_grid(1.0, 3.0, 20)   # 8000 samples spans chunk boundaries
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for spec in (NullOmega(), RandomTimelike(3)):
+            for spec in (NullOmega(), StandardTime(), FixedList(((1.2, 0.3, -0.1, 0.2),)),
+                         RandomTimelike(3)):
                 serial = evaluate_norm(packet, grid, spec)
                 for workers in (1, 2, 8):
                     with ThreadPoolExecutor(max_workers=workers) as pool:
