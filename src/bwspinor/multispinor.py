@@ -17,8 +17,8 @@ in blocks.
 
 Working arrays live in one complex buffer per thread, `workspace`, which
 grows to the largest request and is then reused: each block's table
-S_0..S_n and the product buffers of `_slot_action` (and the slot states of
-`bw`'s distinct-direction recursion) are views into it, and the products
+S_0..S_n and the product buffers of `_slot_action` (and the gathered terms
+of `bw`'s distinct-direction route) are views into it, and the products
 write through `out=` with one scratch term, so a warm call allocates no
 working array and touches no fresh pages.  A member x that `_slot_action`
 yields is such a view, valid until the generator takes its next step, and
@@ -164,7 +164,10 @@ def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
     for r in range(1, n + 1):
         start = power_size(r - 1)
         s = out[start:start + (r + 1) ** 2].reshape((r + 1, r + 1) + batch)
-        _shift_add(s, powers[-1], m, scratch)
+        term = _views(scratch, powers[-1].shape)[0]
+        for a in (0, 1):
+            for b in (0, 1):
+                s[a:a + r, b:b + r] += np.multiply(m[a, b], powers[-1], out=term)
         powers.append(s)
     return powers
 
@@ -172,24 +175,6 @@ def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
 def power_size(n: int) -> int:
     """Entries per sample of S_0..S_n: sum_r (r+1)^2."""
     return (n + 1) * (n + 2) * (2 * n + 3) // 6
-
-
-def _shift_add(out: np.ndarray, prev: np.ndarray, m: np.ndarray,
-               scratch: np.ndarray, axis: int = 0) -> None:
-    """out += (m00 + m01 y + m10 x + m11 x y) prev, one step of the recurrence.
-
-    The powers of x and y index axes `axis` and `axis + 1`, which are one
-    longer in out than in prev; m is (2, 2, *batch) and both arrays end in
-    the batch axes.  Each product m_ab prev is formed in the flat buffer
-    `scratch` before it is added.
-    """
-    lead = (slice(None),) * axis
-    shift = (slice(None, -1), slice(1, None))
-    term = _views(scratch, prev.shape)[0]
-    for a in (0, 1):
-        for b in (0, 1):
-            np.multiply(m[a, b], prev, out=term)
-            out[lead + (shift[a], shift[b])] += term
 
 
 def matmul_last(a_cols, b, out: np.ndarray, term: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ scalar arithmetic, deliberately sharing no code path with the vectorized
 production routines.  Two vectorized helpers sit beside them: the dense
 (2,)*(r+s) expansion of graded storage and its inverse, and
 `contract_T_dense`, the distinct-direction T route that expanded every
-labelled member to its 2^n dense entries before the slot recursion replaced
-it in `bw`.
+labelled member to its 2^n dense entries.  `bw` now reads T through its
+components on the monomials of the dyad entries; `contract_T_dense` is that
+route's reference for n <= 8.
 """
 
 from __future__ import annotations

@@ -240,33 +240,44 @@ class TestContractT:
         with pytest.raises(OrthogonalDirection):
             resolve_directions(FixedList((bad, bad)), 2, psi)
 
+    @pytest.mark.parametrize("slots, equal", [(2, True), (2, False), (4, False)],
+                             ids=["two-equal", "two-unequal", "four-unequal"])
+    def test_slot_count_must_match(self, slots, equal):
+        rng = np.random.default_rng(76)
+        fr, amps, psi = random_massive(rng, 3, size=5)
+        ts = np.stack([core.random_timelike(rng, size=5) for _ in range(slots)])
+        if equal:
+            ts = np.broadcast_to(ts[0], ts.shape)
+        with pytest.raises(ValenceMismatch, match=f"need 3 direction vectors, got {slots}"):
+            contract_T(psi, ts)
+
 
 @pytest.fixture
-def no_recursion(monkeypatch):
+def no_monomial_route(monkeypatch):
     def fail(psi, ts):
-        raise AssertionError("took the slot recursion")
-    monkeypatch.setattr(bw, "_slot_recursion", fail)
+        raise AssertionError("took the monomial route")
+    monkeypatch.setattr(bw, "_monomial_pairing", fail)
 
 
 class TestDirectionResolver:
     @pytest.mark.parametrize("spec", [FixedList(((1.2, 0.3, -0.1, 0.2),) * 3),
                                       FixedList(((1.2, 0.3, -0.1, 0.2),))],
                              ids=["three-equal", "one-vector"])
-    def test_equal_fixed_list_pairs(self, no_recursion, spec):
+    def test_equal_fixed_list_pairs(self, no_monomial_route, spec):
         fr, amps, psi = random_massive(np.random.default_rng(72), 3, size=20)
         ts = resolve_directions(spec, 3, psi, fr)
         assert np.array_equal(contract_T(psi, ts),
                               bw._square_pairing(psi, core.vector_to_dyad(ts[0], "up")))
 
-    def test_one_random_direction_pairs(self, no_recursion):
+    def test_one_random_direction_pairs(self, no_monomial_route):
         fr, amps, psi = random_massive(np.random.default_rng(73), 1, size=20)
         got = norm_integrand(psi, RandomTimelike(4), fr)
         assert np.max(np.abs(got - np.sum(np.abs(amps.f) ** 2, axis=-1))
                       / np.sum(np.abs(amps.f) ** 2, axis=-1)) < 1e-12
 
-    def test_distinct_directions_recurse(self, no_recursion):
+    def test_distinct_directions_take_the_monomial_route(self, no_monomial_route):
         fr, amps, psi = random_massive(np.random.default_rng(74), 2, size=5)
-        with pytest.raises(AssertionError, match="slot recursion"):
+        with pytest.raises(AssertionError, match="monomial route"):
             norm_integrand(psi, RandomTimelike(4), fr)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
@@ -291,6 +302,11 @@ class TestDirectionResolver:
         # the message names the slot, the index only the sample
         with pytest.raises(OrthogonalDirection, match=r"t_1\.p .* at sample index \[0\]$"):
             norm_integrand(psi, None, form="p")
+
+    def test_unknown_form_rejected(self):
+        fr, amps, psi = random_massive(np.random.default_rng(83), 2, size=4)
+        with pytest.raises(ValueError, match="form must be 't' or 'p', got 'q'"):
+            norm_integrand(psi, None, fr, form="q")
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_null_omega_default_frame(self, n):

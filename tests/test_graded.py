@@ -1,12 +1,15 @@
 """Graded kernels against their dense counterparts, at every doubled spin.
 
 `sym_power_matrices` is checked against an explicit sum over index tuples.
-For each n in 1..MAX_N the equal-slot `contract_T` is held to the slot
-recursion of the distinct-direction route (`bw._slot_recursion`, called on
-identical vectors), and that recursion to the dense pattern route of
-`oracles.contract_T_dense` for n <= 8.  The `form="p"` and null-omega
-integrands, and the integrand for n distinct random timelike or null
-directions per sample, are held to sum_k C(n,k) |f_k|^2 per sample;
+For each n in 1..MAX_N the equal-slot `contract_T` is held to the
+distinct-direction route (`bw._monomial_pairing`, called on identical
+vectors), and that route to the dense pattern route of
+`oracles.contract_T_dense` for n <= 8.  The components L_alpha of T on the
+monomials of the dyad entries, which that route reads, are held per sample
+to N p_AB^alpha, with N the amplitude sum, for massive and massless
+fields.  The `form="p"` and null-omega integrands, and the integrand for n
+distinct random timelike or null directions per sample, are held to
+sum_k C(n,k) |f_k|^2 per sample;
 `form="p"`, the direction t = p on every slot, to the pairing of p scaled
 by m^(-2n); `standard_bw_integrand` and `transform_component` to dense
 evaluations.
@@ -31,9 +34,9 @@ from bwspinor import bw, core
 from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
                          StandardTime, contract_T, extract_massive, norm_integrand,
                          resolve_directions, standard_bw_integrand,
-                         synth_massive, transform_component)
-from bwspinor.frames import frame_massive
-from bwspinor.multispinor import SymMultiSpinor, sym_power_matrices
+                         synth_massive, synth_massless, transform_component)
+from bwspinor.frames import frame_massive, frame_massless
+from bwspinor.multispinor import SymMultiSpinor, _blocks, sym_power_matrices
 from bwspinor.quadrature import build_grid
 from bwspinor.pauli_lubanski import default_normalization
 from oracles import (contract_T_dense, dense, dense_from_graded, extract_bruteforce,
@@ -140,8 +143,8 @@ def test_equal_slot_T_matches_dense_route(n, spec):
     psi, fr, _ = random_component(n, 3, seed=100 + n)
     ts = resolve_directions(spec, n, psi, fr)
     graded = contract_T(psi, ts)
-    dense = bw._slot_recursion(psi, ts)
-    assert relative(graded, dense) < 1e-12
+    monomials = bw._monomial_pairing(psi, ts)
+    assert relative(graded, monomials) < 1e-12
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -192,7 +195,7 @@ def test_distinct_T_matches_dense_route(n):
     psi, _, _ = random_component(n, 3, seed=600 + n)
     rng = np.random.default_rng(700 + n)
     ts = np.stack([core.random_timelike(rng, size=3) for _ in range(n)])
-    assert relative(bw._slot_recursion(psi, ts), contract_T_dense(psi, ts)) < 1e-13
+    assert relative(bw._monomial_pairing(psi, ts), contract_T_dense(psi, ts)) < 1e-13
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -210,6 +213,32 @@ def test_distinct_directions_are_amplitude_sum(n, mass):
     got = contract_T(psi, ts) / np.prod(core.minkowski(ts, grid.p), axis=0)
     want = np.abs(f) ** 2 @ np.array([comb(n, k) for k in range(n + 1)], dtype=float)
     assert relative(got, want) < 1e-10
+
+
+@pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
+def test_tensor_components_are_momentum_powers(n, sign, mass):
+    # T = N p...p whatever the directions: per sample, L_alpha = N p_AB^alpha
+    # with N = sum_k C(n,k) |f_k|^2 (paper-default normalization) or |f|^2
+    count = 300
+    rng = np.random.default_rng(1300 + n)
+    p = core.random_future_momentum(mass, rng, size=count)
+    if mass > 0:
+        fr = frame_massive(p, core.random_spinor(rng, size=count))
+        f = rng.normal(size=(count, n + 1)) + 1j * rng.normal(size=(count, n + 1))
+        psi = synth_massive(fr, Amplitudes(n=n, mass=mass, sign=sign, f=f))
+        amplitude_sum = np.abs(f) ** 2 @ np.array([comb(n, k) for k in range(n + 1)], dtype=float)
+    else:
+        f = rng.normal(size=count) + 1j * rng.normal(size=count)
+        psi = synth_massless(frame_massless(p).pi, f, n, sign)
+        amplitude_sum = np.abs(f) ** 2
+    entries = np.concatenate([c.comp.reshape(count, -1) for c in psi.comps], axis=1).T
+    got = bw._tensor_components(entries, n, len(psi.comps) - 1).T
+    alphas = np.array(list(bw._monomials(n)))
+    p_low = core.vector_to_dyad(psi.p, "low").reshape(count, 4)
+    want = amplitude_sum[:, None] * np.prod(p_low[:, None, :] ** alphas, axis=-1)
+    assert np.max(core.max_abs(got - want) / core.max_abs(got)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -252,31 +281,39 @@ def _sample(psi, ts, i):
 
 
 def test_distinct_T_peak_memory_is_bounded():
-    # n = 10 on 512 samples holds about 76 MiB of slot states at once
-    # without sample blocks; the budget keeps them within _STATE_BYTES
+    # n = 10 on 512 samples would hold 19448 two-factor terms per sample,
+    # about 300 MiB, at once without sample blocks; the budget keeps them
+    # within _STATE_BYTES
     n = MAX_N
     psi, _, _ = random_component(n, 512, seed=900)
     ts = np.stack([core.random_timelike(np.random.default_rng(901 + k), size=512)
                    for k in range(n)])
     tracemalloc.start()
     try:
-        bw._slot_recursion(psi, ts)
+        bw._monomial_pairing(psi, ts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20
 
 
-def test_distinct_T_block_boundary_matches_per_sample():
+def test_distinct_T_block_boundary_matches_per_sample(monkeypatch):
     n = MAX_N
     psi, _, _ = random_component(n, 512, seed=902)
     ts = np.stack([core.random_timelike(np.random.default_rng(903 + k), size=512)
                    for k in range(n)])
-    block = bw._STATE_BYTES // (16 * sum(bw._state_layout(n, n)[1:]))
+    blocks = []
+
+    def recorded(*args):
+        blocks.append(_blocks(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(bw, "_blocks", recorded)
+    got = bw._monomial_pairing(psi, ts)
+    block = blocks[0][0].stop
     assert 2 < block < 510
-    got = bw._slot_recursion(psi, ts)
     for i in (0, block - 2, block - 1, block, block + 1, 2 * block, 511):
-        alone = bw._slot_recursion(*_sample(psi, ts, i))
+        alone = bw._monomial_pairing(*_sample(psi, ts, i))
         assert abs(got[i] - alone[0]) <= 1e-15 * abs(alone[0])
 
 
@@ -286,9 +323,9 @@ def test_distinct_T_independent_of_block_size(monkeypatch, n, budget):
     psi, _, _ = random_component(n, 37, seed=910 + n)
     ts = np.stack([core.random_timelike(np.random.default_rng(920 + k), size=37)
                    for k in range(n)])
-    whole = bw._slot_recursion(psi, ts)
+    whole = bw._monomial_pairing(psi, ts)
     monkeypatch.setattr(bw, "_STATE_BYTES", budget)
-    blocked = bw._slot_recursion(psi, ts)
+    blocked = bw._monomial_pairing(psi, ts)
     assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-15
 
 
