@@ -25,13 +25,16 @@ and of that route are views into one reused per-thread buffer
 (`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
-every sample: a direction per slot takes the monomial route; one vector on
-every slot takes the closed form its dyad t^{AA'} allows.  A diagonal dyad
-(t in the t-z plane, as the standard time direction) weighs |c|^2 by powers
-of its two entries.  A dyad of rank one to rounding, J tau taubar (a null
-t, as the flagpole of omega), pairs each member by one contraction with the
-powers of tau, like extraction: "formulas are simpler if one chooses null
-directions".  Any other dyad takes the slot action as a sum of squares.
+every sample, and one rotation, `_axis_rotation`, diagonalizes every
+direction dyad among them.  A direction per slot takes the monomial route,
+in the frame that rotation makes p diagonal in.  One vector on every slot
+takes the form its dyad t^{AA'} allows: a diagonal dyad (t in the t-z
+plane, as the standard time direction) weighs |c|^2 by powers of its two
+entries; a dyad of rank one to rounding, J tau taubar (a null t, as the
+flagpole of omega), pairs each member by one contraction with the powers
+of tau, like extraction: "formulas are simpler if one chooses null
+directions"; any other dyad is rotated to diag(lam), and the members,
+moved by the same rotation, pair as the diagonal dyad does.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from . import core
 from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
                      ValenceMismatch, reject)
-from .frames import SpinFrame, frame_for
+from .frames import SpinFrame, flag_decompose_massless, frame_for
 from .multispinor import (SymMultiSpinor, _binomials, _blocks, _slot_action, _views,
                           contract_same, power_row, same_slot_coeffs, workspace)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
@@ -272,51 +275,31 @@ def field_equation_residual_massive(psi: BWComponent) -> float:
 # ---------------------------------------------------------------------------
 # the quadratic tensor and norm integrands
 
-def _eigenvalues(dyad: np.ndarray) -> np.ndarray:
-    """The eigenvalues mean + radius and mean - radius, (..., 2), of a batch
-    of Hermitian 2x2s."""
-    a, d, b = np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]), dyad[..., 0, 1]
-    mean, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), np.abs(b))
-    return np.stack([mean + radius, mean - radius], axis=-1)
-
-
-def _hermitian_factor(dyad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B and signs J with dyad = B diag(J) B^H for a batch of Hermitian 2x2s.
-
-    A closed-form Jacobi rotation: with dyad_01 = |b| e^{i phi},
-    U = diag(1, e^{-i phi}) R(theta), tan 2 theta = 2|b| / (dyad_00 - dyad_11),
-    diagonalizes the dyad to the `_eigenvalues` Lambda; B = U |Lambda|^{1/2}.
-    """
-    a, d, b = np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]), dyad[..., 0, 1]
-    theta = 0.5 * np.arctan2(2.0 * np.abs(b), a - d)
-    c, s = np.cos(theta), np.sin(theta)
-    phase = np.exp(-1j * np.angle(b))
-    u = np.stack([np.stack([c, -s], axis=-1),
-                  np.stack([phase * s, phase * c], axis=-1)], axis=-2)
-    lam = _eigenvalues(dyad)
-    return u * np.sqrt(np.abs(lam))[..., None, :], np.where(lam < 0, -1.0, 1.0)
-
-
 def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
     """t...t T with the same vector t (..., 4) on every slot, by the route
-    its dyad allows at every sample.
-
-    A diagonal dyad takes `_diagonal_pairing`.  A dyad of rank one to
-    rounding, whose smaller |eigenvalue| is at most 8 eps times the larger,
-    takes `_rank_one_pairing` with the dominant column of its factor; the
-    dropped direction moves the value by about 8 n eps relative.  Any other
-    takes `_square_pairing`.
+    its dyad t^{AA'} allows, checked at every sample:
+    - off-diagonal exactly 0 (the standard time direction, any t in the
+      t-z plane): `_diagonal_pairing`, a weighted sum of |c|^2;
+    - rank one to rounding, the smaller |lam| of `_axis_rotation` at most
+      8 eps times the larger, t^{AA'} = J tau^A taubar^{A'} (a null t; the
+      paper: "formulas are simpler if one chooses null directions"):
+      `_rank_one_pairing`, with tau the flag spinor of J t, J = sign(t^0);
+      the dropped direction moves the value by about 8 n eps relative;
+    - any other: `_rotated_pairing`, the diagonal pairing of the members
+      moved by the rotation that makes the dyad diag(lam).
+    The rank-one route loses digits where t nearly parallels a null p: its
+    relative error grows like eps (t^0 p^0 / t.p)^(n/2), which the rounding
+    of the stored entries already carries.
     """
     dyad = core.vector_to_dyad(t, "up")
     if np.all(dyad[..., 0, 1] == 0):
         return _diagonal_pairing(psi, np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]))
-    lam = np.abs(_eigenvalues(dyad))
-    if np.all(lam.min(axis=-1) <= 8 * np.finfo(float).eps * lam.max(axis=-1)):
-        factor, sign = _hermitian_factor(dyad)
-        second = lam[..., 1] > lam[..., 0]      # the second column dominates
-        return _rank_one_pairing(psi, np.where(second[..., None], factor[..., 1], factor[..., 0]),
-                                 np.where(second, sign[..., 1], sign[..., 0]))
-    return _square_pairing(psi, dyad)
+    a, lam = _axis_rotation(t)
+    moduli = np.abs(lam)
+    if np.all(moduli.min(axis=-1) <= 8 * np.finfo(float).eps * moduli.max(axis=-1)):
+        sign = np.sign(t[..., 0])
+        return _rank_one_pairing(psi, flag_decompose_massless(sign[..., None] * t), sign)
+    return _rotated_pairing(psi, a, lam)
 
 
 def _diagonal_pairing(psi: BWComponent, d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -352,33 +335,31 @@ def _rank_one_pairing(psi: BWComponent, tau: np.ndarray, sign: np.ndarray) -> np
     return sign ** n * total
 
 
-def _square_pairing(psi: BWComponent, dyad: np.ndarray) -> np.ndarray:
-    """sum_k C(n,k) sum_ij c_k (K_r conj(c_k) K_k)_ij with K = S(dyad), the
-    same Hermitian dyad on every slot, as a signed sum of squares.
+def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """`_diagonal_pairing` through diag(lam) of the members moved by a on
+    every slot, as `transform_component` moves them, with the moved members
+    streamed from the slot action and never stored.
 
-    With dyad = B J B^H from `_hermitian_factor` and
-    S(M M') = S(M) D^{-1} S(M'), each member gives
-    sum_ab w_a w'_b |x_ab|^2, w_a = J_0^{r-a} J_1^a / C(r, a), for the slot
-    action x of a = B^T; a = B^H on conj(c) gives conj(x), so c enters as it
-    is.  For a causal future-pointing direction every weight is positive, so
-    nothing cancels outside the squares; multiplying out K_r conj(c) K_k
-    instead loses digits as n grows.  The squares and the weighted sums are
-    written into the spare floats the slot action yields beside x, in this
-    thread's workspace, so a warm call allocates no per-member array.
+    With M = sl2c_lower_rep(a), the slot action x of M gives the moved
+    member D_r^{-1} x D_s^{-1}, so each member gives sum_ab w_a w'_b
+    |x_ab|^2, w_a = lam_0^(r-a) lam_1^a / C(r, a); conj(M) on conj(c) gives
+    conj(x), so c enters as it is.  For a causal future-pointing direction
+    every weight is positive, so nothing cancels outside the squares.  The
+    squares and the weighted sums are written into the spare floats the
+    slot action yields beside x, in this thread's workspace, so a warm call
+    allocates no per-member array.
     """
     n = psi.n
-    factor, sign = _hermitian_factor(dyad)
-    batch = np.broadcast_shapes(factor.shape[:-2], psi.batch_shape)
-    factor = np.broadcast_to(np.conj(np.swapaxes(factor, -1, -2)),
-                             batch + (2, 2)).reshape(-1, 2, 2)
-    sign = np.broadcast_to(sign, batch + (2,)).reshape(-1, 2).T
-    powers = sign[:, None] ** np.arange(n + 1)[:, None]
+    batch = np.broadcast_shapes(a.shape[:-2], lam.shape[:-1], psi.batch_shape)
+    m = np.broadcast_to(np.conj(core.sl2c_lower_rep(a)), batch + (2, 2)).reshape(-1, 2, 2)
+    lam = np.broadcast_to(lam, batch + (2,)).reshape(-1, 2).T
+    powers = lam[:, None] ** np.arange(n + 1)[:, None]
     ws = [powers[0, r::-1] * powers[1, :r + 1] / _binomials(r)[:, None]
           for r in range(n + 1)]
     cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
-    total = np.zeros(factor.shape[0])
-    for part, k, x, spare in _slot_action(factor, lambda part: [np.swapaxes(c[..., part], 0, 1)
-                                                                for c in cs], n, _STATE_BYTES):
+    total = np.zeros(m.shape[0])
+    for part, k, x, spare in _slot_action(m, lambda part: [np.swapaxes(c[..., part], 0, 1)
+                                                           for c in cs], n, _STATE_BYTES):
         sq, weighted, row, share = _views(spare, x.shape, x.shape, x.shape[::2], x.shape[2:])
         np.add(np.square(x.real, out=sq), np.square(x.imag, out=weighted), out=sq)
         np.sum(np.multiply(ws[k][:, part], sq, out=weighted), axis=1, out=row)
@@ -401,16 +382,8 @@ def contract_T(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     vectors on the slots `_monomial_pairing` reads it through its components
     on the monomials of the four dyad entries.  When every slot carries
     the same vector at every sample, the pattern sum reduces to binomial
-    multiplicities of the canonical members: sum_k C(n,k) sum_ij c_k (K_r
-    conj(c_k) K_k)_ij with K = S(t^{AA'}) from `sym_power_matrices`, and
-    `_equal_pairing` picks its route from the dyad t^{AA'}, checked at every
-    sample:
-    - off-diagonal exactly 0 (the standard time direction, any t in the
-      t-z plane): `_diagonal_pairing`, a weighted sum of |c|^2;
-    - rank one to rounding, t^{AA'} = J tau^A taubar^{A'} (a null t; the
-      paper: "formulas are simpler if one chooses null directions"):
-      `_rank_one_pairing`, J^n sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2;
-    - any other: `_square_pairing`, the slot action as a sum of squares.
+    multiplicities of the canonical members, and `_equal_pairing` picks
+    one of its three routes from the dyad t^{AA'}.
     """
     if ts.shape[0] != psi.n:
         raise ValenceMismatch(f"need {psi.n} direction vectors, got {ts.shape[0]}")
@@ -432,11 +405,9 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     n, kmax = psi.n, len(psi.comps) - 1
     tdy = core.vector_to_dyad(ts, "up")
     batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
-    a = _axis_rotation(psi.p)
-    moved = _moved(core.sl2c_lower_rep(a), _conj_columns(psi.comps, batch),
-                   [(c.r, c.s) for c in psi.comps], batch)
+    a, _ = _axis_rotation(psi.p)
     x = np.concatenate([_samples_last(c.comp, (), batch).reshape((c.r + 1) * (c.s + 1), -1)
-                        for c in moved])
+                        for c in transform_component(psi, a).comps])
     # a t^{AA'} a^dagger; einsum ran 4 to 5 times faster on contiguous operands
     a = np.ascontiguousarray(_samples_last(a, (), batch))
     tdy = np.einsum("ijs,ljms,kms->liks", a, np.ascontiguousarray(
@@ -453,19 +424,23 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     return total.reshape(batch)
 
 
-def _axis_rotation(p: np.ndarray) -> np.ndarray:
+def _axis_rotation(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, a in SU(2), (..., 2, 2), mapping to (1, 0) the flag spinor
-    xi of the direction u of the 3-momentum, so that a p^{AA'} a^dagger is
-    diagonal; xi is the column of larger norm of the dyad of (1, u).  At
-    rest a = 1."""
-    v = np.asarray(p, dtype=float)[..., 1:]
+    xi of the direction u of the 3-vector of t, and lam, (..., 2), the
+    entries of a t^{AA'} a^dagger = diag(lam), lam = (t^0 + |t|, t^0 - |t|)
+    / sqrt2: the one rotation that diagonalizes a direction dyad.  xi is
+    the column of larger norm of the dyad of (1, u).  On the time axis
+    a = 1."""
+    t = np.asarray(t, dtype=float)
+    v = t[..., 1:]
     length = np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
     x, y, z = np.moveaxis(v, -1, 0) / np.where(length > 0, length, 1.0)
     z = np.where(length > 0, z, 1.0)
     xi = np.where((z >= 0)[..., None], np.stack([1.0 + z, x + 1j * y], axis=-1),
                   np.stack([x - 1j * y, 1.0 - z], axis=-1))
     xi = xi / np.sqrt(2.0 * (1.0 + np.abs(z)))[..., None]
-    return np.stack([np.conj(xi), np.stack([-xi[..., 1], xi[..., 0]], axis=-1)], axis=-2)
+    a = np.stack([np.conj(xi), np.stack([-xi[..., 1], xi[..., 0]], axis=-1)], axis=-2)
+    return a, np.stack([t[..., 0] + length, t[..., 0] - length], axis=-1) / np.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)

@@ -267,7 +267,7 @@ class TestDirectionResolver:
         fr, amps, psi = random_massive(np.random.default_rng(72), 3, size=20)
         ts = resolve_directions(spec, 3, psi, fr)
         assert np.array_equal(contract_T(psi, ts),
-                              bw._square_pairing(psi, core.vector_to_dyad(ts[0], "up")))
+                              bw._rotated_pairing(psi, *bw._axis_rotation(ts[0])))
 
     def test_one_random_direction_pairs(self, no_monomial_route):
         fr, amps, psi = random_massive(np.random.default_rng(73), 1, size=20)
@@ -319,9 +319,9 @@ class TestDirectionResolver:
 
 @pytest.fixture
 def no_slot_action(monkeypatch):
-    def fail(psi, dyad):
+    def fail(psi, a, lam):
         raise AssertionError("took the slot action")
-    monkeypatch.setattr(bw, "_square_pairing", fail)
+    monkeypatch.setattr(bw, "_rotated_pairing", fail)
 
 
 def random_members(rng, n, mass):
@@ -379,8 +379,9 @@ class TestPairingRoutes:
     # near-null is on the light cone by core.null_shell, but its dyad is
     # about 1.8e4 eps from rank one
     @pytest.mark.parametrize("form, t", [
-        ("p", None), ("t", (1.2, 0.3, -0.1, 0.2)), ("t", (1.0, 0.6, 0.0, 0.8 + 1e-11))],
-        ids=["form-p", "timelike", "near-null"])
+        ("p", None), ("t", (1.2, 0.3, -0.1, 0.2)), ("t", (-1.2, 0.3, -0.1, 0.2)),
+        ("t", (0.3, 0.5, -0.4, 0.7)), ("t", (1.0, 0.6, 0.0, 0.8 + 1e-11))],
+        ids=["form-p", "timelike", "past-timelike", "spacelike", "near-null"])
     def test_general_dyads_take_the_slot_action(self, no_slot_action, form, t):
         fr, amps, psi = random_massive(np.random.default_rng(141), 3, size=20)
         spec = None if t is None else FixedList((t,))
@@ -398,6 +399,43 @@ class TestPairingRoutes:
         got = float(contract_T(psi, np.broadcast_to(t, (n, 4))))
         want = contract_T_bruteforce(psi, [t] * n)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    # the general route on random members; past and spacelike vectors give
+    # diag(lam) a negative entry, so the powers of lam change sign
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
+    @pytest.mark.parametrize("t", [(1.2, 0.3, -0.1, 0.2), (-1.2, 0.3, -0.1, 0.2),
+                                   (0.3, 0.5, -0.4, 0.7), (1.0, 0.6, 0.0, 0.8 + 1e-11)],
+                             ids=["timelike", "past-timelike", "spacelike", "near-null"])
+    def test_general_dyads_match_bruteforce(self, n, mass, t):
+        psi = random_members(np.random.default_rng(160 + n), n, mass)
+        t = np.array(t)
+        got = float(contract_T(psi, np.broadcast_to(t, (n, 4))))
+        want = contract_T_bruteforce(psi, [t] * n)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+AXIS_CASES = {"timelike": (1.2, 0.3, -0.1, 0.2), "future-null": (1.0, 0.6, 0.0, 0.8),
+              "past-null": (-1.0, 0.6, 0.0, 0.8), "spacelike": (0.3, 0.5, -0.4, 0.7),
+              "plus-z": (2.0, 0.0, 0.0, 1.5), "minus-z": (2.0, 0.0, 0.0, -1.5),
+              "at-rest": (1.0, 0.0, 0.0, 0.0)}
+
+
+class TestAxisRotation:
+    """`bw._axis_rotation`, the one rotation that diagonalizes a direction
+    dyad: a in SU(2) with a t^{AA'} a^dagger = diag(lam),
+    lam = (t^0 + |t|, t^0 - |t|) / sqrt2."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150], ids=["unit", "1e150", "1e-150"])
+    @pytest.mark.parametrize("t", AXIS_CASES.values(), ids=AXIS_CASES)
+    def test_diagonalizes_the_dyad(self, t, scale):
+        t = scale * np.array(t)
+        a, lam = bw._axis_rotation(t)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(a @ np.conj(a.T) - np.eye(2))) <= 16 * eps
+        assert abs(np.linalg.det(a) - 1.0) <= 16 * eps
+        rotated = a @ core.vector_to_dyad(t, "up") @ np.conj(a.T)
+        assert np.max(np.abs(rotated - np.diag(lam))) <= 16 * eps * np.max(np.abs(t))
 
 
 class TestNormIntegrand:

@@ -11,8 +11,9 @@ fields.  The `form="p"` and null-omega integrands, and the integrand for n
 distinct random timelike or null directions per sample, are held to
 sum_k C(n,k) |f_k|^2 per sample;
 `form="p"`, the direction t = p on every slot, to the pairing of p scaled
-by m^(-2n); `standard_bw_integrand` and `transform_component` to dense
-evaluations.
+by m^(-2n); the rotated pairing of the general equal-slot route to the
+diagonal pairing of the field `transform_component` moves;
+`standard_bw_integrand` and `transform_component` to dense evaluations.
 Synthesis is held to the index loop over every routing of
 `oracles.synth_bruteforce`, extraction to the index loop of
 `oracles.extract_bruteforce`, and the signed flip between the primed and
@@ -177,7 +178,7 @@ def test_closed_form_pairings_keep_the_slot_action_digits(n, sign, spec):
     ts = resolve_directions(spec, n, psi, fr)
     tp = np.prod(core.minkowski(ts, psi.p), axis=0)
     route = relative(contract_T(psi, ts) / tp, want)
-    square = relative(bw._square_pairing(psi, core.vector_to_dyad(ts[0], "up")) / tp, want)
+    square = relative(bw._rotated_pairing(psi, *bw._axis_rotation(ts[0])) / tp, want)
     assert route <= max(2 * square, 64 * np.finfo(float).eps)
 
 
@@ -186,8 +187,24 @@ def test_form_p_is_the_momentum_direction(n):
     # form "p" puts t = p on every slot and divides by (p.p)^n per sample; the
     # same pairing scaled by m^(-2n) was its own branch before
     psi, fr, _ = random_component(n, 200, seed=1200 + n)
-    want = bw._square_pairing(psi, core.vector_to_dyad(psi.p, "up")) * psi.mass ** (-2 * n)
+    want = bw._rotated_pairing(psi, *bw._axis_rotation(psi.p)) * psi.mass ** (-2 * n)
     assert relative(norm_integrand(psi, None, fr, form="p"), want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
+def test_rotated_pairing_is_the_diagonal_pairing_of_the_moved_field(n, mass):
+    # the streamed route against the field moved by transform_component and
+    # paired through diag(lam), for the rotation of a random timelike t
+    rng = np.random.default_rng(1400 + n)
+    if mass > 0:
+        psi, _, _ = random_component(n, 50, seed=1400 + n)
+    else:
+        p = core.random_future_momentum(0.0, rng, size=50)
+        psi = synth_massless(frame_massless(p).pi, rng.normal(size=50) + 1j * rng.normal(size=50), n)
+    a, lam = bw._axis_rotation(core.random_timelike(rng, size=50))
+    want = bw._diagonal_pairing(transform_component(psi, a), lam[:, 0], lam[:, 1])
+    assert relative(bw._rotated_pairing(psi, a, lam), want) <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
