@@ -25,16 +25,17 @@ and of that route are views into one reused per-thread buffer
 (`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
-every sample, and one rotation, `_axis_rotation`, diagonalizes every
-direction dyad among them.  A direction per slot takes the monomial route,
-in the frame that rotation makes p diagonal in.  One vector on every slot
-takes the form its dyad t^{AA'} allows: a diagonal dyad (t in the t-z
+every sample, and one rotation, `frames.axis_rotation`, diagonalizes
+every direction dyad among them.  A direction per slot takes the monomial
+route, in the frame that rotation makes p diagonal in.  One vector on every
+slot takes the form its dyad t^{AA'} allows: a diagonal dyad (t in the t-z
 plane, as the standard time direction) weighs |c|^2 by powers of its two
-entries; a dyad of rank one to rounding, J tau taubar (a null t, as the
-flagpole of omega), pairs each member by one contraction with the powers
-of tau, like extraction: "formulas are simpler if one chooses null
-directions"; any other dyad is rotated to diag(lam), and the members,
-moved by the same rotation, pair as the diagonal dyad does.
+entries; a dyad of rank one to rounding (a null t, as the flagpole of
+omega), lam_i tau taubar with tau a row of the rotation, pairs each member
+by one contraction with the powers of tau, like extraction: "formulas are
+simpler if one chooses null directions"; any other dyad is rotated to
+diag(lam), and the members, moved by the same rotation, pair as the
+diagonal dyad does.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from . import core
 from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
                      ValenceMismatch, reject)
-from .frames import SpinFrame, flag_decompose_massless, frame_for
+from .frames import SpinFrame, axis_rotation, frame_for
 from .multispinor import (SymMultiSpinor, _binomials, _blocks, _slot_action, _views,
                           contract_same, power_row, same_slot_coeffs, workspace)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
@@ -280,11 +281,11 @@ def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
     its dyad t^{AA'} allows, checked at every sample:
     - off-diagonal exactly 0 (the standard time direction, any t in the
       t-z plane): `_diagonal_pairing`, a weighted sum of |c|^2;
-    - rank one to rounding, the smaller |lam| of `_axis_rotation` at most
-      8 eps times the larger, t^{AA'} = J tau^A taubar^{A'} (a null t; the
-      paper: "formulas are simpler if one chooses null directions"):
-      `_rank_one_pairing`, with tau the flag spinor of J t, J = sign(t^0);
-      the dropped direction moves the value by about 8 n eps relative;
+    - rank one to rounding, the smaller |lam| of `frames.axis_rotation`
+      at most 8 eps times the larger |lam_i| (a null t): lam_i^n
+      `_rank_one_pairing` with tau = conj(a_i), t^{AA'} = lam_i tau^A
+      taubar^{A'}; a past t has i = 1 and lam_1 < 0; the dropped
+      direction moves the value by about 8 n eps relative;
     - any other: `_rotated_pairing`, the diagonal pairing of the members
       moved by the rotation that makes the dyad diag(lam).
     The rank-one route loses digits where t nearly parallels a null p: its
@@ -294,11 +295,12 @@ def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
     dyad = core.vector_to_dyad(t, "up")
     if np.all(dyad[..., 0, 1] == 0):
         return _diagonal_pairing(psi, np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]))
-    a, lam = _axis_rotation(t)
+    a, lam = axis_rotation(t)
     moduli = np.abs(lam)
     if np.all(moduli.min(axis=-1) <= 8 * np.finfo(float).eps * moduli.max(axis=-1)):
-        sign = np.sign(t[..., 0])
-        return _rank_one_pairing(psi, flag_decompose_massless(sign[..., None] * t), sign)
+        i = np.argmax(moduli, axis=-1)[..., None]
+        tau = np.take_along_axis(np.conj(a), i[..., None], axis=-2)[..., 0, :]
+        return np.take_along_axis(lam, i, -1)[..., 0] ** psi.n * _rank_one_pairing(psi, tau)
     return _rotated_pairing(psi, a, lam)
 
 
@@ -322,17 +324,13 @@ def _diagonal_pairing(psi: BWComponent, d0: np.ndarray, d1: np.ndarray) -> np.nd
     return total
 
 
-def _rank_one_pairing(psi: BWComponent, tau: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The pairing through the dyad J tau taubar on every slot:
-    J^n sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2, one contraction
-    per member from one table of the powers of tau."""
-    n = psi.n
-    powers = same_slot_coeffs(tau, n)
-    total = 0.0
-    for k, c in enumerate(psi.comps):
-        z = contract_same(c, powers)
-        total = total + comb(n, k) * (z.real ** 2 + z.imag ** 2)
-    return sign ** n * total
+def _rank_one_pairing(psi: BWComponent, tau: np.ndarray) -> np.ndarray:
+    """The pairing through the dyad tau taubar on every slot:
+    sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2, one contraction per
+    member from one table of the powers of tau."""
+    powers = same_slot_coeffs(tau, psi.n)
+    zs = (contract_same(c, powers) for c in psi.comps)
+    return sum(comb(psi.n, k) * (z.real ** 2 + z.imag ** 2) for k, z in enumerate(zs))
 
 
 def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -398,16 +396,20 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     one slot at a time to sum_AB t^{AB} L_{beta + e_AB}, as T is symmetric.
 
     Both run in a frame rotated per sample where p_AB is diagonal
-    (`_axis_rotation`), so that no term cancels for causal directions: on
-    random null directions up to n = 10 the frame given lost up to 4e-11
-    (massive) and 2e-9 (massless) relative.  The samples go in blocks whose
-    working arrays fit _STATE_BYTES, in this thread's workspace."""
+    (`frames.axis_rotation`), so that no term cancels for causal
+    directions: on random null directions up to n = 10 the frame given lost
+    up to 4e-11 (massive) and 2e-9 (massless) relative.  The samples go in
+    blocks whose working arrays fit _STATE_BYTES, in this thread's
+    workspace."""
     n, kmax = psi.n, len(psi.comps) - 1
     tdy = core.vector_to_dyad(ts, "up")
     batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
-    a, _ = _axis_rotation(psi.p)
+    a, _ = axis_rotation(psi.p)
+    # the members as transform_component moves them, without its momentum map
+    moved = _moved(core.sl2c_lower_rep(a), _conj_columns(psi.comps, batch),
+                   [(c.r, c.s) for c in psi.comps], batch)
     x = np.concatenate([_samples_last(c.comp, (), batch).reshape((c.r + 1) * (c.s + 1), -1)
-                        for c in transform_component(psi, a).comps])
+                        for c in moved])
     # a t^{AA'} a^dagger; einsum ran 4 to 5 times faster on contiguous operands
     a = np.ascontiguousarray(_samples_last(a, (), batch))
     tdy = np.einsum("ijs,ljms,kms->liks", a, np.ascontiguousarray(
@@ -422,25 +424,6 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
                 l = np.einsum("qab,qb->ab", l[_raised(d)], t)
             total[part] = l[0].real
     return total.reshape(batch)
-
-
-def _axis_rotation(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per sample, a in SU(2), (..., 2, 2), mapping to (1, 0) the flag spinor
-    xi of the direction u of the 3-vector of t, and lam, (..., 2), the
-    entries of a t^{AA'} a^dagger = diag(lam), lam = (t^0 + |t|, t^0 - |t|)
-    / sqrt2: the one rotation that diagonalizes a direction dyad.  xi is
-    the column of larger norm of the dyad of (1, u).  On the time axis
-    a = 1."""
-    t = np.asarray(t, dtype=float)
-    v = t[..., 1:]
-    length = np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
-    x, y, z = np.moveaxis(v, -1, 0) / np.where(length > 0, length, 1.0)
-    z = np.where(length > 0, z, 1.0)
-    xi = np.where((z >= 0)[..., None], np.stack([1.0 + z, x + 1j * y], axis=-1),
-                  np.stack([x - 1j * y, 1.0 - z], axis=-1))
-    xi = xi / np.sqrt(2.0 * (1.0 + np.abs(z)))[..., None]
-    a = np.stack([np.conj(xi), np.stack([-xi[..., 1], xi[..., 0]], axis=-1)], axis=-2)
-    return a, np.stack([t[..., 0] + length, t[..., 0] - length], axis=-1) / np.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)

@@ -307,7 +307,8 @@ def generator_spinor_form() -> tuple[np.ndarray, np.ndarray]:
 
 def _check_unit_det(a: np.ndarray) -> None:
     finite = np.all(np.isfinite(a), axis=(-2, -1))
-    det = np.linalg.det(np.where(finite[..., None, None], a, np.eye(2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     reject(~(finite & (np.abs(det - 1.0) <= 1e-9)), NonUnitDeterminant,
            "A must be finite with det A = 1")
 

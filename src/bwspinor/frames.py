@@ -3,7 +3,8 @@
 A massive momentum decomposes as p = (m/sqrt2)(omega_vec + pi_vec) into two
 null future-pointing flagpoles with omega_A pi^A = 1 and omega.p = m/sqrt2.
 A massless momentum is the flagpole of a single spinor pi, with the partner
-omega fixed by pi_A omega^A = 1.
+omega fixed by pi_A omega^A = 1; pi is read from `axis_rotation`, whose
+rows are the spin frame of a null direction.
 
 The two regimes deliberately use the opposite contraction normalization
 (omega_A pi^A = +1 massive, pi_A omega^A = +1 massless); every downstream
@@ -44,25 +45,39 @@ class SpinFrame:
         return c1, c2
 
 
-def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
-    """Spinor pi with pi^A pibar^{A'} = p^{AA'} for null future-pointing p.
+def axis_rotation(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, a in SU(2), (..., 2, 2), mapping to (1, 0) the unit flag
+    spinor xi of the direction u of the 3-vector of t, and lam, (..., 2),
+    with a t^{AA'} a^dagger = diag(lam), lam = (t^0 + |t|, t^0 - |t|) / sqrt2:
+    the one rotation that diagonalizes a direction dyad.  xi, the column of
+    larger norm of the dyad of (1, u), has its larger entry real and
+    positive: entry 0 where u^3 >= 0, the equator included.  On the time
+    axis a = 1."""
+    t = np.asarray(t, dtype=float)
+    v = t[..., 1:]
+    length = np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+    x, y, z = np.moveaxis(v, -1, 0) / np.where(length > 0, length, 1.0)
+    z = np.where(length > 0, z, 1.0)
+    xi = np.where((z >= 0)[..., None], np.stack([1.0 + z, x + 1j * y], axis=-1),
+                  np.stack([x - 1j * y, 1.0 - z], axis=-1))
+    xi = xi / np.sqrt(2.0 * (1.0 + np.abs(z)))[..., None]
+    a = np.empty(xi.shape[:-1] + (2, 2), dtype=complex)
+    np.conj(xi, out=a[..., 0, :])
+    np.negative(xi[..., 1], out=a[..., 1, 0])
+    a[..., 1, 1] = xi[..., 0]
+    return a, np.stack([t[..., 0] + length, t[..., 0] - length], axis=-1) / np.sqrt(2.0)
 
-    The free overall phase is fixed by making the largest-modulus component
-    real and positive.
-    """
+
+def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
+    """Spinor pi with pi^A pibar^{A'} = p^{AA'} for null future-pointing p:
+    sqrt(lam_0) conj(a_0) for a, lam = axis_rotation(p); its larger-modulus
+    component, component 0 where p^3 >= 0, is real and positive."""
     p = np.asarray(p, dtype=float)
     reject(np.all(np.isfinite(p), axis=-1) & ~(p[..., 0] > 0), NotFuturePointing,
            "p^0 must be positive")
     reject(~core.null_shell(p), NotNull, "p must be finite and null")
-    d = core.vector_to_dyad(p, "up")
-    diag = np.stack([np.real(d[..., 0, 0]), np.real(d[..., 1, 1])], axis=-1)
-    j = np.argmax(diag, axis=-1)
-    col = np.take_along_axis(d, j[..., None, None], axis=-1)[..., 0]
-    piv = np.take_along_axis(diag, j[..., None], axis=-1)[..., 0]
-    pi = col / np.sqrt(piv)[..., None]
-    k = np.argmax(np.abs(pi), axis=-1)
-    lead = np.take_along_axis(pi, k[..., None], axis=-1)[..., 0]
-    return pi * np.exp(-1j * np.angle(lead))[..., None]
+    a, lam = axis_rotation(p)
+    return np.sqrt(lam[..., 0])[..., None] * np.conj(a[..., 0, :])
 
 
 def partner_massless(pi: np.ndarray) -> np.ndarray:

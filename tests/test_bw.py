@@ -15,7 +15,7 @@ from bwspinor.bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike
                          wigner_state, BWComponent)
 from bwspinor.errors import (FrameMismatch, NonUnitDeterminant, NotMassive,
                              NotNull, OrthogonalDirection, ValenceMismatch)
-from bwspinor.frames import frame_for, frame_massive, frame_massless
+from bwspinor.frames import axis_rotation, frame_for, frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor, sym_outer
 from bwspinor.pauli_lubanski import chi_basis, default_normalization
 from oracles import (contract_T_bruteforce, dense, dense_from_graded,
@@ -267,7 +267,7 @@ class TestDirectionResolver:
         fr, amps, psi = random_massive(np.random.default_rng(72), 3, size=20)
         ts = resolve_directions(spec, 3, psi, fr)
         assert np.array_equal(contract_T(psi, ts),
-                              bw._rotated_pairing(psi, *bw._axis_rotation(ts[0])))
+                              bw._rotated_pairing(psi, *axis_rotation(ts[0])))
 
     def test_one_random_direction_pairs(self, no_monomial_route):
         fr, amps, psi = random_massive(np.random.default_rng(73), 1, size=20)
@@ -422,7 +422,7 @@ AXIS_CASES = {"timelike": (1.2, 0.3, -0.1, 0.2), "future-null": (1.0, 0.6, 0.0, 
 
 
 class TestAxisRotation:
-    """`bw._axis_rotation`, the one rotation that diagonalizes a direction
+    """`frames.axis_rotation`, the one rotation that diagonalizes a direction
     dyad: a in SU(2) with a t^{AA'} a^dagger = diag(lam),
     lam = (t^0 + |t|, t^0 - |t|) / sqrt2."""
 
@@ -430,7 +430,7 @@ class TestAxisRotation:
     @pytest.mark.parametrize("t", AXIS_CASES.values(), ids=AXIS_CASES)
     def test_diagonalizes_the_dyad(self, t, scale):
         t = scale * np.array(t)
-        a, lam = bw._axis_rotation(t)
+        a, lam = axis_rotation(t)
         eps = np.finfo(float).eps
         assert np.max(np.abs(a @ np.conj(a.T) - np.eye(2))) <= 16 * eps
         assert abs(np.linalg.det(a) - 1.0) <= 16 * eps

@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from bwspinor import core
 from bwspinor.errors import (DegenerateReference, NotFuturePointing, NotNull,
                              NotTimelike, ZeroSpinor)
-from bwspinor.frames import (flag_decompose_massless, frame_for, frame_massive,
-                             frame_massless, frame_residuals, partner_massless)
+from bwspinor.frames import (axis_rotation, flag_decompose_massless, frame_for,
+                             frame_massive, frame_massless, frame_residuals,
+                             partner_massless)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -31,6 +32,51 @@ class TestMasslessFlag:
             flag_decompose_massless(np.array([1.0, 0, 0, 0.5]))
         with pytest.raises(NotFuturePointing):
             flag_decompose_massless(np.array([-1.0, 0, 0, 1.0]))
+
+    # the beams, the equator and random momenta of both hemispheres, at
+    # scales where p^0 p^0 overflows or underflows
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300], ids=["unit", "1e300", "1e-300"])
+    @pytest.mark.parametrize("case", ["plus-z", "minus-z", "equator", "random"])
+    def test_reconstruction_and_phase(self, case, scale):
+        p = {"plus-z": np.array([[1.0, 0, 0, 1.0]]), "minus-z": np.array([[1.0, 0, 0, -1.0]]),
+             "equator": np.array([[0.5, 0.3, -0.4, 0.0], [1.0, 0.6, 0.8, -0.0],
+                                  [1.0, -1.0, 0, 0]]),
+             "random": core.random_future_momentum(0.0, 7, size=400)}[case]
+        if case == "random":
+            assert np.any(p[:, 3] > 0) and np.any(p[:, 3] < 0)
+        p = scale * p
+        pi = flag_decompose_massless(p)
+        outer = np.einsum('...A,...B->...AB', pi, np.conj(pi))
+        err = core.max_abs(outer - core.vector_to_dyad(p, "up"), 2) / p[:, 0]
+        assert np.max(err) <= 1e-12
+        # the entry of larger modulus is exactly real and positive: entry 0
+        # where p^3 >= 0, the equator included, else entry 1
+        lead = np.where(p[:, 3] >= 0, 0, 1)
+        rows = np.arange(len(p))
+        assert np.all(pi[rows, lead].imag == 0) and np.all(pi[rows, lead].real > 0)
+        # larger up to the rounding of a tie on the equator
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(pi[rows, lead]) >= (1 - 4 * eps) * np.abs(pi[rows, 1 - lead]))
+
+    def test_equator_takes_entry_zero(self):
+        # |pi_0| = |pi_1| on the equator; the tie goes to entry 0
+        phi = np.linspace(0.0, 2 * np.pi, 13)
+        p = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi), np.zeros_like(phi)], -1)
+        pi = flag_decompose_massless(p)
+        assert np.all(pi[:, 0].imag == 0) and np.all(pi[:, 0].real > 0)
+        assert_allclose(np.abs(pi), 2 ** -0.25, rtol=1e-15)
+
+    # t^{AA'} = lam_i conj(a_iA) a_iA' with i the larger |lam_i|: the rank-one
+    # factor of the equal-slot pairing, for future (i = 0) and past (i = 1) t
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["future", "past"])
+    def test_rotation_row_is_the_rank_one_factor(self, sign):
+        t = sign * core.random_future_momentum(0.0, 8, size=400)
+        a, lam = axis_rotation(t)
+        i = 0 if sign > 0 else 1
+        assert np.all(np.abs(lam[:, i]) > np.abs(lam[:, 1 - i]))
+        factor = lam[:, i, None, None] * np.einsum('...A,...B->...AB', np.conj(a[:, i]), a[:, i])
+        err = core.max_abs(factor - core.vector_to_dyad(t, "up"), 2) / core.max_abs(t)
+        assert np.max(err) <= 16 * np.finfo(float).eps
 
 
 class TestPartner:

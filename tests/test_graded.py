@@ -36,7 +36,7 @@ from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
                          StandardTime, contract_T, extract_massive, norm_integrand,
                          resolve_directions, standard_bw_integrand,
                          synth_massive, synth_massless, transform_component)
-from bwspinor.frames import frame_massive, frame_massless
+from bwspinor.frames import axis_rotation, frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor, _blocks, sym_power_matrices
 from bwspinor.quadrature import build_grid
 from bwspinor.pauli_lubanski import default_normalization
@@ -178,7 +178,7 @@ def test_closed_form_pairings_keep_the_slot_action_digits(n, sign, spec):
     ts = resolve_directions(spec, n, psi, fr)
     tp = np.prod(core.minkowski(ts, psi.p), axis=0)
     route = relative(contract_T(psi, ts) / tp, want)
-    square = relative(bw._rotated_pairing(psi, *bw._axis_rotation(ts[0])) / tp, want)
+    square = relative(bw._rotated_pairing(psi, *axis_rotation(ts[0])) / tp, want)
     assert route <= max(2 * square, 64 * np.finfo(float).eps)
 
 
@@ -187,7 +187,7 @@ def test_form_p_is_the_momentum_direction(n):
     # form "p" puts t = p on every slot and divides by (p.p)^n per sample; the
     # same pairing scaled by m^(-2n) was its own branch before
     psi, fr, _ = random_component(n, 200, seed=1200 + n)
-    want = bw._rotated_pairing(psi, *bw._axis_rotation(psi.p)) * psi.mass ** (-2 * n)
+    want = bw._rotated_pairing(psi, *axis_rotation(psi.p)) * psi.mass ** (-2 * n)
     assert relative(norm_integrand(psi, None, fr, form="p"), want) <= 1e-12
 
 
@@ -202,7 +202,7 @@ def test_rotated_pairing_is_the_diagonal_pairing_of_the_moved_field(n, mass):
     else:
         p = core.random_future_momentum(0.0, rng, size=50)
         psi = synth_massless(frame_massless(p).pi, rng.normal(size=50) + 1j * rng.normal(size=50), n)
-    a, lam = bw._axis_rotation(core.random_timelike(rng, size=50))
+    a, lam = axis_rotation(core.random_timelike(rng, size=50))
     want = bw._diagonal_pairing(transform_component(psi, a), lam[:, 0], lam[:, 1])
     assert relative(bw._rotated_pairing(psi, a, lam), want) <= 1e-14
 
