@@ -19,8 +19,7 @@ from .core import (lorentz_from_sl2c, lower_spinor, minkowski, raise_spinor,
 from .dirac import (dirac_current, dirac_norm_integrand, dirac_solution,
                     gamma_set)
 from .frames import (SpinFrame, flag_decompose_massless, frame_for,
-                     frame_massive, frame_massless, frame_residuals,
-                     partner_massless)
+                     frame_massive, frame_massless, frame_residuals)
 from .maxwell import (em_spinor, gk_norm_integrand, phi_from_potential,
                       stress_tensor)
 from .multispinor import SymMultiSpinor, contract_full, sym_outer

@@ -16,7 +16,7 @@ from . import core, verify
 from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                  StandardTime, extract_massive, extract_massless, norm_integrand,
                  standard_bw_integrand, synth_massive, synth_massless)
-from .errors import BWSpinorError, InvalidResolution, SchemaError
+from .errors import BWSpinorError, InvalidResolution, SchemaError, reject
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
                      write_field_file)
 from .frames import frame_for
@@ -174,20 +174,25 @@ def cmd_norm(args) -> int:
         _usage(count in (1, psi.n), f"{text!r} gives {count} direction vectors; "
                f"the field has n={psi.n}, so give 1 or {psi.n}")
     fr = frame_for(psi.p, psi.mass, args.nu)
+    names = [f"norm[{text}]" for text in texts] + ["standard-bw norm"] * args.standard_bw
     values = []
-    for text, spec in zip(texts, specs):
-        integrand = norm_integrand(psi, spec, fr)
-        values.append(pairwise_sum(integrand * data.weights))
-        print(f"norm[{text}] = {values[-1]!r}")
-    if len(values) > 1:
-        base = values[0]
-        spread = max(abs(v - base) for v in values[1:]) / max(1.0, abs(base))
+    # (t.p)^n and T may overflow: every integrand and sum is checked before printing
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for name, spec in zip(names, specs + [None]):
+            integrand = (norm_integrand(psi, spec, fr) if spec is not None
+                         else standard_bw_integrand(psi))
+            reject(~np.isfinite(integrand), BWSpinorError, f"{name}: integrand must be finite")
+            values.append(pairwise_sum(integrand * data.weights))
+            reject(~np.isfinite(values[-1]), BWSpinorError, f"{name}: weighted sum must be finite")
+    for text, value in zip(texts, values):
+        print(f"norm[{text}] = {value!r}")
+    if len(texts) > 1:
+        spread = max(abs(v - values[0]) for v in values[1:len(texts)]) / max(1.0, abs(values[0]))
         print(f"max relative spread = {spread:.3e}")
     if args.standard_bw:
-        std = pairwise_sum(standard_bw_integrand(psi) * data.weights)
-        print(f"standard-bw norm = {std!r}")
-        if std != 0.0:
-            print(f"ratio generalized/standard = {values[0] / std!r}")
+        print(f"standard-bw norm = {values[-1]!r}")
+        if values[-1] != 0.0:
+            print(f"ratio generalized/standard = {values[0] / values[-1]!r}")
     return 0
 
 

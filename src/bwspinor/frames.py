@@ -3,8 +3,8 @@
 A massive momentum decomposes as p = (m/sqrt2)(omega_vec + pi_vec) into two
 null future-pointing flagpoles with omega_A pi^A = 1 and omega.p = m/sqrt2.
 A massless momentum is the flagpole of a single spinor pi, with the partner
-omega fixed by pi_A omega^A = 1; pi is read from `axis_rotation`, whose
-rows are the spin frame of a null direction.
+omega fixed by pi_A omega^A = 1: two rows of one `axis_rotation`, scaled by
+sqrt(lam_0) and its inverse, finite for p^0 from about 4e-309 to 9e307.
 
 The two regimes deliberately use the opposite contraction normalization
 (omega_A pi^A = +1 massive, pi_A omega^A = +1 massless); every downstream
@@ -68,43 +68,37 @@ def axis_rotation(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.stack([t[..., 0] + length, t[..., 0] - length], axis=-1) / np.sqrt(2.0)
 
 
-def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
-    """Spinor pi with pi^A pibar^{A'} = p^{AA'} for null future-pointing p:
-    sqrt(lam_0) conj(a_0) for a, lam = axis_rotation(p); its larger-modulus
-    component, component 0 where p^3 >= 0, is real and positive."""
+def _null_frame(p: np.ndarray):
+    """(pi, omega, omega_vec) of a null future-pointing p from the rows of a,
+    lam = axis_rotation(p): pi = sqrt(lam_0) conj(a_0), omega = conj(a_1) /
+    sqrt(lam_0), so pi_A omega^A = 1; rejects a sample where omega_vec (p^0
+    below ~4e-309) or pi (p^0 above ~9e307) overflows."""
     p = np.asarray(p, dtype=float)
     reject(np.all(np.isfinite(p), axis=-1) & ~(p[..., 0] > 0), NotFuturePointing,
            "p^0 must be positive")
     reject(~core.null_shell(p), NotNull, "p must be finite and null")
-    a, lam = axis_rotation(p)
-    return np.sqrt(lam[..., 0])[..., None] * np.conj(a[..., 0, :])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a, lam = axis_rotation(p)
+        root = np.sqrt(lam[..., 0])[..., None]
+        pi, omega = root * np.conj(a[..., 0, :]), np.conj(a[..., 1, :]) / root
+        omega_vec = core.flagpole(omega)
+    reject(~(np.all(np.isfinite(pi), axis=-1) & np.all(np.isfinite(omega_vec), axis=-1)),
+           ZeroSpinor, "flag spinor must be finite and nonzero, with a finite partner")
+    return pi, omega, omega_vec
 
 
-def partner_massless(pi: np.ndarray) -> np.ndarray:
-    """Spinor omega with pi_A omega^A = 1, orthogonal to pi in the Euclidean sense.
-
-    Scale-free: q = pi / 2^e, with 2^e the power of two just above the
-    largest real or imaginary part (`core._unit_scaled`, exact), so
-    omega = 2^-e q^perp / |q|^2 with 1/2 <= |q| < 2; every finite nonzero
-    pi whose partner is finite (largest part at least 2^-1023) is accepted.
-    """
-    pi = np.ascontiguousarray(pi, dtype=complex)
-    finite, q, _, e = core._unit_scaled(pi.view(float))
-    q = q.view(complex)
-    norm2 = np.sum(q.real ** 2 + q.imag ** 2, axis=-1)
-    perp = np.stack([-np.conj(q[..., 1]), np.conj(q[..., 0])], axis=-1)
-    # |omega| = 2^-e / |q| <= 2^(1-e): finite for every e >= -1022
-    reject(~(finite & (norm2 > 0) & (e >= -1022)), ZeroSpinor,
-           "flag spinor must be finite and nonzero, with a finite partner")
-    return perp / norm2[..., None] * np.ldexp(1.0, -e)[..., None]
+def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
+    """Spinor pi with pi^A pibar^{A'} = p^{AA'} for null future-pointing p:
+    sqrt(lam_0) conj(a_0) for a, lam = axis_rotation(p); its larger-modulus
+    component, component 0 where p^3 >= 0, is real and positive."""
+    return _null_frame(p)[0]
 
 
 def frame_massless(p: np.ndarray) -> SpinFrame:
-    """Spin-frame for a null momentum: pi from the flag, omega the partner."""
-    pi = flag_decompose_massless(p)
-    omega = partner_massless(pi)
+    """Spin-frame for a null momentum: pi and omega from one axis_rotation."""
+    pi, omega, omega_vec = _null_frame(p)
     return SpinFrame(pi=pi, omega=omega, p=np.asarray(p, dtype=float),
-                     pi_vec=core.flagpole(pi), omega_vec=core.flagpole(omega))
+                     pi_vec=core.flagpole(pi), omega_vec=omega_vec)
 
 
 def frame_for(p: np.ndarray, mass: float, nu=None) -> SpinFrame:

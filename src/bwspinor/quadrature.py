@@ -18,7 +18,7 @@ from . import core
 from .bw import (Amplitudes, BWComponent, NullOmega, norm_integrand,
                  standard_bw_integrand, synth_massive, synth_massless,
                  transform_component)
-from .errors import InvalidResolution
+from .errors import InvalidResolution, reject
 from .frames import SpinFrame, frame_for
 
 _CHUNK = 4096   # fixed: bounds the working set; the value does not see it
@@ -51,10 +51,10 @@ class ShellGrid:
 def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGrid:
     """Tensor-product midpoint rule on [-L, L]^3 with weight (2L/N)^3 / (2 p^0).
 
-    For mass 0 any sample with |pvec| < 1e-8 is dropped so the weight stays
-    finite.  A negative or non-finite mass, a non-positive or non-finite
-    half width, fewer than two points, or a p^0 or weight that overflows
-    raises InvalidResolution.
+    For mass 0 the origin sample of odd N (the one within h/4 of 0) is dropped
+    so the weight stays finite.  A negative or non-finite mass, a non-positive
+    or non-finite half width, N < 2, a p^0 or weight that overflows, or a
+    sample off `core.on_shell` (the reader's rule) raises InvalidResolution.
     """
     if not (np.isfinite(mass) and mass >= 0 and np.isfinite(half_width)
             and half_width > 0 and points_per_axis >= 2):
@@ -66,8 +66,7 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
     px, py, pz = np.meshgrid(axis, axis, axis, indexing="ij")
     pvec = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=-1)
     if mass == 0.0:
-        keep = np.linalg.norm(pvec, axis=-1) >= 1e-8
-        pvec = pvec[keep]
+        pvec = pvec[core.max_abs(pvec) >= h / 4]
     # in numpy, h^3 overflows to inf (a Python float raises); rejected below
     with np.errstate(over="ignore"):
         p0 = core.shell_energy(pvec, mass)
@@ -75,6 +74,8 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(weights))):
         raise InvalidResolution(f"p^0 or a weight overflows (m = {mass}, L = {half_width})")
     p = np.concatenate([p0[:, None], pvec], axis=-1)
+    reject(~core.on_shell(p, mass), InvalidResolution,
+           f"grid sample off the mass shell (m = {mass}, L = {half_width})")
     return ShellGrid(mass=mass, p=p, weights=weights,
                      half_width=half_width, points_per_axis=n)
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from bwspinor.cli import main
+from bwspinor.errors import InvalidResolution
 from bwspinor.fileio import read_amplitude_file
+from bwspinor.quadrature import build_grid
 
 
 def run_cli(args, capsys):
@@ -305,6 +307,42 @@ class TestPipelines:
         code, _, err = run_cli(["norm", "--in", str(field)], capsys)
         assert code == 2
         assert "weights" in err
+
+    # (t.p)^4 and T overflow at this scale: the standard integrand is not
+    # finite, and nothing is printed
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_norm_is_a_numeric_failure(self, tmp_path, capsys):
+        amp, field = tmp_path / "amp.json", tmp_path / "field.json"
+        assert run_cli(["packet", "--n", "4", "--mass", "0", "--points", "4", "--out", str(amp),
+                        "--half-width", "1e100", "--sigma", "1e100"], capsys)[0] == 0
+        assert run_cli(["synth", "--in", str(amp), "--out", str(field)], capsys)[0] == 0
+        code, out, err = run_cli(["norm", "--in", str(field), "--t", "standard",
+                                  "--standard-bw"], capsys)
+        assert code == 1
+        assert err.startswith("error: norm[standard]: integrand must be finite at sample index [")
+        assert out == ""
+
+    # the massless cut drops only the origin sample of odd N, at any scale
+    def test_massless_grid_keeps_tiny_samples(self, tmp_path, capsys):
+        assert build_grid(0.0, 1e-9, 12).p.shape == (1728, 4)
+        assert build_grid(0.0, 1e-9, 5).p.shape == (124, 4)
+        amp = tmp_path / "amp.json"
+        code, _, err = run_cli(["packet", "--n", "2", "--mass", "0", "--points", "12",
+                                "--half-width", "1e-9", "--out", str(amp)], capsys)
+        assert code == 0, err
+        assert read_amplitude_file(amp).p.shape == (1728, 4)
+
+    # at L = 1e5 the corner sample of a unit-mass grid fails the timelike band
+    # of core.on_shell, which the reader would reject
+    def test_off_shell_grid_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(InvalidResolution, match=r"mass shell .* at sample index \[0\]"):
+            build_grid(1.0, 1e5, 4)
+        amp = tmp_path / "amp.json"
+        code, _, err = run_cli(["packet", "--n", "2", "--mass", "1", "--points", "4",
+                                "--half-width", "1e5", "--out", str(amp)], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert not amp.exists()
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

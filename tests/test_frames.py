@@ -6,8 +6,7 @@ from bwspinor import core
 from bwspinor.errors import (DegenerateReference, NotFuturePointing, NotNull,
                              NotTimelike, ZeroSpinor)
 from bwspinor.frames import (axis_rotation, flag_decompose_massless, frame_for,
-                             frame_massive, frame_massless, frame_residuals,
-                             partner_massless)
+                             frame_massive, frame_massless, frame_residuals)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -79,27 +78,65 @@ class TestMasslessFlag:
         assert np.max(err) <= 16 * np.finfo(float).eps
 
 
+def random_null(seed, size):
+    return core.random_future_momentum(0.0, seed, size=size)
+
+
 class TestPartner:
+    """omega, the partner of pi in the massless frame: pi_A omega^A = 1."""
+
     def test_example(self):
-        om = partner_massless(np.array([2 ** 0.25, 0.0]))
+        om = frame_massless(np.array([1.0, 0, 0, 1.0])).omega
         assert_allclose(om, [0.0, 2 ** -0.25], atol=1e-14)
 
     def test_normalization_and_orthogonality(self):
-        pi = core.random_spinor(1, size=200)
-        om = partner_massless(pi)
-        contraction = core.spinor_contract(core.lower_spinor(pi), om)
+        fr = frame_massless(random_null(1, 200))
+        contraction = core.spinor_contract(core.lower_spinor(fr.pi), fr.omega)
         assert np.max(np.abs(contraction - 1.0)) < 1e-13
-        assert np.max(np.abs(np.einsum('...A,...A->...', np.conj(pi), om))) < 1e-13
+        assert np.max(np.abs(np.einsum('...A,...A->...', np.conj(fr.pi), fr.omega))) < 1e-13
 
     def test_gauge_shift_keeps_normalization(self):
-        pi = core.random_spinor(2, size=50)
-        om = partner_massless(pi) + 3.0 * pi
-        contraction = core.spinor_contract(core.lower_spinor(pi), om)
+        fr = frame_massless(random_null(2, 50))
+        om = fr.omega + 3.0 * fr.pi
+        contraction = core.spinor_contract(core.lower_spinor(fr.pi), om)
         assert np.max(np.abs(contraction - 1.0)) < 1e-12
 
+    # omega_vec = (1, -u) / (2 p^0) overflows below p^0 ~ 4e-309 and pi
+    # above p^0 ~ 9e307: the frame rejects the sample, with no warning
+    @pytest.mark.filterwarnings("error")
     def test_zero_rejected(self):
-        with pytest.raises(ZeroSpinor):
-            partner_massless(np.zeros(2))
+        for p0 in (1e-310, 1e308):
+            p = np.array([[1.0, 0, 0, 1.0], [p0, 0, 0, p0], [p0, 0, 0, -p0]])
+            with pytest.raises(ZeroSpinor, match=r"finite partner at sample index \[1\]"):
+                frame_massless(p)
+            with pytest.raises(ZeroSpinor, match=r"sample index \[1\]"):
+                flag_decompose_massless(p)
+
+    # the beams (also at p^0 = 1e-308), the equator and random momenta, at
+    # scales where |omega|^2 = 1 / (sqrt2 p^0) or |pi|^2 = sqrt2 p^0 would
+    # leave the range of a double if formed carelessly
+    @pytest.mark.parametrize("case, scale", [
+        (case, scale) for case in ["plus-z", "minus-z", "equator", "random"]
+        for scale in [1.0, 1e300, 1e-300]] + [("plus-z", 1e-308), ("minus-z", 1e-308)])
+    def test_frame_is_one_rotation(self, case, scale):
+        p = scale * {"plus-z": np.array([[1.0, 0, 0, 1.0]]),
+                     "minus-z": np.array([[1.0, 0, 0, -1.0]]),
+                     "equator": np.array([[0.5, 0.3, -0.4, 0.0], [1.0, 0.6, 0.8, -0.0],
+                                          [1.0, -1.0, 0, 0]]),
+                     "random": random_null(9, 400)}[case]
+        fr = frame_massless(p)
+        eps = np.finfo(float).eps
+        contraction = core.spinor_contract(core.lower_spinor(fr.pi), fr.omega)
+        assert np.max(np.abs(contraction - 1.0)) <= 8 * eps
+        norm_pi, norm_om = np.linalg.norm(fr.pi, axis=-1), np.linalg.norm(fr.omega, axis=-1)
+        orth = np.abs(np.einsum('...A,...A->...', np.conj(fr.pi), fr.omega))
+        assert np.max(orth / (norm_pi * norm_om)) <= 8 * eps
+        # oracle: the Euclidean perpendicular of pi over |pi|^2
+        perp = np.stack([-np.conj(fr.pi[:, 1]), np.conj(fr.pi[:, 0])], axis=-1)
+        oracle = perp / (norm_pi ** 2)[:, None]
+        err = np.linalg.norm(fr.omega - oracle, axis=-1) / np.linalg.norm(oracle, axis=-1)
+        assert np.max(err) <= 8 * eps
+        assert np.all(np.isfinite(fr.omega_vec)) and np.all(np.isfinite(fr.pi_vec))
 
 
 class TestMassiveFrame:

@@ -17,7 +17,7 @@ from bwspinor.errors import (ComplexEigenvalues, DegenerateReference,
                              FrameMismatch, InconsistentPair,
                              MasslessNotSupported, NonUnitDeterminant,
                              NotAntisymmetric, NotNull, NotTimelike,
-                             OrthogonalDirection, ZeroSpinor)
+                             OrthogonalDirection)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -94,8 +94,6 @@ CASES = {
         spoil(massless()[0], v)), NotNull, "2"),
     "frame_massless": (lambda v: frames.frame_massless(spoil(massless()[0], v)),
                        NotNull, "2"),
-    "partner_massless": (lambda v: frames.partner_massless(
-        spoil(massless()[1].pi, v)), ZeroSpinor, "2"),
     "frame_massive.p": (lambda v: frames.frame_massive(
         spoil(massive()[0], v), (1.0, 0.0)), NotTimelike, "2"),
     "frame_massive.nu": (lambda v: frames.frame_massive(

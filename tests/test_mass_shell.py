@@ -110,8 +110,10 @@ class TestLargeMomenta:
 
 
 class TestTinyMasslessMomenta:
-    """The flag-spinor partner is scale-free, so a null p far below unit
-    scale gets a normalized frame and passes synth and extract."""
+    """pi and omega are rows of one axis_rotation scaled by sqrt(lam_0) and
+    its inverse, so a null p far below unit scale (down to p^0 ~ 4e-309,
+    where omega_vec overflows) gets a normalized frame and passes synth and
+    extract."""
 
     @staticmethod
     def momenta(p0):
@@ -133,6 +135,13 @@ class TestTinyMasslessMomenta:
         assert main(["extract", "--in", str(field), "--out", str(back)]) == 0, \
             capsys.readouterr().err
         assert_allclose(read_amplitude_file(back).amplitudes.f, f, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_below_the_range_synth_exits_1(self, tmp_path, capsys):
+        amp = tmp_path / "amp.json"
+        write_amplitude_file(amp, Amplitudes(2, 0.0, +1, np.ones((2, 1))), self.momenta(1e-310))
+        assert main(["synth", "--in", str(amp), "--out", str(tmp_path / "field.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: flag spinor must be finite")
 
 
 class TestTwoMassBatch:
