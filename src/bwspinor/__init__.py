@@ -22,12 +22,12 @@ from .frames import (SpinFrame, flag_decompose_massless, frame_for,
                      frame_massive, frame_massless, frame_residuals)
 from .maxwell import (em_spinor, gk_norm_integrand, phi_from_potential,
                       stress_tensor)
-from .multispinor import SymMultiSpinor, contract_full, sym_outer
+from .multispinor import SymMultiSpinor
 from .pauli_lubanski import (PLOperator, chi_basis, combined_projectors,
                              energy_projectors, pl_eigen_relations_residual,
                              pl_eigenvalues, pl_momentum_rep, pl_project,
                              pl_spin_projectors)
 from .quadrature import (GaussianPacket, ShellGrid, build_grid, evaluate_norm,
-                         invariance_report, pairwise_sum)
+                         pairwise_sum)
 
 __version__ = "0.1.0"

@@ -48,8 +48,8 @@ from math import comb, prod
 import numpy as np
 
 from . import core
-from .errors import (FrameMismatch, NotMassive, NotNull, OrthogonalDirection,
-                     ValenceMismatch, reject)
+from .errors import (FrameMismatch, NotFinite, NotMassive, NotNull,
+                     OrthogonalDirection, ValenceMismatch, reject)
 from .frames import SpinFrame, axis_rotation, frame_for
 from .multispinor import (SymMultiSpinor, _binomials, _blocks, _slot_action, _views,
                           contract_same, power_row, same_slot_coeffs, workspace)
@@ -193,18 +193,29 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
                else np.asarray(normalization, dtype=complex))
     mu_t = np.stack([-core.lower_spinor(frame.pi), e * core.lower_spinor(frame.omega)],
                     axis=-1)
-    fc = np.conj(np.asarray(amps.f, dtype=complex) * np.asarray(n_scale ** n)[..., None])
-    batch = np.broadcast_shapes(mu_t.shape[:-2], fc.shape[:-1])
-    fc = np.ascontiguousarray(np.broadcast_to(fc, batch + (n + 1,)).reshape(-1, n + 1).T)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        scale = np.asarray(n_scale ** n)
+        fc = np.conj(np.asarray(amps.f, dtype=complex) * scale[..., None])
+        batch = np.broadcast_shapes(mu_t.shape[:-2], fc.shape[:-1])
+        fc = np.ascontiguousarray(np.broadcast_to(fc, batch + (n + 1,)).reshape(-1, n + 1).T)
 
-    def conj_columns(part):
-        signed = (fc[:, part], -fc[:, part])
-        # column j of conj(G_k) is (-1)^j conj(N^n f)_{k-j..n-j}
-        return [[signed[j % 2][k - j:n + 1 - j] for j in range(k + 1)]
-                for k in range(n + 1)]
+        def conj_columns(part):
+            signed = (fc[:, part], -fc[:, part])
+            # column j of conj(G_k) is (-1)^j conj(N^n f)_{k-j..n-j}
+            return [[signed[j % 2][k - j:n + 1 - j] for j in range(k + 1)]
+                    for k in range(n + 1)]
 
-    comps = _moved(mu_t, conj_columns, [(n - k, k) for k in range(n + 1)], batch)
+        comps = _moved(mu_t, conj_columns, [(n - k, k) for k in range(n + 1)], batch)
+    _check_members(comps, scale)
     return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps)
+
+
+def _check_members(comps: tuple[SymMultiSpinor, ...], scale) -> None:
+    """Reject a sample whose members (they grow like (p^0)^(n/2)) overflow, or whose
+    unit-amplitude scale, N^n or |pi|^n, which extraction divides out, is not normal."""
+    ok = np.logical_and.reduce([np.all(np.isfinite(c.comp), axis=(-2, -1)) for c in comps])
+    reject(~(ok & (np.abs(scale) >= np.finfo(float).tiny)), NotFinite,
+           "synthesized members must be finite, with a normal scale")
 
 
 def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
@@ -241,15 +252,18 @@ def extract_massive(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
         raise NotMassive("extract_massive needs m > 0")
     _check_frame(psi, frame)
     n = psi.n
-    om = same_slot_coeffs(frame.omega, n)
-    f = np.stack([contract_same(c, om) for c in psi.comps], axis=-1)
-    return Amplitudes(n=n, mass=psi.mass, sign=psi.sign,
-                      f=f / np.asarray(default_normalization(frame) ** n)[..., None])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # checked below
+        om = same_slot_coeffs(frame.omega, n)
+        f = np.stack([contract_same(c, om) for c in psi.comps], axis=-1)
+        f = f / np.asarray(default_normalization(frame) ** n)[..., None]
+    reject(~np.all(np.isfinite(f), axis=-1), NotFinite, "extracted amplitudes must be finite")
+    return Amplitudes(n=n, mass=psi.mass, sign=psi.sign, f=f)
 
 
-def field_equation_residual_massive(psi: BWComponent) -> float:
-    """Max residual of both momentum-space equation families over all slots,
-    relative to each sample's component and momentum scale."""
+def field_equation_residual_massive(psi: BWComponent) -> np.ndarray:
+    """Per sample, the largest residual of both momentum-space equation
+    families over all slots, relative to the sample's component and
+    momentum scale."""
     if psi.mass <= 0:
         raise NotMassive("massive field equations need m > 0")
     n, m, e = psi.n, psi.mass, psi.sign
@@ -270,7 +284,7 @@ def field_equation_residual_massive(psi: BWComponent) -> float:
         # e p_A^{A'} psi^{..1..}_{..A'..} = +(m/sqrt2) psi^{..0..}_{..A..}
         res = e * hi_z @ plu_t - (m / np.sqrt(2.0)) * lo_z
         worst = np.maximum(worst, core.max_abs(res, 3))
-    return float(np.max(worst / scale))
+    return worst / scale
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +540,12 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
     pi = np.asarray(pi, dtype=complex)
     p = core.flagpole(pi)
     pil = core.lower_spinor(pi)
-    coeffs = (power_row(same_slot_coeffs(pil, n), n)
-              * np.asarray(f, dtype=complex)[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        coeffs = (power_row(same_slot_coeffs(pil, n), n)
+                  * np.asarray(f, dtype=complex)[..., None])
+        scale = np.sum(np.abs(pi) ** 2, axis=-1) ** (n / 2)
     comp = SymMultiSpinor(n, 0, coeffs[..., None])
+    _check_members((comp,), scale)
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
 
@@ -558,9 +575,9 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
 
-def helicity_residual_massless(psi: BWComponent) -> float:
-    """Max over the world index of |sum_slots S^a psi + (n/2) p^a psi|,
-    relative to each sample's component and momentum scale.
+def helicity_residual_massless(psi: BWComponent) -> np.ndarray:
+    """Per sample, the largest over the world index of |sum_slots S^a psi +
+    (n/2) p^a psi|, relative to the sample's component and momentum scale.
 
     For one 2x2 M acting on each slot in turn, the slot sum maps graded
     components c_i to (n-i)(M00 c_i + M01 c_{i+1}) + i(M11 c_i + M10 c_{i-1}):
@@ -577,7 +594,7 @@ def helicity_residual_massless(psi: BWComponent) -> float:
            + i * (s_op[..., 1, 1, :] * c + s_op[..., 1, 0, :] * cp[..., :-2]))
     res = acc + 0.5 * n * psi.p[..., None] * c
     scale = np.maximum(1.0, core.max_abs(c, 2) * core.max_abs(psi.p))
-    return float(np.max(core.max_abs(res, 2) / scale))
+    return core.max_abs(res, 2) / scale
 
 
 def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
@@ -588,7 +605,10 @@ def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
     tp = core.minkowski(core.flagpole(omega), psi.p)
     reject(~(finite & (np.abs(tp - 1.0) <= 1e-8)), FrameMismatch,
            "omega must be finite and a partner of the flag of p")
-    return contract_same(psi.comps[0], same_slot_coeffs(omega, psi.n))
+    with np.errstate(over="ignore", invalid="ignore"):    # checked below
+        f = contract_same(psi.comps[0], same_slot_coeffs(omega, psi.n))
+    reject(~np.isfinite(f), NotFinite, "extracted amplitude must be finite")
+    return f
 
 
 def wigner_state(psi: BWComponent, spec,

@@ -233,12 +233,9 @@ def flagpole(k_upper: np.ndarray) -> np.ndarray:
     return np.real(dyad_to_vector(d, "up"))
 
 
-def hermiticity_residual(d: np.ndarray) -> float:
-    return float(np.max(np.abs(d - np.conj(np.swapaxes(d, -1, -2)))))
-
-
-def trace_reversal_residual(p: np.ndarray) -> float:
-    """Max deviation of p_{AB'} p_{BA'} = p_a p_b - (p.p/2) g_{ab} in world components."""
+def trace_reversal_residual(p: np.ndarray) -> np.ndarray:
+    """Per sample, the largest deviation of p_{AB'} p_{BA'} = p_a p_b -
+    (p.p/2) g_{ab} in world components, relative to max(1, |p_a|)^2."""
     p = np.asarray(p, dtype=float)
     pl = vector_to_dyad(p, "low")
     # p_{Ab'} p_{Ba'} with its indices in the order A a' B b'
@@ -247,7 +244,7 @@ def trace_reversal_residual(p: np.ndarray) -> float:
     plow = lower_vector(p)
     rhs = (plow[..., :, None] * plow[..., None, :]
            - 0.5 * mass_squared(p)[..., None, None] * METRIC)
-    return float(np.max(max_abs(lhs - rhs, 2) / max_abs(plow, floor=1.0) ** 2))
+    return max_abs(lhs - rhs, 2) / max_abs(plow, floor=1.0) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -70,11 +70,12 @@ def dirac_solution(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:
 
 
 def dirac_residual(psi: np.ndarray, p: np.ndarray, mass: float,
-                   sign: int = +1) -> float:
+                   sign: int = +1) -> np.ndarray:
+    """Per sample, the momentum Dirac equation's residual relative to max(1, |psi| |p|)."""
     op = dirac_operator(p, sign)
     res = np.einsum('...ab,...b->...a', op, psi) - (mass / np.sqrt(2.0)) * psi
     scale = np.maximum(1.0, core.max_abs(psi) * core.max_abs(p, floor=mass))
-    return float(np.max(core.max_abs(res) / scale))
+    return core.max_abs(res) / scale
 
 
 def dirac_current(psi: np.ndarray) -> np.ndarray:

@@ -51,6 +51,10 @@ class NotMassive(BWSpinorError):
     pass
 
 
+class NotFinite(BWSpinorError):
+    """A result of finite input that leaves the double range."""
+
+
 class ValenceMismatch(BWSpinorError):
     pass
 

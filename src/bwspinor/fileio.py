@@ -2,7 +2,9 @@
 
 Both formats carry a header {version, n, mass, sign} and a list of samples
 with a momentum on the shell of the header's mass (`core.on_shell`, the rule
-synthesis applies too); complex numbers are [re, im] pairs and floats are
+synthesis applies too) and, if it is 0, inside the range where the null
+frame is finite (`frames.null_frame_finite`, the rule of `frame_massless`);
+complex numbers are [re, im] pairs and floats are
 serialized with full round-trip precision.  Validation failures raise
 SchemaError carrying a JSON pointer to the offending element.
 
@@ -25,6 +27,7 @@ import numpy as np
 from . import core
 from .bw import MAX_N, Amplitudes, BWComponent
 from .errors import SchemaError
+from .frames import null_frame_finite
 from .multispinor import SymMultiSpinor
 
 VERSION = 1
@@ -103,6 +106,8 @@ def _check_momentum(p, mass: float, pointer: str) -> None:
     _require(core.on_shell(np.asarray(p, dtype=float), mass), pointer,
              f"p off shell: need p^0 > 0, |p.p - m^2| <= 1e-10 (p^0)^2 and, "
              f"for m > 0, p.p > 1e-10 (p^0)^2; m = {mass!r}")
+    _require(mass > 0 or null_frame_finite(p), pointer,
+             "massless p outside the null frame's finite range, p^0 ~4e-309 to 9e307")
 
 
 def _check_pairs(obj, count: int, pointer: str, noun: str) -> None:
@@ -173,6 +178,8 @@ def _columns_in(samples: list, mass: float, columns: dict):
     try:
         p = _floats([e["p"] for e in samples], 1, (count, 4))
         if p is None or not np.all(core.on_shell(p, mass)):
+            return None
+        if mass == 0 and not np.all(null_frame_finite(p)):
             return None
         out = {}
         for key, sizes in columns.items():

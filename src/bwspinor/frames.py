@@ -68,22 +68,34 @@ def axis_rotation(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, np.stack([t[..., 0] + length, t[..., 0] - length], axis=-1) / np.sqrt(2.0)
 
 
-def _null_frame(p: np.ndarray):
-    """(pi, omega, omega_vec) of a null future-pointing p from the rows of a,
-    lam = axis_rotation(p): pi = sqrt(lam_0) conj(a_0), omega = conj(a_1) /
-    sqrt(lam_0), so pi_A omega^A = 1; rejects a sample where omega_vec (p^0
-    below ~4e-309) or pi (p^0 above ~9e307) overflows."""
-    p = np.asarray(p, dtype=float)
-    reject(np.all(np.isfinite(p), axis=-1) & ~(p[..., 0] > 0), NotFuturePointing,
-           "p^0 must be positive")
-    reject(~core.null_shell(p), NotNull, "p must be finite and null")
+def _null_spinors(p: np.ndarray):
+    """(pi, omega, omega_vec, finite) of a null future-pointing p from a, lam =
+    axis_rotation(p): pi = sqrt(lam_0) conj(a_0), omega = conj(a_1) / sqrt(lam_0),
+    so pi_A omega^A = 1; not finite where omega_vec (p^0 below ~4e-309) or pi
+    (p^0 above ~9e307) overflows."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a, lam = axis_rotation(p)
         root = np.sqrt(lam[..., 0])[..., None]
         pi, omega = root * np.conj(a[..., 0, :]), np.conj(a[..., 1, :]) / root
         omega_vec = core.flagpole(omega)
-    reject(~(np.all(np.isfinite(pi), axis=-1) & np.all(np.isfinite(omega_vec), axis=-1)),
-           ZeroSpinor, "flag spinor must be finite and nonzero, with a finite partner")
+    finite = np.all(np.isfinite(pi), axis=-1) & np.all(np.isfinite(omega_vec), axis=-1)
+    return pi, omega, omega_vec, finite
+
+
+def null_frame_finite(p: np.ndarray) -> np.ndarray:
+    """Per sample, whether the massless frame of a null future-pointing p is
+    finite: the range that `frame_massless` accepts and the readers check."""
+    return _null_spinors(np.asarray(p, dtype=float))[3]
+
+
+def _null_frame(p: np.ndarray):
+    """`_null_spinors` of a null future-pointing p; rejects a sample that overflows."""
+    p = np.asarray(p, dtype=float)
+    reject(np.all(np.isfinite(p), axis=-1) & ~(p[..., 0] > 0), NotFuturePointing,
+           "p^0 must be positive")
+    reject(~core.null_shell(p), NotNull, "p must be finite and null")
+    pi, omega, omega_vec, finite = _null_spinors(p)
+    reject(~finite, ZeroSpinor, "flag spinor must be finite and nonzero, with a finite partner")
     return pi, omega, omega_vec
 
 
@@ -136,28 +148,26 @@ def frame_massive(p: np.ndarray, nu: np.ndarray) -> SpinFrame:
                      pi_vec=core.flagpole(pi), omega_vec=core.flagpole(omega))
 
 
-def frame_residuals(frame: SpinFrame) -> dict[str, float]:
-    """All frame invariants as named max residuals."""
-    out: dict[str, float] = {}
+def frame_residuals(frame: SpinFrame) -> dict[str, np.ndarray]:
+    """All frame invariants as named per-sample residuals."""
+    out: dict[str, np.ndarray] = {}
     c_om_pi, c_pi_om = frame.contractions()
     scale = core.max_abs(frame.p, floor=1.0)
     if np.all(core.timelike(frame.p)):
         m = core.invariant_mass(frame.p)
-        out["omega_pi_contraction"] = float(np.max(np.abs(c_om_pi - 1.0)))
-        out["omega_dot_p"] = float(np.max(np.abs(
-            core.minkowski(frame.omega_vec, frame.p) - m / np.sqrt(2.0))
-            / np.maximum(m, 1e-300)))
+        out["omega_pi_contraction"] = np.abs(c_om_pi - 1.0)
+        out["omega_dot_p"] = np.abs(
+            core.minkowski(frame.omega_vec, frame.p) - m / np.sqrt(2.0)) / np.maximum(m, 1e-300)
         recon = (m / np.sqrt(2.0))[..., None] * (frame.omega_vec + frame.pi_vec)
-        out["momentum_decomposition"] = float(np.max(core.max_abs(frame.p - recon) / scale))
+        out["momentum_decomposition"] = core.max_abs(frame.p - recon) / scale
     else:
-        out["pi_omega_contraction"] = float(np.max(np.abs(c_pi_om - 1.0)))
+        out["pi_omega_contraction"] = np.abs(c_pi_om - 1.0)
         d = core.vector_to_dyad(frame.p, "up")
         outer = np.einsum('...A,...B->...AB', frame.pi, np.conj(frame.pi))
-        out["flag_reconstruction"] = float(np.max(core.max_abs(outer - d, 2) / scale))
-        out["partner_orthogonality"] = float(np.max(np.abs(
-            np.einsum('...A,...A->...', np.conj(frame.pi), frame.omega))))
+        out["flag_reconstruction"] = core.max_abs(outer - d, 2) / scale
+        out["partner_orthogonality"] = np.abs(
+            np.einsum('...A,...A->...', np.conj(frame.pi), frame.omega))
     for name, v in (("omega_vec", frame.omega_vec), ("pi_vec", frame.pi_vec)):
-        out[f"{name}_null"] = float(np.max(np.abs(core.mass_squared(v))
-                                           / core.max_abs(v, floor=1.0) ** 2))
-        out[f"{name}_future"] = float(np.max(np.maximum(0.0, -v[..., 0])))
+        out[f"{name}_null"] = np.abs(core.mass_squared(v)) / core.max_abs(v, floor=1.0) ** 2
+        out[f"{name}_future"] = np.maximum(0.0, -v[..., 0])
     return out

@@ -44,9 +44,9 @@ def em_spinor(f_up: np.ndarray) -> np.ndarray:
     return 0.5j * (f_up.reshape(lead + (16,)) @ _SIG_LL).reshape(lead + (2, 2))
 
 
-def lorenz_residual(pot: np.ndarray, p: np.ndarray) -> float:
-    """|p.pot|, the momentum-space Lorenz gauge condition."""
-    return float(np.max(np.abs(core.minkowski(p, pot))))
+def lorenz_residual(pot: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Per sample |p.pot|, the momentum-space Lorenz gauge condition."""
+    return np.abs(core.minkowski(p, pot))
 
 
 def phi_from_potential(pot: np.ndarray, p: np.ndarray,
@@ -115,7 +115,7 @@ def stress_tensor(phi: np.ndarray, f_up: np.ndarray) -> dict[str, np.ndarray]:
 
     Raises InconsistentPair where the routes differ by more than 1e-8 of the
     sample's largest entry (at least 1): phi and F then do not describe the
-    same field.  `route_gap` is the largest of these per-sample relative gaps.
+    same field.  `route_gap` holds these per-sample relative gaps.
     """
     _check_antisymmetric(f_up)
     finite = np.all(np.isfinite(phi), axis=(-2, -1))
@@ -129,7 +129,7 @@ def stress_tensor(phi: np.ndarray, f_up: np.ndarray) -> dict[str, np.ndarray]:
     t00_eb = 0.25 * (np.sum(np.abs(e) ** 2, axis=-1)
                      + np.sum(np.abs(b) ** 2, axis=-1))
     return {"spinor": t_spin, "field": t_field, "t00_eb": t00_eb,
-            "route_gap": float(np.max(gap))}
+            "route_gap": gap}
 
 
 def gk_norm_integrand(phi: np.ndarray, p: np.ndarray, t1: np.ndarray,

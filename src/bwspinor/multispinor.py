@@ -37,8 +37,6 @@ from math import comb, prod
 
 import numpy as np
 
-from .errors import ValenceMismatch
-
 
 @lru_cache(maxsize=None)
 def _binomials(r: int) -> np.ndarray:
@@ -56,58 +54,6 @@ class SymMultiSpinor:
 
     def scaled(self, factor) -> "SymMultiSpinor":
         return SymMultiSpinor(self.r, self.s, self.comp * np.asarray(factor)[..., None, None])
-
-
-def _sym_power_coeffs(factors: list[np.ndarray]) -> np.ndarray:
-    """Graded components of the symmetrized outer product of 2-spinors.
-
-    Multiplying the linear forms (x0 + x1 z) and dividing the coefficients by
-    binomials realizes the normalized symmetrization (1/r!) sum over
-    permutations.
-    """
-    r = len(factors)
-    if r == 0:
-        return np.ones((1,), dtype=complex)
-    c = np.zeros(np.broadcast_shapes(*(f.shape[:-1] for f in factors)) + (r + 1,),
-                 dtype=complex)
-    c[..., 0] = 1.0
-    deg = 0
-    for f in factors:
-        nxt = np.zeros_like(c)
-        nxt[..., :deg + 1] += c[..., :deg + 1] * f[..., 0, None]
-        nxt[..., 1:deg + 2] += c[..., :deg + 1] * f[..., 1, None]
-        c = nxt
-        deg += 1
-    return c / _binomials(r)
-
-
-def sym_outer(unprimed: list[np.ndarray], primed: list[np.ndarray]) -> SymMultiSpinor:
-    """Normalized symmetrized outer product of individual spinor factors."""
-    u = [np.asarray(f, dtype=complex) for f in unprimed]
-    v = [np.asarray(f, dtype=complex) for f in primed]
-    cu = _sym_power_coeffs(u)
-    cv = _sym_power_coeffs(v)
-    comp = np.einsum('...i,...j->...ij', cu, cv)
-    return SymMultiSpinor(len(u), len(v), comp)
-
-
-def contract_full(t: SymMultiSpinor, unprimed: list[np.ndarray],
-                  primed: list[np.ndarray]) -> np.ndarray:
-    """Full contraction with one spinor per slot (contraction is a plain sum,
-    so factors must carry the opposite index height).
-
-    The sum over all index tuples with i unprimed and j primed 1-values is
-    C(r,i) C(s,j) times the graded components of the factors' symmetrized
-    product, so no dense expansion is needed.
-    """
-    if len(unprimed) != t.r or len(primed) != t.s:
-        raise ValenceMismatch(
-            f"need {t.r} unprimed and {t.s} primed factors, "
-            f"got {len(unprimed)} and {len(primed)}")
-    cu = _sym_power_coeffs([np.asarray(f, dtype=complex) for f in unprimed])
-    cv = _sym_power_coeffs([np.asarray(f, dtype=complex) for f in primed])
-    return np.einsum('...ij,...i,...j->...', t.comp,
-                     _binomials(t.r) * cu, _binomials(t.s) * cv)
 
 
 def same_slot_coeffs(x: np.ndarray, n: int) -> np.ndarray:

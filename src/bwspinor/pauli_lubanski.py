@@ -214,8 +214,8 @@ def chi_basis(frame: SpinFrame) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
-def pl_eigen_relations_residual(frame: SpinFrame) -> float:
-    """Largest per-sample relative residual of the four spin-frame
+def pl_eigen_relations_residual(frame: SpinFrame) -> np.ndarray:
+    """Per sample, the largest relative residual of the four spin-frame
     eigenrelations of S(omega_vec, p).
 
     With t.p = omega.p, the relations are S omega = +(t.p/2) omega and
@@ -234,4 +234,4 @@ def pl_eigen_relations_residual(frame: SpinFrame) -> float:
         res = (s @ v[..., None])[..., 0] - c * tp[..., None] * v
         scale = (core.max_abs(s, 2) + 0.5 * np.abs(tp)) * core.max_abs(v)
         worst = np.maximum(worst, core.max_abs(res) / np.maximum(scale, np.finfo(float).tiny))
-    return float(np.max(worst))
+    return worst

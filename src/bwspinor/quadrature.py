@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .bw import (Amplitudes, BWComponent, NullOmega, norm_integrand,
-                 standard_bw_integrand, synth_massive, synth_massless,
-                 transform_component)
+from .bw import (Amplitudes, BWComponent, norm_integrand, standard_bw_integrand,
+                 synth_massive, synth_massless)
 from .errors import InvalidResolution, reject
 from .frames import SpinFrame, frame_for
 
@@ -99,8 +98,11 @@ class GaussianPacket:
 
     def amplitudes(self, p: np.ndarray) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        d2 = np.sum((p[..., 1:] - np.asarray(self.center)) ** 2, axis=-1)
-        envelope = np.exp(-d2 / (4.0 * self.sigma ** 2))
+        # |pvec - center| / (2 sigma) is scale-free; where its square
+        # overflows, the envelope's limit 0 is its value
+        z = (p[..., 1:] - np.asarray(self.center)) / (2.0 * self.sigma)
+        with np.errstate(over="ignore"):
+            envelope = np.exp(-np.sum(z ** 2, axis=-1))
         return np.asarray(self.coeffs, dtype=complex) * envelope[..., None]
 
     def frame(self, p: np.ndarray) -> SpinFrame:
@@ -134,29 +136,3 @@ def evaluate_norm(provider, grid: ShellGrid, spec=None,
               for start in range(0, grid.p.shape[0], _CHUNK)]
     values = np.concatenate(pieces) if pieces else np.zeros(0)
     return pairwise_sum(values * grid.weights)
-
-
-def invariance_report(provider, a: np.ndarray, grid: ShellGrid,
-                      spec=None) -> dict[str, float]:
-    """Pointwise scalarity check of the norm integrand under an SL(2,C) map.
-
-    For each grid sample p the integrand of the transformed field at Lambda p
-    is compared with the integrand of the original at p; the quadrature-level
-    norm difference is reported separately since the mapped samples no longer
-    sit on this grid.
-    """
-    if spec is None:
-        spec = NullOmega()
-    psi, fr = provider.component(grid.p)
-    base = norm_integrand(psi, spec, fr)
-    moved = transform_component(psi, a)
-    mapped = norm_integrand(moved, spec, provider.frame(moved.p))
-    scale = np.maximum(1.0, np.abs(base))
-    pointwise = float(np.max(np.abs(mapped - base) / scale))
-    norm_base = pairwise_sum(base * grid.weights)
-    norm_mapped = pairwise_sum(mapped * grid.weights)
-    return {
-        "pointwise_max_residual": pointwise,
-        "norm_original": norm_base,
-        "norm_transformed_integrand": norm_mapped,
-    }

@@ -365,3 +365,39 @@ class TestDeterminism:
                  "--t", "null-omega"], check=True, env=env, capture_output=True)
             outputs.append(result.stdout)
         assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("exponent", range(-300, 301, 50))
+@pytest.mark.parametrize("massive", [False, True], ids=["massless", "massive"])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_every_accepted_packet_round_trips_or_synth_exits_1(tmp_path, capsys, n, massive,
+                                                           exponent):
+    # the packet, its mass included, scaled by 10^exponent: the members grow
+    # like (p^0)^(n/2), so synth must refuse a sample they cannot hold, and
+    # a field it writes must extract to the packet's amplitudes
+    scale = f"1e{exponent}"
+    amp, field, back = (str(tmp_path / name) for name in ("amp.json", "field.json", "back.json"))
+    code, _, _ = run_cli(["packet", "--n", str(n), "--mass", scale if massive else "0",
+                          "--points", "2", "--half-width", scale, "--sigma", scale,
+                          "--out", amp], capsys)
+    if code == 2:       # a grid the packet command refuses
+        return
+    assert code == 0
+    code, _, err = run_cli(["synth", "--in", amp, "--out", field], capsys)
+    if code == 1:
+        assert err.startswith("error: ") and "at sample index [" in err
+        assert len(err.splitlines()) == 1 and not os.path.exists(field)
+        return
+    assert code == 0, err
+    code, _, err = run_cli(["extract", "--in", field, "--out", back], capsys)
+    assert code == 0, err
+    want = read_amplitude_file(amp).amplitudes.f
+    got = read_amplitude_file(back).amplitudes.f
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the integrand's (t.p)^n may still leave the double range (exit 1)
+    code, out, err = run_cli(["norm", "--in", field], capsys)
+    assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")
+                                      and "at sample index [" in err), err
+    if code == 0:
+        assert np.isfinite(float(out.split("=")[1]))

@@ -238,7 +238,7 @@ def field_equation_case(kinds):
     psi = bw.synth_massive(fr, bw.Amplitudes(2, 1.0, +1, f))
     lo, hi, *rest = psi.comps
     spoiled = (lo, hi.scaled(pick(kinds, 1.0, 1.01)), *rest)   # one member 1 % off
-    return bw.field_equation_residual_massive(dataclasses.replace(psi, comps=spoiled))
+    return np.max(bw.field_equation_residual_massive(dataclasses.replace(psi, comps=spoiled)))
 
 
 def helicity_case(kinds):
@@ -248,21 +248,21 @@ def helicity_case(kinds):
     (member,) = psi.comps
     comp = member.comp.copy()
     comp[:, 1, 0] *= pick(kinds, 1.0, 1.01)     # one entry 1 % off
-    return bw.helicity_residual_massless(
-        dataclasses.replace(psi, comps=(dataclasses.replace(member, comp=comp),)))
+    return np.max(bw.helicity_residual_massless(
+        dataclasses.replace(psi, comps=(dataclasses.replace(member, comp=comp),))))
 
 
 def dirac_case(kinds):
     fr = massive_frame(kinds)
     f = pick(kinds, BIG, 1.0)
     psi = dirac.dirac_solution(fr, f, f) * pick(kinds, np.ones(4), [1.01, 1, 1, 1])  # 1 % off
-    return dirac.dirac_residual(psi, fr.p, 1.0)
+    return np.max(dirac.dirac_residual(psi, fr.p, 1.0))
 
 
 def frame_case(kinds):
     fr = massive_frame(kinds, scale=BIG)
     spoiled = fr.pi_vec * pick(kinds, 1.0, 1.01)[:, None]
-    return max(frames.frame_residuals(dataclasses.replace(fr, pi_vec=spoiled)).values())
+    return np.max(list(frames.frame_residuals(dataclasses.replace(fr, pi_vec=spoiled)).values()))
 
 
 # name -> residual of the samples kinds; the bad sample's residual must not

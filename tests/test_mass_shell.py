@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from bwspinor import core
 from bwspinor.bw import Amplitudes, synth_massive
 from bwspinor.cli import main
-from bwspinor.errors import FrameMismatch
+from bwspinor.errors import FrameMismatch, ZeroSpinor
 from bwspinor.fileio import read_amplitude_file, write_amplitude_file
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.pauli_lubanski import energy_projectors, pl_eigenvalues
@@ -113,7 +113,7 @@ class TestTinyMasslessMomenta:
     """pi and omega are rows of one axis_rotation scaled by sqrt(lam_0) and
     its inverse, so a null p far below unit scale (down to p^0 ~ 4e-309,
     where omega_vec overflows) gets a normalized frame and passes synth and
-    extract."""
+    extract; the reader rejects a file outside that range."""
 
     @staticmethod
     def momenta(p0):
@@ -137,11 +137,17 @@ class TestTinyMasslessMomenta:
         assert_allclose(read_amplitude_file(back).amplitudes.f, f, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_below_the_range_synth_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("p0, index", [(1e-310, 0), (1e308, 1)])
+    def test_outside_the_range_is_a_schema_error(self, tmp_path, capsys, p0, index):
+        # the sample outside the frame's finite range sits beside one inside it
         amp = tmp_path / "amp.json"
-        write_amplitude_file(amp, Amplitudes(2, 0.0, +1, np.ones((2, 1))), self.momenta(1e-310))
-        assert main(["synth", "--in", str(amp), "--out", str(tmp_path / "field.json")]) == 1
-        assert capsys.readouterr().err.startswith("error: flag spinor must be finite")
+        p = np.array([[1.0, 0.0, 0.0, 1.0], [p0, 0.0, 0.0, p0]])[::1 if index else -1]
+        write_amplitude_file(amp, Amplitudes(2, 0.0, +1, np.ones((2, 1))), p)
+        assert main(["synth", "--in", str(amp), "--out", str(tmp_path / "field.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"schema error at /samples/{index}/p: ")
+        assert not (tmp_path / "field.json").exists()
+        with pytest.raises(ZeroSpinor, match=rf"sample index \[{index}\]$"):
+            frame_massless(p)
 
 
 class TestTwoMassBatch:

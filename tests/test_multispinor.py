@@ -7,10 +7,9 @@ from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
 from bwspinor import multispinor
 from bwspinor.multispinor import (SymMultiSpinor, _binomials, _slot_action,
-                                  contract_full, contract_same, power_row,
-                                  same_slot_coeffs, sym_outer)
-from oracles import (dense, dense_from_graded, graded_from_dense,
-                     sym_outer_bruteforce, symmetrize_bruteforce,
+                                  contract_same, power_row, same_slot_coeffs)
+from oracles import (contract_full, dense, dense_from_graded, graded_from_dense,
+                     sym_outer, sym_outer_bruteforce, symmetrize_bruteforce,
                      symmetry_residual)
 
 
