@@ -41,7 +41,7 @@ diagonal dyad does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, prod
 
@@ -519,16 +519,11 @@ def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
 
 
 def standard_bw_integrand(psi: BWComponent) -> np.ndarray:
-    """Component-sum integrand of the standard norm, sum |psi|^2 / (p^0)^n,
-    counting all 2^n labelled members: each graded entry c_ij of member k
-    stands for C(r,i) C(k,j) dense entries of C(n,k) labelled members."""
-    n = psi.n
-    total = 0.0
-    for k, comp in enumerate(psi.comps):
-        weights = np.multiply.outer(_binomials(n - k), _binomials(k))
-        total = total + comb(n, k) * np.sum(weights * np.abs(comp.comp) ** 2,
-                                            axis=(-2, -1))
-    return total / psi.p[..., 0] ** n
+    """Component-sum integrand of the standard norm, sum |psi|^2 / (p^0)^n
+    over all 2^n labelled members: the diagonal pairing at the unit dyad.
+    The standard time direction has the dyad I / sqrt2, so the StandardTime
+    integrand is 2^{-n/2} times this one."""
+    return _diagonal_pairing(psi, 1.0, 1.0) / psi.p[..., 0] ** psi.n
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +607,13 @@ def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
 
 
 def wigner_state(psi: BWComponent, spec,
-                 frame: SpinFrame | None = None) -> SymMultiSpinor:
-    """psi / [t_1.p ... t_n.p]^{1/2} of a massless component; round-trips by
-    multiplying the root back."""
-    if psi.mass != 0.0:
-        raise NotNull("wigner_state needs a massless component")
+                 frame: SpinFrame | None = None) -> BWComponent:
+    """psi / [t_1.p ... t_n.p]^{1/2}, every member divided by the same complex
+    root, at any mass; multiplying the root back round-trips, and where the
+    product is positive its pairing t_1...t_n T is the norm integrand."""
     ts = resolve_directions(spec, psi.n, psi, frame)
     root = np.sqrt(np.prod(core.minkowski(ts, psi.p), axis=0).astype(complex))
-    return psi.comps[0].scaled(1.0 / root)
+    return replace(psi, comps=tuple(c.scaled(1.0 / root) for c in psi.comps))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -16,12 +17,12 @@ from . import core, verify
 from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
                  StandardTime, extract_massive, extract_massless, norm_integrand,
                  standard_bw_integrand, synth_massive, synth_massless)
-from .errors import BWSpinorError, InvalidResolution, SchemaError, reject
+from .errors import BWSpinorError, InvalidResolution, SchemaError
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
                      write_field_file)
 from .frames import frame_for
 from .pauli_lubanski import pl_eigenvalues
-from .quadrature import GaussianPacket, build_grid, pairwise_sum
+from .quadrature import GaussianPacket, _finite_sum, build_grid
 
 USAGE_ERROR = 2
 CHECK_ERROR = 1
@@ -175,15 +176,10 @@ def cmd_norm(args) -> int:
                f"the field has n={psi.n}, so give 1 or {psi.n}")
     fr = frame_for(psi.p, psi.mass, args.nu)
     names = [f"norm[{text}]" for text in texts] + ["standard-bw norm"] * args.standard_bw
-    values = []
-    # (t.p)^n and T may overflow: every integrand and sum is checked before printing
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for name, spec in zip(names, specs + [None]):
-            integrand = (norm_integrand(psi, spec, fr) if spec is not None
-                         else standard_bw_integrand(psi))
-            reject(~np.isfinite(integrand), BWSpinorError, f"{name}: integrand must be finite")
-            values.append(pairwise_sum(integrand * data.weights))
-            reject(~np.isfinite(values[-1]), BWSpinorError, f"{name}: weighted sum must be finite")
+    integrands = ([partial(norm_integrand, psi, spec, fr) for spec in specs]
+                  + [partial(standard_bw_integrand, psi)] * args.standard_bw)
+    values = [_finite_sum(name, integrand, data.weights)
+              for name, integrand in zip(names, integrands)]
     for text, value in zip(texts, values):
         print(f"norm[{text}] = {value!r}")
     if len(texts) > 1:

@@ -17,7 +17,7 @@ from . import core
 from .bw import Amplitudes, BWComponent, synth_massive
 from .errors import NotMassive, reject
 from .frames import SpinFrame
-from .pauli_lubanski import chi_basis, default_normalization
+from .pauli_lubanski import bispinor_matrix, chi_basis, default_normalization
 
 
 @dataclass(frozen=True)
@@ -30,34 +30,21 @@ class GammaSet:
 
 def gamma_set() -> GammaSet:
     """Gamma matrices, gamma5 (product and block forms), and the current metric."""
-    gam = np.zeros((4, 4, 4), dtype=complex)
-    for q in range(4):
-        upper_right = core.G_LOW[q] @ core.EPS.T      # g_{qA}^{B'}
-        lower_left = core.EPS @ core.G_LOW[q]         # g_q^B_{A'}
-        m = np.zeros((4, 4), dtype=complex)
-        m[0:2, 2:4] = upper_right
-        m[2:4, 0:2] = -lower_left.T                   # block index (A', B)
-        gam[q] = np.sqrt(2.0) * m
+    # gamma_q = sqrt2 [[0, g_{qA}^{B'}], [-(g_q^B_{A'})^T, 0]], block index (A', B) below
+    gam = np.sqrt(2.0) * bispinor_matrix(0, core.G_LOW @ core.EPS.T,
+                                         -np.swapaxes(core.EPS @ core.G_LOW, -1, -2), 0)
     g5 = 1j / 24.0 * np.einsum('abcd,aij,bjk,ckl,dlm->im', core.LEVI_UP,
                                gam, gam, gam, gam)
-    block = np.zeros((4, 4), dtype=complex)
-    block[0:2, 0:2] = -np.eye(2)
-    block[2:4, 2:4] = np.eye(2)
-    twist = np.zeros((4, 4), dtype=complex)
-    twist[0:2, 2:4] = np.eye(2)      # eps_{A'}^{B'}
-    twist[2:4, 0:2] = -np.eye(2)     # -eps_A^B
-    return GammaSet(gammas=gam, gamma5=g5, gamma5_block=block,
-                    current_metric=twist)
+    eye = np.eye(2)
+    return GammaSet(gammas=gam, gamma5=g5, gamma5_block=bispinor_matrix(-eye, 0, 0, eye),
+                    current_metric=bispinor_matrix(0, eye, -eye, 0))   # eps_{A'}^{B'}, -eps_A^B
 
 
 def dirac_operator(p: np.ndarray, sign: int = +1) -> np.ndarray:
     """Momentum-space operator whose eigenvalue equation is D Psi = (m/sqrt2) Psi."""
     plu = core.vector_to_dyad(p, "lu")
     pul = core.vector_to_dyad(p, "ul")
-    mat = np.zeros(np.asarray(p).shape[:-1] + (4, 4), dtype=complex)
-    mat[..., 0:2, 2:4] = sign * plu
-    mat[..., 2:4, 0:2] = -sign * np.swapaxes(pul, -1, -2)
-    return mat
+    return bispinor_matrix(0, sign * plu, -sign * np.swapaxes(pul, -1, -2), 0)
 
 
 def dirac_solution(frame: SpinFrame, f0, f1, sign: int = +1) -> np.ndarray:

@@ -7,7 +7,8 @@ spin projectors, energy projectors, their commuting products and the chi
 eigenbasis are assembled from a null spin-frame.
 
 Bispinors are stored as 4-component arrays ordered (psi_A, xi_{A'}) with both
-blocks carrying lower indices; 4x4 matrices act on that layout.
+blocks carrying lower indices; 4x4 matrices act on that layout, which
+`bispinor_matrix` writes from its four 2x2 blocks, the one place it is written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,17 @@ from .errors import (ComplexEigenvalues, DegenerateSpinDirection,
 from .frames import SpinFrame
 
 
+def bispinor_matrix(uu, up, pu, pp) -> np.ndarray:
+    """The 4x4 matrix [[uu, up], [pu, pp]] on (psi_A, xi_{A'}) from 2x2 blocks
+    (..., 2, 2) that broadcast against each other; 0 is an empty block."""
+    blocks = (uu, up, pu, pp)
+    batch = np.broadcast_shapes(*(np.shape(b)[:-2] for b in blocks))
+    out = np.empty(batch + (2, 2, 2, 2), dtype=complex)   # (row block, A, column block, B)
+    for i, b in enumerate(blocks):
+        out[..., i // 2, :, i % 2, :] = b
+    return out.reshape(batch + (4, 4))
+
+
 @dataclass(frozen=True)
 class PLOperator:
     """Four 2x2 matrices per chirality block: S^a_X^Y and S^a_{X'}^{Y'}."""
@@ -32,11 +44,7 @@ class PLOperator:
 
     def bispinor(self) -> np.ndarray:
         """Block-diagonal 4x4 form, shape (..., 4 world, 4, 4)."""
-        shape = self.unprimed.shape[:-2] + (4, 4)
-        out = np.zeros(shape, dtype=complex)
-        out[..., 0:2, 0:2] = self.unprimed
-        out[..., 2:4, 2:4] = self.primed
-        return out
+        return bispinor_matrix(self.unprimed, 0, 0, self.primed)
 
 
 def _pl_rep_blocks(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,29 +146,18 @@ def energy_projectors(p: np.ndarray) -> dict[int, np.ndarray]:
     m = core.invariant_mass(p)[..., None, None]
     plu = core.vector_to_dyad(p, "lu")
     pul = core.vector_to_dyad(p, "ul")
-    out = {}
-    for e in (+1, -1):
-        mat = np.zeros(p.shape[:-1] + (4, 4), dtype=complex)
-        mat[..., 0:2, 0:2] = np.eye(2)
-        mat[..., 2:4, 2:4] = np.eye(2)
-        mat[..., 0:2, 2:4] = e * np.sqrt(2.0) / m * plu
-        mat[..., 2:4, 0:2] = -e * np.sqrt(2.0) / m * np.swapaxes(pul, -1, -2)
-        out[e] = 0.5 * mat
-    return out
+    return {e: 0.5 * bispinor_matrix(np.eye(2), e * np.sqrt(2.0) / m * plu,
+                                     -e * np.sqrt(2.0) / m * np.swapaxes(pul, -1, -2),
+                                     np.eye(2))
+            for e in (+1, -1)}
 
 
 def combined_projectors(t: np.ndarray, p: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     """The four commuting spin/energy projectors, keyed by (spin, energy)."""
     spin = pl_spin_projectors(t, p)
     energy = energy_projectors(p)
-    out = {}
-    for s, (su, sp) in spin.items():
-        block = np.zeros(su.shape[:-2] + (4, 4), dtype=complex)
-        block[..., 0:2, 0:2] = su
-        block[..., 2:4, 2:4] = sp
-        for e, pe in energy.items():
-            out[(s, e)] = block @ pe
-    return out
+    return {(s, e): bispinor_matrix(su, 0, 0, sp) @ pe
+            for s, (su, sp) in spin.items() for e, pe in energy.items()}
 
 
 def explicit_frame_projectors(frame: SpinFrame) -> dict[tuple[int, int], np.ndarray]:
@@ -172,7 +169,7 @@ def explicit_frame_projectors(frame: SpinFrame) -> dict[tuple[int, int], np.ndar
     oml = core.lower_spinor(frame.omega)
     pil = core.lower_spinor(frame.pi)
     om, pi = frame.omega, frame.pi
-    eye = np.broadcast_to(np.eye(2), oml.shape[:-1] + (2, 2))
+    eye = np.eye(2)
 
     def outer(x, y):
         return x[..., :, None] * y[..., None, :]
@@ -180,18 +177,17 @@ def explicit_frame_projectors(frame: SpinFrame) -> dict[tuple[int, int], np.ndar
     out = {}
     for s in (+1, -1):
         for e in (+1, -1):
-            mat = np.zeros(oml.shape[:-1] + (4, 4), dtype=complex)
             if s == +1:
-                mat[..., 0:2, 0:2] = eye + outer(pil, om) + outer(oml, pi)
-                mat[..., 0:2, 2:4] = 2 * e * outer(oml, np.conj(om))
-                mat[..., 2:4, 0:2] = -2 * e * outer(np.conj(pil), pi)
-                mat[..., 2:4, 2:4] = (eye - outer(np.conj(pil), np.conj(om))
+                mat = bispinor_matrix(eye + outer(pil, om) + outer(oml, pi),
+                                      2 * e * outer(oml, np.conj(om)),
+                                      -2 * e * outer(np.conj(pil), pi),
+                                      eye - outer(np.conj(pil), np.conj(om))
                                       - outer(np.conj(oml), np.conj(pi)))
             else:
-                mat[..., 0:2, 0:2] = eye - outer(pil, om) - outer(oml, pi)
-                mat[..., 0:2, 2:4] = 2 * e * outer(pil, np.conj(pi))
-                mat[..., 2:4, 0:2] = -2 * e * outer(np.conj(oml), om)
-                mat[..., 2:4, 2:4] = (eye + outer(np.conj(pil), np.conj(om))
+                mat = bispinor_matrix(eye - outer(pil, om) - outer(oml, pi),
+                                      2 * e * outer(pil, np.conj(pi)),
+                                      -2 * e * outer(np.conj(oml), om),
+                                      eye + outer(np.conj(pil), np.conj(om))
                                       + outer(np.conj(oml), np.conj(pi)))
             out[(s, e)] = 0.25 * mat
     return out

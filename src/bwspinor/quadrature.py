@@ -11,13 +11,14 @@ perfbench assume that its spans never overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import core
 from .bw import (Amplitudes, BWComponent, norm_integrand, standard_bw_integrand,
                  synth_massive, synth_massless)
-from .errors import InvalidResolution, reject
+from .errors import InvalidResolution, NotFinite, reject
 from .frames import SpinFrame, frame_for
 
 _CHUNK = 4096   # fixed: bounds the working set; the value does not see it
@@ -105,11 +106,8 @@ class GaussianPacket:
             envelope = np.exp(-np.sum(z ** 2, axis=-1))
         return np.asarray(self.coeffs, dtype=complex) * envelope[..., None]
 
-    def frame(self, p: np.ndarray) -> SpinFrame:
-        return frame_for(p, self.mass, self.nu)
-
     def component(self, p: np.ndarray) -> tuple[BWComponent, SpinFrame]:
-        fr = self.frame(p)
+        fr = frame_for(p, self.mass, self.nu)
         f = self.amplitudes(p)
         if self.mass > 0:
             amps = Amplitudes(n=self.n, mass=self.mass, sign=self.sign, f=f)
@@ -117,11 +115,25 @@ class GaussianPacket:
         return synth_massless(fr.pi, f[..., 0], self.n, self.sign), fr
 
 
-def _integrand_values(provider, p: np.ndarray, spec, standard: bool) -> np.ndarray:
-    psi, fr = provider.component(p)
-    if standard:
-        return standard_bw_integrand(psi)
-    return norm_integrand(psi, spec, fr)
+def _finite_sum(name: str, integrand, weights: np.ndarray) -> float:
+    """pairwise_sum(integrand() * weights), where (t.p)^n and T may overflow:
+    integrand() runs under np.errstate, a non-finite value raises NotFinite
+    naming its sample, and so does a non-finite sum."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = integrand()
+        reject(~np.isfinite(values), NotFinite, f"{name}: integrand must be finite")
+        total = pairwise_sum(values * weights)
+        reject(~np.isfinite(total), NotFinite, f"{name}: weighted sum must be finite")
+    return total
+
+
+def _integrand_values(provider, grid: ShellGrid, spec, standard: bool) -> np.ndarray:
+    """The integrand at every sample, evaluated serially in chunks of _CHUNK."""
+    pieces = []
+    for start in range(0, grid.p.shape[0], _CHUNK):
+        psi, fr = provider.component(grid.p[start:start + _CHUNK])
+        pieces.append(standard_bw_integrand(psi) if standard else norm_integrand(psi, spec, fr))
+    return np.concatenate(pieces) if pieces else np.zeros(0)
 
 
 def evaluate_norm(provider, grid: ShellGrid, spec=None,
@@ -130,9 +142,9 @@ def evaluate_norm(provider, grid: ShellGrid, spec=None,
     the default of `norm_integrand`.
 
     The samples are evaluated serially in fixed chunks of _CHUNK and
-    reduced with pairwise_sum.
+    reduced with pairwise_sum; a non-finite integrand or sum raises
+    NotFinite, as `norm` does.
     """
-    pieces = [_integrand_values(provider, grid.p[start:start + _CHUNK], spec, standard)
-              for start in range(0, grid.p.shape[0], _CHUNK)]
-    values = np.concatenate(pieces) if pieces else np.zeros(0)
-    return pairwise_sum(values * grid.weights)
+    return _finite_sum("standard-bw norm" if standard else "norm",
+                       partial(_integrand_values, provider, grid, spec, standard),
+                       grid.weights)

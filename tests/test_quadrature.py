@@ -1,4 +1,5 @@
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from bwspinor import core, quadrature
 from bwspinor.bw import (FixedList, NullOmega, RandomTimelike, StandardTime,
                          norm_integrand, standard_bw_integrand, transform_component)
-from bwspinor.errors import InvalidResolution
+from bwspinor.errors import InvalidResolution, NotFinite
+from bwspinor.frames import frame_for
 from bwspinor.quadrature import GaussianPacket, build_grid, evaluate_norm, pairwise_sum
 
 
@@ -82,6 +84,17 @@ class TestNorms:
         grid = build_grid(1.0, 2.0, 6)
         assert evaluate_norm(packet, grid) == 0.0
 
+    @pytest.mark.parametrize("standard", [False, True])
+    def test_overflowing_integrand_raises_not_finite(self, standard):
+        # the members (~1e200) are finite, their squares are not: the norm
+        # refuses the sample, as `norm` does, instead of returning NaN
+        packet = GaussianPacket(n=4, mass=0.0, sign=1, coeffs=(1.0,), sigma=1e100)
+        grid = build_grid(0.0, 1e100, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotFinite, match=r"integrand must be finite at sample index \[0\]"):
+                evaluate_norm(packet, grid, standard=standard)
+
     def test_self_convergence_order(self):
         packet = GaussianPacket(n=1, mass=1.0, sign=+1, coeffs=(1.0, 0.5),
                                 sigma=0.5)
@@ -143,7 +156,7 @@ def pointwise_invariance(packet, a, grid) -> float:
     psi, fr = packet.component(grid.p)
     base = norm_integrand(psi, NullOmega(), fr)
     moved = transform_component(psi, a)
-    mapped = norm_integrand(moved, NullOmega(), packet.frame(moved.p))
+    mapped = norm_integrand(moved, NullOmega(), frame_for(moved.p, packet.mass, packet.nu))
     return float(np.max(np.abs(mapped - base) / np.maximum(1.0, np.abs(base))))
 
 
