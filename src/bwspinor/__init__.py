@@ -8,18 +8,18 @@ precision.
 
 from . import core, errors
 from .bw import (Amplitudes, BWComponent, FixedList, NullOmega, RandomTimelike,
-                 StandardTime, contract_T, extract_massive, extract_massless,
+                 StandardTime, contract_T, extract, extract_massive,
                  field_equation_residual_massive, helicity_residual_massless,
-                 hertz_psi, norm_integrand, standard_bw_integrand,
-                 synth_massive, synth_massless, transform_component,
+                 hertz_psi, norm_integrand, standard_bw_integrand, synth,
+                 synth_massive, synth_massless, transform_component, valences,
                  wigner_state)
 from .core import (lorentz_from_sl2c, lower_spinor, minkowski, raise_spinor,
                    random_future_momentum, random_sl2c, random_spinor,
                    trace_reversal_residual, vector_to_dyad, dyad_to_vector)
 from .dirac import (dirac_current, dirac_norm_integrand, dirac_solution,
                     gamma_set)
-from .frames import (SpinFrame, flag_decompose_massless, frame_for,
-                     frame_massive, frame_massless, frame_residuals)
+from .frames import (SpinFrame, frame_for, frame_massive, frame_massless,
+                     frame_residuals)
 from .maxwell import (em_spinor, gk_norm_integrand, phi_from_potential,
                       stress_tensor)
 from .multispinor import SymMultiSpinor

@@ -8,7 +8,8 @@ component is a single all-unprimed symmetric multispinor.
 
 Synthesis expands a field over tensor products of the chi eigenbispinors;
 extraction contracts with the frame partner omega, which annihilates every
-term but the pure-pi one.  The quadratic tensor T pairs each member with its
+term but the pure-pi one.  `synth` and `extract` serve both masses, with the
+member layout of `valences`.  The quadratic tensor T pairs each member with its
 conjugate, and the norm integrand [t...t T] / [t_1.p ... t_n.p] is
 independent of the chosen directions t_k.
 
@@ -17,7 +18,8 @@ of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
 dense entries.  Synthesis, the general equal-slot pairing, the Lorentz
 action and the Hertz route are one slot action (`multispinor._slot_action`),
 each with its own matrix, and return (..., r+1, s+1) views of batch-last
-arrays; extraction reads one table of the powers of omega; the T
+arrays; one contraction along a spinor, `_along`, reads one table of its
+powers for extraction (along omega) and the rank-one pairing; the T
 contraction with a distinct direction per slot reads T through its
 C(n+3, 3) components on the monomials of the four dyad entries, gathered
 from the members by one fixed table.  The working arrays of the slot action
@@ -32,7 +34,7 @@ slot takes the form its dyad t^{AA'} allows: a diagonal dyad (t in the t-z
 plane, as the standard time direction) weighs |c|^2 by powers of its two
 entries; a dyad of rank one to rounding (a null t, as the flagpole of
 omega), lam_i tau taubar with tau a row of the rotation, pairs each member
-by one contraction with the powers of tau, like extraction: "formulas are
+by `_along` tau, as extraction does along omega: "formulas are
 simpler if one chooses null directions"; any other dyad is rotated to
 diag(lam), and the members, moved by the same rotation, pair as the
 diagonal dyad does.
@@ -169,7 +171,31 @@ def resolve_directions(spec, n: int, psi: BWComponent,
 
 
 # ---------------------------------------------------------------------------
-# massive synthesis / extraction
+# synthesis / extraction
+
+def valences(n: int, mass: float) -> list[tuple[int, int]]:
+    """The valences (r, s) of the stored members: (n - k, k) for k = 0..n
+    massive, the one all-unprimed (n, 0) massless."""
+    return [(n - k, k) for k in range(n + 1)] if mass > 0 else [(n, 0)]
+
+
+def synth(frame: SpinFrame, amps: Amplitudes, normalization=None) -> BWComponent:
+    """The component of the amplitudes in the frame, at any mass:
+    `synth_massive`, or `synth_massless` from frame.pi.  A frame momentum off
+    the shell of amps.mass raises FrameMismatch; a normalization at m = 0,
+    where it is fixed, raises NotMassive."""
+    if amps.mass > 0:
+        return synth_massive(frame, amps, normalization)
+    if normalization is not None:
+        raise NotMassive("a custom normalization needs m > 0")
+    _check_shell(frame, amps.mass)
+    return synth_massless(frame.pi, amps.f[..., 0], amps.n, amps.sign)
+
+
+def _check_shell(frame: SpinFrame, mass: float) -> None:
+    reject(~core.on_shell(frame.p, mass), FrameMismatch,
+           f"frame momentum off the mass shell of the amplitudes, m = {mass}")
+
 
 def synth_massive(frame: SpinFrame, amps: Amplitudes,
                   normalization=None) -> BWComponent:
@@ -185,8 +211,7 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     """
     if amps.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
-    reject(~core.on_shell(frame.p, amps.mass), FrameMismatch,
-           f"frame momentum off the mass shell of the amplitudes, m = {amps.mass}")
+    _check_shell(frame, amps.mass)
     _check_spin(amps.n)
     n, e = amps.n, amps.sign
     n_scale = (default_normalization(frame) if normalization is None
@@ -205,7 +230,7 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
             return [[signed[j % 2][k - j:n + 1 - j] for j in range(k + 1)]
                     for k in range(n + 1)]
 
-        comps = _moved(mu_t, conj_columns, [(n - k, k) for k in range(n + 1)], batch)
+        comps = _moved(mu_t, conj_columns, valences(n, amps.mass), batch)
     _check_members(comps, scale)
     return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps)
 
@@ -246,18 +271,28 @@ def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
            FrameMismatch, "frame momentum differs from component momentum")
 
 
-def extract_massive(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
-    """Wigner amplitudes via N^n f_k = omega^{A..} omegabar^{A'..} psi_k."""
-    if psi.mass <= 0:
-        raise NotMassive("extract_massive needs m > 0")
+def _along(psi: BWComponent, x: np.ndarray) -> np.ndarray:
+    """x^{A..} xbar^{A'..} psi_k of every member k, (..., len(psi.comps)),
+    from one table of the powers of x: the one contraction of the members
+    along a spinor."""
+    powers = same_slot_coeffs(x, psi.n)
+    return np.stack([contract_same(c, powers) for c in psi.comps], axis=-1)
+
+
+def extract(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
+    """Wigner amplitudes at any mass, `_along` omega: N^n f_k = omega^{A..}
+    omegabar^{A'..} psi_k massive, f = omega^{A..} psi_{A..} massless."""
     _check_frame(psi, frame)
-    n = psi.n
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # checked below
-        om = same_slot_coeffs(frame.omega, n)
-        f = np.stack([contract_same(c, om) for c in psi.comps], axis=-1)
-        f = f / np.asarray(default_normalization(frame) ** n)[..., None]
+        f = _along(psi, frame.omega)
+        if psi.mass > 0:
+            f = f / np.asarray(default_normalization(frame) ** psi.n)[..., None]
     reject(~np.all(np.isfinite(f), axis=-1), NotFinite, "extracted amplitudes must be finite")
-    return Amplitudes(n=n, mass=psi.mass, sign=psi.sign, f=f)
+    return Amplitudes(n=psi.n, mass=psi.mass, sign=psi.sign, f=f)
+
+
+# a second name of the same function: perfbench traces extraction under it
+extract_massive = extract
 
 
 def field_equation_residual_massive(psi: BWComponent) -> np.ndarray:
@@ -340,11 +375,10 @@ def _diagonal_pairing(psi: BWComponent, d0: np.ndarray, d1: np.ndarray) -> np.nd
 
 def _rank_one_pairing(psi: BWComponent, tau: np.ndarray) -> np.ndarray:
     """The pairing through the dyad tau taubar on every slot:
-    sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2, one contraction per
-    member from one table of the powers of tau."""
-    powers = same_slot_coeffs(tau, psi.n)
-    zs = (contract_same(c, powers) for c in psi.comps)
-    return sum(comb(psi.n, k) * (z.real ** 2 + z.imag ** 2) for k, z in enumerate(zs))
+    sum_k C(n,k) |tau^{A..} taubar^{A'..} psi_k|^2, `_along` tau."""
+    z = _along(psi, tau)
+    return sum(comb(psi.n, k) * (z[..., k].real ** 2 + z[..., k].imag ** 2)
+               for k in range(z.shape[-1]))
 
 
 def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -590,20 +624,6 @@ def helicity_residual_massless(psi: BWComponent) -> np.ndarray:
     res = acc + 0.5 * n * psi.p[..., None] * c
     scale = np.maximum(1.0, core.max_abs(c, 2) * core.max_abs(psi.p))
     return core.max_abs(res, 2) / scale
-
-
-def extract_massless(psi: BWComponent, omega: np.ndarray) -> np.ndarray:
-    """Amplitude f = omega^{A_1}...omega^{A_n} psi_{A_1...A_n}."""
-    if psi.mass != 0.0:
-        raise NotNull("extract_massless needs a massless component")
-    finite, (omega,) = core.finite_vectors(np.asarray(omega, dtype=complex))
-    tp = core.minkowski(core.flagpole(omega), psi.p)
-    reject(~(finite & (np.abs(tp - 1.0) <= 1e-8)), FrameMismatch,
-           "omega must be finite and a partner of the flag of p")
-    with np.errstate(over="ignore", invalid="ignore"):    # checked below
-        f = contract_same(psi.comps[0], same_slot_coeffs(omega, psi.n))
-    reject(~np.isfinite(f), NotFinite, "extracted amplitude must be finite")
-    return f
 
 
 def wigner_state(psi: BWComponent, spec,

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import core, verify
 from .bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
-                 StandardTime, extract_massive, extract_massless, norm_integrand,
-                 standard_bw_integrand, synth_massive, synth_massless)
+                 StandardTime, extract, norm_integrand, standard_bw_integrand,
+                 synth, valences)
 from .errors import BWSpinorError, InvalidResolution, SchemaError
 from .fileio import (read_amplitude_file, read_field_file, write_amplitude_file,
                      write_field_file)
@@ -137,12 +137,8 @@ def cmd_frame(args) -> int:
 def cmd_synth(args) -> int:
     data = read_amplitude_file(args.infile)
     amps, p = data.amplitudes, data.p
-    fr = frame_for(p, amps.mass, args.nu)
     norm = None if data.normalization == "paper-default" else data.normalization
-    if amps.mass > 0:
-        psi = synth_massive(fr, amps, norm)
-    else:
-        psi = synth_massless(fr.pi, amps.f[..., 0], amps.n, amps.sign)
+    psi = synth(frame_for(p, amps.mass, args.nu), amps, norm)
     write_field_file(args.outfile, psi, data.weights)
     print(f"wrote {args.outfile}: n={amps.n}, mass={amps.mass}, "
           f"samples={p.shape[0]}")
@@ -152,12 +148,7 @@ def cmd_synth(args) -> int:
 def cmd_extract(args) -> int:
     data = read_field_file(args.infile)
     psi = data.component
-    fr = frame_for(psi.p, psi.mass, args.nu)
-    if psi.mass > 0:
-        amps = extract_massive(psi, fr)
-    else:
-        f = extract_massless(psi, fr.omega)
-        amps = Amplitudes(n=psi.n, mass=0.0, sign=psi.sign, f=f[..., None])
+    amps = extract(psi, frame_for(psi.p, psi.mass, args.nu))
     write_amplitude_file(args.outfile, amps, psi.p, data.weights)
     print(f"wrote {args.outfile}: n={amps.n}, mass={amps.mass}, "
           f"samples={psi.p.shape[0]}")
@@ -197,7 +188,7 @@ def cmd_packet(args) -> int:
     _usage(1 <= args.n <= MAX_N, f"--n must be in 1..{MAX_N}")
     _usage(0 < args.sigma < np.inf, "--sigma must be a finite number > 0")
     grid = build_grid(args.mass, args.half_width, args.points)
-    want = (args.n + 1) if args.mass > 0 else 1
+    want = len(valences(args.n, args.mass))
     try:
         coeffs = tuple(complex(c) for c in args.coeffs.split(",")) if args.coeffs \
             else (1.0,) * want

@@ -43,12 +43,8 @@ class DegenerateSpinDirection(BWSpinorError):
     pass
 
 
-class MasslessNotSupported(BWSpinorError):
-    pass
-
-
 class NotMassive(BWSpinorError):
-    pass
+    """An operation that needs m > 0 met a massless input."""
 
 
 class NotFinite(BWSpinorError):

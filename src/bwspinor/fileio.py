@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from . import core
-from .bw import MAX_N, Amplitudes, BWComponent
+from .bw import MAX_N, Amplitudes, BWComponent, valences
 from .errors import SchemaError
 from .frames import null_frame_finite
 from .multispinor import SymMultiSpinor
@@ -78,8 +78,10 @@ def _header_in(doc: dict, want_normalization: bool):
     _require("header" in doc, "", "missing header")
     h = doc["header"]
     _require(isinstance(h, dict), "/header", "header must be an object")
-    _require(h.get("version") == VERSION, "/header/version",
-             f"unsupported version {h.get('version')!r}")
+    version = h.get("version")
+    # True == 1 and 1.0 == 1 in Python; the version is the integer 1
+    _require(type(version) is int and version == VERSION, "/header/version",
+             f"unsupported version {version!r}")
     n = h.get("n")
     _require(type(n) is int and 1 <= n <= MAX_N,
              "/header/n", f"n must be an integer in 1..{MAX_N}")
@@ -92,7 +94,7 @@ def _header_in(doc: dict, want_normalization: bool):
     if want_normalization:
         norm = h.get("normalization", "paper-default")
         if norm != "paper-default":
-            # synth_massless takes no normalization, so it would be ignored
+            # synthesis at m = 0 takes no normalization
             _require(mass > 0, "/header/normalization",
                      'a massless amplitude file takes only "paper-default"')
             norm = _complex_in(norm, "/header/normalization")
@@ -294,18 +296,12 @@ class AmplitudeFile:
     normalization: object    # "paper-default" or a complex number
 
 
-def _comp_sizes(n: int, mass: float) -> list[tuple[int, int]]:
-    if mass > 0:
-        return [(n - k, k) for k in range(n + 1)]
-    return [(n, 0)]
-
-
 def _field_columns(n: int, mass: float) -> dict:
-    return {"comps": tuple((r + 1) * (s + 1) for r, s in _comp_sizes(n, mass))}
+    return {"comps": tuple((r + 1) * (s + 1) for r, s in valences(n, mass))}
 
 
 def _amplitude_columns(n: int, mass: float) -> dict:
-    return {"f": (n + 1) if mass > 0 else 1}
+    return {"f": len(valences(n, mass))}
 
 
 def write_field_file(path: str, psi: BWComponent,
@@ -318,7 +314,7 @@ def read_field_file(path: str) -> FieldFile:
     (n, mass, sign, _), p, cols, weights = _read_samples(path, "field",
                                                          _field_columns)
     comps = tuple(SymMultiSpinor(r, s, c.reshape(len(p), r + 1, s + 1))
-                  for (r, s), c in zip(_comp_sizes(n, mass), cols["comps"]))
+                  for (r, s), c in zip(valences(n, mass), cols["comps"]))
     psi = BWComponent(n=n, mass=mass, sign=sign, p=p, comps=comps)
     return FieldFile(component=psi, weights=weights)
 

@@ -99,13 +99,6 @@ def _null_frame(p: np.ndarray):
     return pi, omega, omega_vec
 
 
-def flag_decompose_massless(p: np.ndarray) -> np.ndarray:
-    """Spinor pi with pi^A pibar^{A'} = p^{AA'} for null future-pointing p:
-    sqrt(lam_0) conj(a_0) for a, lam = axis_rotation(p); its larger-modulus
-    component, component 0 where p^3 >= 0, is real and positive."""
-    return _null_frame(p)[0]
-
-
 def frame_massless(p: np.ndarray) -> SpinFrame:
     """Spin-frame for a null momentum: pi and omega from one axis_rotation."""
     pi, omega, omega_vec = _null_frame(p)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import core
 from .errors import (ComplexEigenvalues, DegenerateSpinDirection,
-                     MasslessNotSupported, reject)
+                     NotMassive, reject)
 from .frames import SpinFrame
 
 
@@ -141,7 +141,7 @@ def pl_spin_projectors(t: np.ndarray,
 def energy_projectors(p: np.ndarray) -> dict[int, np.ndarray]:
     """P(+p), P(-p) as 4x4 bispinor matrices; massive momenta only."""
     p = np.asarray(p, dtype=float)
-    reject(~core.timelike(p), MasslessNotSupported,
+    reject(~core.timelike(p), NotMassive,
            "energy projectors need a finite p with p.p > 0")
     m = core.invariant_mass(p)[..., None, None]
     plu = core.vector_to_dyad(p, "lu")

@@ -16,8 +16,7 @@ from functools import partial
 import numpy as np
 
 from . import core
-from .bw import (Amplitudes, BWComponent, norm_integrand, standard_bw_integrand,
-                 synth_massive, synth_massless)
+from .bw import Amplitudes, BWComponent, norm_integrand, standard_bw_integrand, synth
 from .errors import InvalidResolution, NotFinite, reject
 from .frames import SpinFrame, frame_for
 
@@ -44,8 +43,6 @@ class ShellGrid:
     mass: float
     p: np.ndarray         # (S, 4) on-shell, future-pointing
     weights: np.ndarray   # (S,) quadrature weights for d^3p / (2 p^0)
-    half_width: float
-    points_per_axis: int
 
 
 def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGrid:
@@ -53,8 +50,9 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
 
     For mass 0 the origin sample of odd N (the one within h/4 of 0) is dropped
     so the weight stays finite.  A negative or non-finite mass, a non-positive
-    or non-finite half width, N < 2, a p^0 or weight that overflows, or a
-    sample off `core.on_shell` (the reader's rule) raises InvalidResolution.
+    or non-finite half width, N < 2, N^3 samples that numpy cannot allocate,
+    a p^0 or weight that overflows, or a sample off `core.on_shell` (the
+    reader's rule) raises InvalidResolution.
     """
     if not (np.isfinite(mass) and mass >= 0 and np.isfinite(half_width)
             and half_width > 0 and points_per_axis >= 2):
@@ -62,22 +60,26 @@ def build_grid(mass: float, half_width: float, points_per_axis: int) -> ShellGri
             f"need finite m >= 0, finite L > 0, N >= 2; got ({mass}, {half_width}, {points_per_axis})")
     n = points_per_axis
     h = 2.0 * half_width / n
-    axis = -half_width + h * (np.arange(n) + 0.5)
-    px, py, pz = np.meshgrid(axis, axis, axis, indexing="ij")
-    pvec = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=-1)
-    if mass == 0.0:
-        pvec = pvec[core.max_abs(pvec) >= h / 4]
-    # in numpy, h^3 overflows to inf (a Python float raises); rejected below
-    with np.errstate(over="ignore"):
-        p0 = core.shell_energy(pvec, mass)
-        weights = np.float64(h) ** 3 / (2.0 * p0)
+    # numpy raises MemoryError for an allocation it cannot make and
+    # ValueError for one beyond its index range
+    try:
+        axis = -half_width + h * (np.arange(n) + 0.5)
+        px, py, pz = np.meshgrid(axis, axis, axis, indexing="ij")
+        pvec = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=-1)
+        if mass == 0.0:
+            pvec = pvec[core.max_abs(pvec) >= h / 4]
+        # in numpy, h^3 overflows to inf (a Python float raises); rejected below
+        with np.errstate(over="ignore"):
+            p0 = core.shell_energy(pvec, mass)
+            weights = np.float64(h) ** 3 / (2.0 * p0)
+        p = np.concatenate([p0[:, None], pvec], axis=-1)
+    except (MemoryError, ValueError) as exc:
+        raise InvalidResolution(f"cannot allocate a grid of {n}^3 samples: {exc}") from None
     if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(weights))):
         raise InvalidResolution(f"p^0 or a weight overflows (m = {mass}, L = {half_width})")
-    p = np.concatenate([p0[:, None], pvec], axis=-1)
     reject(~core.on_shell(p, mass), InvalidResolution,
            f"grid sample off the mass shell (m = {mass}, L = {half_width})")
-    return ShellGrid(mass=mass, p=p, weights=weights,
-                     half_width=half_width, points_per_axis=n)
+    return ShellGrid(mass=mass, p=p, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -108,11 +110,8 @@ class GaussianPacket:
 
     def component(self, p: np.ndarray) -> tuple[BWComponent, SpinFrame]:
         fr = frame_for(p, self.mass, self.nu)
-        f = self.amplitudes(p)
-        if self.mass > 0:
-            amps = Amplitudes(n=self.n, mass=self.mass, sign=self.sign, f=f)
-            return synth_massive(fr, amps), fr
-        return synth_massless(fr.pi, f[..., 0], self.n, self.sign), fr
+        amps = Amplitudes(n=self.n, mass=self.mass, sign=self.sign, f=self.amplitudes(p))
+        return synth(fr, amps), fr
 
 
 def _finite_sum(name: str, integrand, weights: np.ndarray) -> float:

@@ -201,7 +201,7 @@ def massive_family(rng, n, size):
     for sign in (+1, -1):
         amps = _random_amplitudes(rng, n, m, sign, size)
         psi = bw.synth_massive(fr, amps)
-        back = bw.extract_massive(psi, fr)
+        back = bw.extract(psi, fr)
         yield f"roundtrip_n{n}_sign{sign:+d}", core.max_abs(back.f - amps.f)
         yield f"field_equations_n{n}_sign{sign:+d}", bw.field_equation_residual_massive(psi)
     amps = _random_amplitudes(rng, n, m, +1, size)
@@ -228,8 +228,8 @@ def massless_family(rng, n, size):
     fr0 = frame_massless(p0)
     yield f"massless_frame_n{n}", _largest(frame_residuals(fr0).values())
     f = rng.normal(size=size) + 1j * rng.normal(size=size)
-    psi0 = bw.synth_massless(fr0.pi, f, n)
-    yield f"massless_roundtrip_n{n}", np.abs(bw.extract_massless(psi0, fr0.omega) - f)
+    psi0 = bw.synth(fr0, bw.Amplitudes(n, 0.0, +1, f[..., None]))
+    yield f"massless_roundtrip_n{n}", np.abs(bw.extract(psi0, fr0).f[..., 0] - f)
     yield f"helicity_n{n}", bw.helicity_residual_massless(psi0)
     eta = bw.eta_from_frame(fr0, n, +1)
     via_hertz = bw.hertz_psi(bw.SymMultiSpinor(0, n, eta.comp * f[..., None, None]), p0, +1)

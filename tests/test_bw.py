@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bwspinor import bw, core
+from bwspinor import bw, core, verify
 from bwspinor.bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike,
-                         StandardTime, contract_T, extract_massive,
-                         extract_massless, eta_from_frame,
+                         StandardTime, contract_T, extract, extract_massive,
+                         eta_from_frame, synth, valences,
                          field_equation_residual_massive,
                          helicity_residual_massless, hertz_psi, norm_integrand,
                          resolve_directions, standard_bw_integrand,
@@ -156,6 +156,43 @@ class TestExtractMassive:
         psi = synth_massive(frame_massive(p, nu), amps)
         with pytest.raises(FrameMismatch, match=r"\[0\]"):
             extract_massive(psi, frame_massive(off, nu))
+
+
+class TestEveryMass:
+    """`synth` and `extract`, one entry each for both masses, with the member
+    layout of `valences`."""
+
+    @pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_roundtrip_within_the_table_gate(self, n, mass):
+        rng = np.random.default_rng(200 + n)
+        p = core.random_future_momentum(mass, rng, size=50)
+        fr = frame_for(p, mass, core.random_spinor(rng, size=50))
+        count = len(valences(n, mass))
+        f = rng.normal(size=(50, count)) + 1j * rng.normal(size=(50, count))
+        psi = synth(fr, Amplitudes(n, mass, +1, f))
+        assert [(c.r, c.s) for c in psi.comps] == valences(n, mass)
+        back = extract(psi, fr)
+        family, name = ((verify.massive_family, "roundtrip") if mass > 0
+                        else (verify.massless_family, "massless_roundtrip"))
+        entry = next(e for e in verify.IDENTITIES if e.run is family)
+        assert back.f.shape == f.shape
+        assert np.max(np.abs(back.f - f)) < entry.gate(name, n)
+
+    # a massless synthesis takes the pi of its frame: a massive frame's pi
+    # would give a field at another momentum
+    @pytest.mark.parametrize("mass, frame_mass", [(0.0, 1.0), (1.0, 0.0)],
+                             ids=["massless-amplitudes", "massive-amplitudes"])
+    def test_frame_of_the_other_mass_rejected(self, mass, frame_mass):
+        p = core.random_future_momentum(frame_mass, 3, size=4)
+        f = np.ones((4, len(valences(2, mass))))
+        with pytest.raises(FrameMismatch, match="mass shell"):
+            synth(frame_for(p, frame_mass), Amplitudes(2, mass, +1, f))
+
+    def test_massless_takes_no_normalization(self):
+        fr = frame_massless(core.random_future_momentum(0.0, 4, size=4))
+        with pytest.raises(NotMassive):
+            synth(fr, Amplitudes(2, 0.0, +1, np.ones((4, 1))), normalization=2.0)
 
 
 class TestFieldEquations:
@@ -506,13 +543,13 @@ class TestMassless:
         fr = frame_massless(p)
         f = rng.normal(size=20) + 1j * rng.normal(size=20)
         psi = synth_massless(fr.pi, f, n)
-        assert np.max(np.abs(extract_massless(psi, fr.omega) - f)) < 1e-12
+        assert np.max(np.abs(extract(psi, fr).f[..., 0] - f)) < 1e-12
 
     def test_specific_roundtrip_value(self):
         p = core.random_future_momentum(0.0, 7)
         fr = frame_massless(p)
         psi = synth_massless(fr.pi, 3.0 + 4.0j, 2)
-        assert abs(extract_massless(psi, fr.omega) - (3 + 4j)) < 1e-12
+        assert abs(extract(psi, fr).f[..., 0] - (3 + 4j)) < 1e-12
 
     @pytest.mark.parametrize("n,sign", [(1, +1), (3, +1), (3, -1), (6, +1)])
     def test_hertz_route(self, n, sign):
@@ -641,9 +678,8 @@ class TestMassless:
         p = core.random_future_momentum(0.0, 9)
         other = core.random_future_momentum(0.0, 10)
         psi = synth_massless(frame_massless(p).pi, 1.0, 2)
-        wrong_partner = frame_massless(other).omega
         with pytest.raises(FrameMismatch):
-            extract_massless(psi, wrong_partner)
+            extract(psi, frame_massless(other))
 
 
 def wigner_field(n, mass, size=40):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +344,39 @@ class TestPipelines:
         assert code == 2
         assert err.startswith("error:")
         assert not amp.exists()
+
+    # N^3 samples beyond any host: numpy refuses the first N^3 array outright
+    # (MemoryError at 1e6, ValueError at 1e7), so no memory is committed
+    @pytest.mark.parametrize("points", ["1000000", "10000000"])
+    def test_unallocatable_grid_is_a_usage_error(self, tmp_path, capsys, points):
+        amp = tmp_path / "amp.json"
+        code, _, err = run_cli(["packet", "--n", "2", "--mass", "1", "--points", points,
+                                "--out", str(amp)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not amp.exists()
+
+
+def test_traced_roundtrip_records_one_synthesis_and_one_extraction(tmp_path, monkeypatch):
+    # perfbench's tracer records extraction under its second name,
+    # bw.extract_massive, and synthesis where bw.synth calls synth_massive
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import harness
+    import layers
+    import workloads
+    tracer = harness.Tracer()
+    layers.instrument(tracer, harness.load_program(root))
+    wl = workloads.CliRoundtrip(tmp_path / "work", n=2, points=3)
+    try:
+        records = harness.run_jobs(wl, wl.prepare(wl.inputs(5)), 0.0, 4, tracer)
+    finally:
+        wl.close()
+    assert [r["failures"] for r in records] == [[]] * 4
+    per_job = {job: [s["name"] for s in tracer.spans if s["job"] == job] for job in (1, 3)}
+    for names in per_job.values():
+        assert names.count("bw.synth_massive") == 1
+        assert names.count("bw.extract_massive") == 1
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

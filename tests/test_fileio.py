@@ -6,6 +6,7 @@ import pytest
 
 from bwspinor import core
 from bwspinor.bw import MAX_N, Amplitudes, synth_massive, synth_massless
+from bwspinor.cli import main
 from bwspinor.errors import SchemaError
 from bwspinor.fileio import (read_amplitude_file, read_field_file,
                              write_amplitude_file, write_field_file)
@@ -79,6 +80,19 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             read_amplitude_file(self._write(tmp_path, doc))
         assert err.value.pointer == "/header/version"
+
+    # True == 1 and 1.0 == 1 in Python: the reader takes the integer 1 alone
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_equal_to_1_but_not_the_integer(self, tmp_path, version):
+        doc = self._amp_doc()
+        doc["header"]["version"] = version
+        path = self._write(tmp_path, doc)
+        with pytest.raises(SchemaError) as err:
+            read_amplitude_file(path)
+        assert err.value.pointer == "/header/version"
+        out = tmp_path / "field.json"
+        assert main(["synth", "--in", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [True, 0, 11, 2.0])
     def test_bad_spin(self, tmp_path, n):

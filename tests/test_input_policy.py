@@ -15,8 +15,8 @@ import pytest
 from bwspinor import bw, core, dirac, frames, maxwell, pauli_lubanski as pl
 from bwspinor.errors import (ComplexEigenvalues, DegenerateReference,
                              FrameMismatch, InconsistentPair,
-                             MasslessNotSupported, NonUnitDeterminant,
-                             NotAntisymmetric, NotNull, NotTimelike,
+                             NonUnitDeterminant, NotAntisymmetric, NotMassive,
+                             NotNull, NotTimelike,
                              OrthogonalDirection)
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -90,8 +90,8 @@ CASES = {
     "transform_vector": (lambda v: core.transform_vector(
         spoil(sl2c(), v, (BAD, 1, 1)), massive()[0]), NonUnitDeterminant, "2"),
     # frames
-    "flag_decompose_massless": (lambda v: frames.flag_decompose_massless(
-        spoil(massless()[0], v)), NotNull, "2"),
+    "frame_massless.pi": (lambda v: frames.frame_massless(
+        spoil(massless()[0], v)).pi, NotNull, "2"),
     "frame_massless": (lambda v: frames.frame_massless(spoil(massless()[0], v)),
                        NotNull, "2"),
     "frame_massive.p": (lambda v: frames.frame_massive(
@@ -105,7 +105,7 @@ CASES = {
     "pl_spin_projectors": (lambda v: pl.pl_spin_projectors(
         T2, spoil(massive()[0], v)), ComplexEigenvalues, "2"),
     "energy_projectors": (lambda v: pl.energy_projectors(spoil(massive()[0], v)),
-                          MasslessNotSupported, "2"),
+                          NotMassive, "2"),
     "combined_projectors": (lambda v: pl.combined_projectors(
         T2, spoil(massive()[0], v)), ComplexEigenvalues, "2"),
     # maxwell
@@ -133,8 +133,9 @@ CASES = {
         massive_component()[0],
         dataclasses.replace(massive_component()[1], p=spoil(massive()[0], v))),
         FrameMismatch, "2"),
-    "extract_massless.omega": (lambda v: bw.extract_massless(
-        massless_component()[0], spoil(massless_component()[1].omega, v)),
+    "extract.massless_frame": (lambda v: bw.extract(
+        massless_component()[0],
+        dataclasses.replace(massless_component()[1], p=spoil(massless()[0], v))),
         FrameMismatch, "2"),
     "hertz_psi": (lambda v: bw.hertz_psi(
         bw.eta_from_frame(massless()[1], 2), spoil(massless()[0], v)), NotNull, "2"),

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from bwspinor import core, verify
 from bwspinor.errors import (ComplexEigenvalues, DegenerateSpinDirection,
-                             MasslessNotSupported)
+                             NotMassive)
 from bwspinor.frames import frame_massive, frame_massless
 from bwspinor.pauli_lubanski import (chi_basis, combined_projectors,
                                      default_normalization, energy_projectors,
@@ -167,7 +167,7 @@ class TestProjectors:
             assert_allclose(vals, [0, 0, 1, 1], atol=1e-12)
 
     def test_massless_rejected(self):
-        with pytest.raises(MasslessNotSupported):
+        with pytest.raises(NotMassive):
             energy_projectors(np.array([1.0, 0, 0, 1.0]))
 
     def test_combined_resolution_of_identity(self):
