@@ -18,13 +18,15 @@ of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
 dense entries.  Synthesis, the general equal-slot pairing, the Lorentz
 action and the Hertz route are one slot action (`multispinor._slot_action`),
 each with its own matrix, and return (..., r+1, s+1) views of batch-last
-arrays; one contraction along a spinor, `_along`, reads one table of its
-powers for extraction (along omega) and the rank-one pairing; the T
-contraction with a distinct direction per slot reads T through its
-C(n+3, 3) components on the monomials of the four dyad entries, gathered
-from the members by one fixed table.  The working arrays of the slot action
-and of that route are views into one reused per-thread buffer
-(`multispinor.workspace`).
+arrays.  Every closed form is one sum, `multispinor.contract_rows`, of a
+member between two rows of one table of spinor powers: the members
+`_along` omega (extraction) or tau (the rank-one pairing), or their squared
+moduli, moved or not, along a diagonal dyad; massless synthesis and the
+Hertz generator read the same table.  The T contraction with a distinct
+direction per slot reads T through its C(n+3, 3) components on the
+monomials of the four dyad entries, gathered from the members by one fixed
+table.  The working arrays of the slot action and of that route are views
+into one reused per-thread buffer (`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
 every sample, and one rotation, `frames.axis_rotation`, diagonalizes
@@ -54,7 +56,7 @@ from .errors import (FrameMismatch, NotFinite, NotMassive, NotNull,
                      OrthogonalDirection, ValenceMismatch, reject)
 from .frames import SpinFrame, axis_rotation, frame_for
 from .multispinor import (SymMultiSpinor, _binomials, _blocks, _slot_action, _views,
-                          contract_same, power_row, same_slot_coeffs, workspace)
+                          contract_rows, power_row, spinor_powers, workspace)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
@@ -183,7 +185,11 @@ def synth(frame: SpinFrame, amps: Amplitudes, normalization=None) -> BWComponent
     """The component of the amplitudes in the frame, at any mass:
     `synth_massive`, or `synth_massless` from frame.pi.  A frame momentum off
     the shell of amps.mass raises FrameMismatch; a normalization at m = 0,
-    where it is fixed, raises NotMassive."""
+    where it is fixed, raises NotMassive, and a count of amplitudes other
+    than that of `valences` raises ValenceMismatch."""
+    count = len(valences(amps.n, amps.mass))
+    if np.shape(amps.f)[-1:] != (count,):
+        raise ValenceMismatch(f"need {count} amplitudes per sample, got shape {np.shape(amps.f)}")
     if amps.mass > 0:
         return synth_massive(frame, amps, normalization)
     if normalization is not None:
@@ -248,7 +254,7 @@ def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
     """Members of valences (r, s) moved by a on every slot, as public views."""
     a = np.broadcast_to(a, batch + (2, 2)).reshape(-1, 2, 2)
     out = [np.empty((r + 1, s + 1, a.shape[0]), dtype=complex) for r, s in valences]
-    for part, i, x, _ in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
+    for part, i, x in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
         r, s = valences[i]
         inv = 1.0 / np.multiply.outer(_binomials(r), _binomials(s))
         np.multiply(x, inv[..., None], out=out[i][..., part])
@@ -274,9 +280,10 @@ def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
 def _along(psi: BWComponent, x: np.ndarray) -> np.ndarray:
     """x^{A..} xbar^{A'..} psi_k of every member k, (..., len(psi.comps)),
     from one table of the powers of x: the one contraction of the members
-    along a spinor."""
-    powers = same_slot_coeffs(x, psi.n)
-    return np.stack([contract_same(c, powers) for c in psi.comps], axis=-1)
+    along a spinor.  Conjugation is exact, so the column is the conjugate row."""
+    powers = spinor_powers(x, psi.n)
+    return np.stack([contract_rows(power_row(powers, c.r, 1), np.moveaxis(c.comp, (-2, -1), (0, 1)),
+                                   np.conj(power_row(powers, c.s, 1))) for c in psi.comps], axis=-1)
 
 
 def extract(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
@@ -355,21 +362,18 @@ def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
 
 def _diagonal_pairing(psi: BWComponent, d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
     """The pairing through the dyad diag(d0, d1) on every slot:
-    sum_k C(n,k) sum_ab C(r,a) C(s,b) d0^(n-a-b) d1^(a+b) |c_ab|^2.
+    sum_k C(n,k) sum_ab C(r,a) d0^(r-a) d1^a |c_ab|^2 C(s,b) d0^(s-b) d1^b.
 
     K = S(dyad) is diagonal, so each entry pairs with its own conjugate; the
-    signed d0, d1 of a past-pointing or spacelike t enter as they are.
+    signed d0, d1 of a past-pointing or spacelike t enter as they are.  A
+    dyad shared by every sample gives a table without sample axes.
     """
-    n = psi.n
-    # g[..., m] = d0^(n-m) d1^m, real: the imaginary parts of the table are 0
-    g = np.real(power_row(same_slot_coeffs(np.stack([d0, d1], axis=-1), n), n))
+    powers = spinor_powers(np.stack([d0, d1], axis=-1), psi.n)
     total = 0.0
-    for k, c in enumerate(psi.comps):
-        r = n - k
-        weights = np.multiply.outer(_binomials(r), _binomials(k))
-        degree = np.add.outer(np.arange(r + 1), np.arange(k + 1))
-        total = total + comb(n, k) * np.sum(
-            weights * g[..., degree] * (c.comp.real ** 2 + c.comp.imag ** 2), axis=(-2, -1))
+    for c in psi.comps:
+        x = np.moveaxis(c.comp, (-2, -1), (0, 1))
+        total = total + comb(psi.n, c.s) * contract_rows(
+            power_row(powers, c.r, 1), x.real ** 2 + x.imag ** 2, power_row(powers, c.s, 1))
     return total
 
 
@@ -387,30 +391,22 @@ def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.nda
     streamed from the slot action and never stored.
 
     With M = sl2c_lower_rep(a), the slot action x of M gives the moved
-    member D_r^{-1} x D_s^{-1}, so each member gives sum_ab w_a w'_b
-    |x_ab|^2, w_a = lam_0^(r-a) lam_1^a / C(r, a); conj(M) on conj(c) gives
+    member D_r^{-1} x D_s^{-1}, so each member gives sum_ab w_a |x_ab|^2
+    w'_b, w_a = lam_0^(r-a) lam_1^a / C(r, a); conj(M) on conj(c) gives
     conj(x), so c enters as it is.  For a causal future-pointing direction
-    every weight is positive, so nothing cancels outside the squares.  The
-    squares and the weighted sums are written into the spare floats the
-    slot action yields beside x, in this thread's workspace, so a warm call
-    allocates no per-member array.
+    every weight is positive, so nothing cancels outside the squares.
     """
-    n = psi.n
     batch = np.broadcast_shapes(a.shape[:-2], lam.shape[:-1], psi.batch_shape)
     m = np.broadcast_to(np.conj(core.sl2c_lower_rep(a)), batch + (2, 2)).reshape(-1, 2, 2)
-    lam = np.broadcast_to(lam, batch + (2,)).reshape(-1, 2).T
-    powers = lam[:, None] ** np.arange(n + 1)[:, None]
-    ws = [powers[0, r::-1] * powers[1, :r + 1] / _binomials(r)[:, None]
-          for r in range(n + 1)]
+    powers = spinor_powers(np.broadcast_to(lam, batch + (2,)).reshape(-1, 2), psi.n)
     cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
     total = np.zeros(m.shape[0])
-    for part, k, x, spare in _slot_action(m, lambda part: [np.swapaxes(c[..., part], 0, 1)
-                                                           for c in cs], n, _STATE_BYTES):
-        sq, weighted, row, share = _views(spare, x.shape, x.shape, x.shape[::2], x.shape[2:])
-        np.add(np.square(x.real, out=sq), np.square(x.imag, out=weighted), out=sq)
-        np.sum(np.multiply(ws[k][:, part], sq, out=weighted), axis=1, out=row)
-        np.sum(np.multiply(ws[n - k][:, part], row, out=row), axis=0, out=share)
-        total[part] += np.multiply(comb(n, k), share, out=share)
+    for part, k, x in _slot_action(m, lambda part: [np.swapaxes(c[..., part], 0, 1)
+                                                    for c in cs], psi.n, _STATE_BYTES):
+        r, s = psi.comps[k].r, psi.comps[k].s
+        total[part] += comb(psi.n, s) * contract_rows(power_row(powers[..., part], r, -1),
+                                                      x.real ** 2 + x.imag ** 2,
+                                                      power_row(powers[..., part], s, -1))
     return total.reshape(batch)
 
 
@@ -570,7 +566,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
     p = core.flagpole(pi)
     pil = core.lower_spinor(pi)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        coeffs = (power_row(same_slot_coeffs(pil, n), n)
+        coeffs = (np.moveaxis(power_row(spinor_powers(pil, n), n), 0, -1)
                   * np.asarray(f, dtype=complex)[..., None])
         scale = np.sum(np.abs(pi) ** 2, axis=-1) ** (n / 2)
     comp = SymMultiSpinor(n, 0, coeffs[..., None])
@@ -581,7 +577,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
 def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
     """Hertz-type generator (+-i)^n omegabar^{A'_1}...omegabar^{A'_n}."""
     omb = np.conj(frame.omega)
-    coeffs = power_row(same_slot_coeffs(omb, n), n) * (1j * sign) ** n
+    coeffs = np.moveaxis(power_row(spinor_powers(omb, n), n), 0, -1) * (1j * sign) ** n
     return SymMultiSpinor(0, n, coeffs[..., None, :])
 
 

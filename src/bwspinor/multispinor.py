@@ -13,7 +13,9 @@ kernels work batch-last, (r+1, s+1, samples): `matmul_last` is one broadcast
 product per summed index over contiguous samples, where a batched `@` on
 matrices this small would dispatch one gemm per sample.  `_slot_action`, the
 one kernel that moves members by a matrix on every slot, takes the samples
-in blocks.
+in blocks.  `contract_rows`, the one kernel that weighs every slot of a
+group alike, sums a member between a row and a column that `power_row`
+reads from one batch-last table of the powers of a spinor, `spinor_powers`.
 
 Working arrays live in one complex buffer per thread, `workspace`, which
 grows to the largest request and is then reused: each block's table
@@ -21,8 +23,7 @@ S_0..S_n and the product buffers of `_slot_action` (and the gathered terms
 of `bw`'s distinct-direction route) are views into it, and the products
 write through `out=` with one scratch term, so a warm call allocates no
 working array and touches no fresh pages.  A member x that `_slot_action`
-yields is such a view, valid until the generator takes its next step, and
-so are the spare floats it yields beside x for the caller's own sums; a
+yields is such a view, valid until the generator takes its next step; a
 second slot action started in the same thread while one is suspended works
 in a private buffer.
 """
@@ -56,28 +57,34 @@ class SymMultiSpinor:
         return SymMultiSpinor(self.r, self.s, self.comp * np.asarray(factor)[..., None, None])
 
 
-def same_slot_coeffs(x: np.ndarray, n: int) -> np.ndarray:
-    """The table (..., 2, n+1) of the powers x_a^j, j = 0..n, of the spinor
-    x; `power_row` reads from it the graded components of r <= n copies."""
-    powers = np.repeat(np.asarray(x, dtype=complex)[..., None], n + 1, axis=-1)
-    powers[..., 0] = 1.0
-    np.cumprod(powers, axis=-1, out=powers)
+def spinor_powers(x: np.ndarray, n: int) -> np.ndarray:
+    """The table (2, n+1, ...) of the powers x_a^j, j = 0..n, of the spinors
+    x (..., 2), batch-last; `power_row` reads from it the rows of r <= n
+    copies of x."""
+    x = np.moveaxis(np.asarray(x), -1, 0)
+    powers = np.empty((2, n + 1) + x.shape[1:], dtype=np.result_type(x, float))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = x[:, None]
+    np.cumprod(powers, axis=1, out=powers)
     return powers
 
 
-def power_row(powers: np.ndarray, r: int) -> np.ndarray:
-    """Graded components x0^(r-i) x1^i, (..., r+1), of r copies of the spinor
-    x on every slot, from its table of powers."""
-    return powers[..., 0, r::-1] * powers[..., 1, :r + 1]
+def power_row(powers: np.ndarray, r: int, binomial: int = 0) -> np.ndarray:
+    """The row C(r, a)^binomial x0^(r-a) x1^a, a = 0..r, (r+1, ...), of r
+    copies of the spinor x on every slot, from its table of powers: the
+    graded components (binomial 0), their contraction weights (1) or the
+    weights of members a slot action gives (-1)."""
+    row = powers[0, r::-1] * powers[1, :r + 1]
+    if binomial:
+        row *= (_binomials(r) ** binomial).reshape((r + 1,) + (1,) * (row.ndim - 1))
+    return row
 
 
-def contract_same(t: SymMultiSpinor, powers: np.ndarray) -> np.ndarray:
-    """Contraction with the same spinor x on every unprimed slot and conj(x)
-    on every primed slot, from the table of powers of x; conjugation is
-    exact, so the primed row is the conjugate of the row of x."""
-    wx = _binomials(t.r) * power_row(powers, t.r)
-    wy = _binomials(t.s) * np.conj(power_row(powers, t.s))
-    return np.einsum('...i,...i->...', wx, np.einsum('...ij,...j->...i', t.comp, wy))
+def contract_rows(row: np.ndarray, member: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """sum_ab row_a member_ab col_b of a batch-last member (r+1, s+1, ...),
+    summed over the columns first and then over the rows; the batch axes
+    broadcast from the right."""
+    return np.einsum("a...,a...->...", row, np.einsum("ab...,b...->a...", member, col))
 
 
 def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
@@ -197,13 +204,12 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
     `part`, the columns of conj(c), each (r+1, samples), with r + s <= n.  One
     `sym_power_matrices` per block of samples serves every member; a block's
     powers and products fit `budget` bytes.  Yields (part, index of the
-    member, x, spare), spare a flat float array of 4 x.size entries that the
-    caller may overwrite.
+    member, x).
 
     The symmetric powers and the two products of each member live in this
     thread's `workspace`, so a warm call allocates no working array.  The
-    yielded x and spare are views into it and hold their values only until
-    the generator is advanced: a caller consumes x before the next step.  A
+    yielded x is a view into it and holds its values only until the
+    generator is advanced: a caller consumes x before the next step.  A
     slot action started in the same thread while this one is suspended
     works in a private buffer.
     """
@@ -223,6 +229,4 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
                 x, t, term = _views(rest, *3 * [(r + 1, s + 1, count)])
                 matmul_last(cols, powers[s], t, term)
                 np.conj(t, out=t)
-                # t and term, read no more, are the caller's spare floats
-                spare = rest[x.size:3 * x.size].view(float)
-                yield part, i, matmul_last(powers[r], t, x, term), spare
+                yield part, i, matmul_last(powers[r], t, x, term)

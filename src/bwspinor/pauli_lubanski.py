@@ -40,7 +40,6 @@ class PLOperator:
 
     unprimed: np.ndarray   # (..., 4, 2, 2)
     primed: np.ndarray     # (..., 4, 2, 2)
-    p: np.ndarray          # (..., 4)
 
     def bispinor(self) -> np.ndarray:
         """Block-diagonal 4x4 form, shape (..., 4 world, 4, 4)."""
@@ -87,8 +86,7 @@ def pl_momentum_rep(p: np.ndarray) -> PLOperator:
     """S^a(p) for both chirality blocks."""
     p = np.asarray(p, dtype=float)
     blocks = (p @ _PL_REP).reshape(p.shape[:-1] + (2, 4, 2, 2))
-    return PLOperator(unprimed=blocks[..., 0, :, :, :],
-                      primed=blocks[..., 1, :, :, :], p=p)
+    return PLOperator(unprimed=blocks[..., 0, :, :, :], primed=blocks[..., 1, :, :, :])
 
 
 def pl_project(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

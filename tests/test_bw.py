@@ -194,6 +194,13 @@ class TestEveryMass:
         with pytest.raises(NotMassive):
             synth(fr, Amplitudes(2, 0.0, +1, np.ones((4, 1))), normalization=2.0)
 
+    @pytest.mark.parametrize("mass, columns", [(0.0, 3), (1.0, 2)],
+                             ids=["massless-n+1", "massive-n"])
+    def test_amplitude_count_other_than_the_valences_rejected(self, mass, columns):
+        fr = frame_for(core.random_future_momentum(mass, 5, size=4), mass)
+        with pytest.raises(ValenceMismatch, match="amplitudes per sample"):
+            synth(fr, Amplitudes(2, mass, +1, np.ones((4, columns))))
+
 
 class TestFieldEquations:
     @pytest.mark.parametrize("n,sign", [(1, +1), (2, +1), (2, -1), (4, +1)])

@@ -356,7 +356,8 @@ def _traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("kernel, bound_mib", [("synth", 40), ("null-omega", 20),
-                                               ("form-p", 20), ("transform", 40),
+                                               ("form-p", 20), ("standard-time", 20),
+                                               ("standard-bw", 20), ("transform", 40),
                                                ("extract", 5)])
 def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
     # one 4096-sample chunk of evaluate_norm at n = MAX_N; with stacked
@@ -371,12 +372,15 @@ def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
     run = {"synth": lambda: synth_massive(fr, amps),
            "null-omega": lambda: norm_integrand(psi, NullOmega(), fr),
            "form-p": lambda: norm_integrand(psi, None, fr, form="p"),
+           "standard-time": lambda: norm_integrand(psi, StandardTime(), fr),
+           "standard-bw": lambda: standard_bw_integrand(psi),
            "transform": lambda: transform_component(psi, a),
            "extract": lambda: extract_massive(psi, fr)}[kernel]
     assert _traced_peak(run) < bound_mib * 2 ** 20
 
 
-@pytest.mark.parametrize("kernel", ["synth", "null-omega", "form-p"])
+@pytest.mark.parametrize("kernel", ["synth", "null-omega", "form-p", "standard-time",
+                                    "standard-bw"])
 def test_warm_kernels_allocate_no_working_arrays(kernel):
     # n = 8 on 512 samples, the grid-norm size; the second call finds the
     # thread's workspace grown.  Before the workspace, synthesis peaked at
@@ -386,7 +390,9 @@ def test_warm_kernels_allocate_no_working_arrays(kernel):
     amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
     run = {"synth": lambda: synth_massive(fr, amps),
            "null-omega": lambda: norm_integrand(psi, NullOmega(), fr),
-           "form-p": lambda: norm_integrand(psi, None, fr, form="p")}[kernel]
+           "form-p": lambda: norm_integrand(psi, None, fr, form="p"),
+           "standard-time": lambda: norm_integrand(psi, StandardTime(), fr),
+           "standard-bw": lambda: standard_bw_integrand(psi)}[kernel]
     run()
     members = sum(c.comp.nbytes for c in psi.comps)
     bound = members + 0.75 * 2 ** 20 if kernel == "synth" else 2 ** 20

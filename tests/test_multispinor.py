@@ -7,7 +7,7 @@ from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
 from bwspinor import multispinor
 from bwspinor.multispinor import (SymMultiSpinor, _binomials, _slot_action,
-                                  contract_same, power_row, same_slot_coeffs)
+                                  contract_rows, power_row, spinor_powers)
 from oracles import (contract_full, dense, dense_from_graded, graded_from_dense,
                      sym_outer, sym_outer_bruteforce, symmetrize_bruteforce,
                      symmetry_residual)
@@ -90,23 +90,23 @@ class TestContractions:
             want += w
         assert_allclose(got, want, atol=1e-13)
 
-    def test_contract_same_matches_full(self):
+    def test_contract_rows_matches_full(self):
         # the weights W_r(x) (x) W_s(conj x) of one table of powers, at every
         # valence up to MAX_N, against the symmetrized product
         rng = np.random.default_rng(8)
         x = core.random_spinor(rng, size=3)
-        xs = same_slot_coeffs(x, MAX_N)
-        assert xs.shape == (3, 2, MAX_N + 1)
+        xs = spinor_powers(x, MAX_N)
+        assert xs.shape == (2, MAX_N + 1, 3)
         for r in range(MAX_N + 1):
             for s in range(MAX_N + 1):
                 shape = (3, r + 1, s + 1)
                 comp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 t = SymMultiSpinor(r, s, comp)
-                got = contract_same(t, xs)
+                got = contract_rows(power_row(xs, r, 1), np.moveaxis(comp, 0, -1),
+                                    np.conj(power_row(xs, s, 1)))
                 want = contract_full(t, [x] * r, [np.conj(x)] * s)
-                scale = np.einsum("...ij,...i,...j->...", np.abs(comp),
-                                  _binomials(r) * np.abs(power_row(xs, r)),
-                                  _binomials(s) * np.abs(power_row(xs, s)))
+                scale = np.einsum("...ij,i...,j...->...", np.abs(comp),
+                                  np.abs(power_row(xs, r, 1)), np.abs(power_row(xs, s, 1)))
                 assert np.all(np.abs(got - want) <= 1e-13 * scale), (r, s)
 
     def test_valence_mismatch(self):
@@ -136,7 +136,7 @@ class TestSlotMatrices:
             got = [np.empty(m.shape, dtype=complex) for m in members]
             conj_columns = lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
                                          for m in members]
-            for part, i, x, _ in _slot_action(a, conj_columns, n, budget):
+            for part, i, x in _slot_action(a, conj_columns, n, budget):
                 r, s = valences[i]
                 binom = np.multiply.outer(_binomials(r), _binomials(s))
                 got[i][..., part] = x / binom[..., None]
@@ -158,7 +158,7 @@ def _action(seed, n, count=9, budget=16 * 55 * 4):
 
 
 def _copies(action):
-    return [(part, i, x.copy()) for part, i, x, _ in action]
+    return [(part, i, x.copy()) for part, i, x in action]
 
 
 def _assert_same(got, want):
