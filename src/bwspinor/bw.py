@@ -17,8 +17,8 @@ Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
 of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
 dense entries.  Synthesis, the general equal-slot pairing, the Lorentz
 action and the Hertz route are one slot action (`multispinor._slot_action`),
-each with its own matrix, and return (..., r+1, s+1) views of batch-last
-arrays.  Every closed form is one sum, `multispinor.contract_rows`, of a
+each with its own matrix, and return (..., r+1, s+1) views of one batch-last
+buffer per component.  Every closed form is one sum, `contract_rows`, of a
 member between two rows of one table of spinor powers: the members
 `_along` omega (extraction) or tau (the rank-one pairing), or their squared
 moduli, moved or not, along a diagonal dyad; massless synthesis and the
@@ -55,7 +55,7 @@ from . import core
 from .errors import (FrameMismatch, NotFinite, NotMassive, NotNull,
                      OrthogonalDirection, ValenceMismatch, reject)
 from .frames import SpinFrame, axis_rotation, frame_for
-from .multispinor import (SymMultiSpinor, _binomials, _blocks, _slot_action, _views,
+from .multispinor import (SymMultiSpinor, _blocks, _slot_action, _views,
                           contract_rows, power_row, spinor_powers, workspace)
 from .pauli_lubanski import default_normalization, pl_momentum_rep
 
@@ -212,8 +212,8 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     plus factors to unprimed and b to primed slots.  With the factors
     Mu = [-pi_A; e omega_A] unprimed and [[0, -1], [1, 0]] conj(Mu) primed,
     that is the slot action of a = Mu^T on G_k[i, j] = (-1)^j N^n f_{i+k-j},
-    psi_k = D_r^{-1} S_r(a) G_k conj(S_k(a))^T D_k^{-1}; the columns of G_k
-    are signed slices of the amplitudes, so no G_k is built.
+    psi_k = Q_r(a) G_k conj(Q_k(a))^T; the columns of G_k are signed slices
+    of the amplitudes, so no G_k is built.
     """
     if amps.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
@@ -251,13 +251,12 @@ def _check_members(comps: tuple[SymMultiSpinor, ...], scale) -> None:
 
 def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
            batch: tuple) -> tuple[SymMultiSpinor, ...]:
-    """Members of valences (r, s) moved by a on every slot, as public views."""
+    """Members of valences (r, s) moved by a on every slot, views of one buffer."""
     a = np.broadcast_to(a, batch + (2, 2)).reshape(-1, 2, 2)
-    out = [np.empty((r + 1, s + 1, a.shape[0]), dtype=complex) for r, s in valences]
+    shapes = [(r + 1, s + 1, a.shape[0]) for r, s in valences]
+    out = _views(np.empty(sum(map(prod, shapes)), dtype=complex), *shapes)
     for part, i, x in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
-        r, s = valences[i]
-        inv = 1.0 / np.multiply.outer(_binomials(r), _binomials(s))
-        np.multiply(x, inv[..., None], out=out[i][..., part])
+        out[i][..., part] = x
     return tuple(SymMultiSpinor(r, s, np.moveaxis(o.reshape(o.shape[:2] + batch),
                                                   (0, 1), (-2, -1)))
                  for (r, s), o in zip(valences, out))
@@ -390,11 +389,11 @@ def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.nda
     every slot, as `transform_component` moves them, with the moved members
     streamed from the slot action and never stored.
 
-    With M = sl2c_lower_rep(a), the slot action x of M gives the moved
-    member D_r^{-1} x D_s^{-1}, so each member gives sum_ab w_a |x_ab|^2
-    w'_b, w_a = lam_0^(r-a) lam_1^a / C(r, a); conj(M) on conj(c) gives
-    conj(x), so c enters as it is.  For a causal future-pointing direction
-    every weight is positive, so nothing cancels outside the squares.
+    With M = sl2c_lower_rep(a), the slot action of M gives the moved member
+    x, weighed as `_diagonal_pairing` weighs c, by w_a = C(r, a) lam_0^(r-a)
+    lam_1^a; conj(M) on conj(c) gives conj(x), so c enters as it is.  For a
+    causal future-pointing direction every weight is positive, so nothing
+    cancels outside the squares.
     """
     batch = np.broadcast_shapes(a.shape[:-2], lam.shape[:-1], psi.batch_shape)
     m = np.broadcast_to(np.conj(core.sl2c_lower_rep(a)), batch + (2, 2)).reshape(-1, 2, 2)
@@ -404,9 +403,9 @@ def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.nda
     for part, k, x in _slot_action(m, lambda part: [np.swapaxes(c[..., part], 0, 1)
                                                     for c in cs], psi.n, _STATE_BYTES):
         r, s = psi.comps[k].r, psi.comps[k].s
-        total[part] += comb(psi.n, s) * contract_rows(power_row(powers[..., part], r, -1),
+        total[part] += comb(psi.n, s) * contract_rows(power_row(powers[..., part], r, 1),
                                                       x.real ** 2 + x.imag ** 2,
-                                                      power_row(powers[..., part], s, -1))
+                                                      power_row(powers[..., part], s, 1))
     return total.reshape(batch)
 
 
@@ -596,7 +595,8 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     batch = np.broadcast_shapes(p.shape[:-1], xi.comp.shape[:-2])
     (moved,) = _moved(np.conj(core.vector_to_dyad(p, "low")), _conj_columns([xi], batch),
                       [(0, n)], batch)
-    comp = SymMultiSpinor(n, 0, (-1j * sign) ** n * np.swapaxes(moved.comp, -1, -2))
+    np.multiply(moved.comp, (-1j * sign) ** n, out=moved.comp)
+    comp = SymMultiSpinor(n, 0, np.swapaxes(moved.comp, -1, -2))
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
 

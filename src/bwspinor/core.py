@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from math import prod
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def max_abs(x: np.ndarray, axes: int = 1, floor=0.0) -> np.ndarray:
     """Per sample, the largest of floor and |x| over the last `axes` axes (NaN
     propagates), as elementwise maxima: np.max over small axes is slower."""
     x = np.abs(x)
-    x = x.reshape(x.shape[:x.ndim - axes] + (-1,))
+    x = x.reshape(x.shape[:x.ndim - axes] + (prod(x.shape[x.ndim - axes:]),))
     return functools.reduce(np.maximum, np.moveaxis(x, -1, 0), floor)
 
 

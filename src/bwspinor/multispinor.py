@@ -3,8 +3,9 @@
 A tensor symmetric in r unprimed and s primed two-valued indices has
 (r+1)(s+1) independent components, labelled by the number of 1-values in each
 group.  The graded array is the canonical storage and every operation here
-works on it directly: a 2x2 matrix acting on all r slots of a group is the
-(r+1)x(r+1) matrix of `sym_power_matrices`.  Nothing here expands a tensor to
+works on it directly: a 2x2 matrix acting on all r slots of a group maps the
+components c to Q_r c, with Q_r its (r+1)x(r+1) matrix on binary forms of
+degree r from `sym_power_matrices`.  Nothing here expands a tensor to
 its 2^(r+s) dense entries.  Index height is not tracked here; each operation
 states the valence it expects.
 
@@ -13,13 +14,14 @@ kernels work batch-last, (r+1, s+1, samples): `matmul_last` is one broadcast
 product per summed index over contiguous samples, where a batched `@` on
 matrices this small would dispatch one gemm per sample.  `_slot_action`, the
 one kernel that moves members by a matrix on every slot, takes the samples
-in blocks.  `contract_rows`, the one kernel that weighs every slot of a
-group alike, sums a member between a row and a column that `power_row`
-reads from one batch-last table of the powers of a spinor, `spinor_powers`.
+in blocks and yields the moved members themselves.  `contract_rows`, the one
+kernel that weighs every slot of a group alike, sums a member between a row
+and a column that `power_row` reads from one batch-last table of the powers
+of a spinor, `spinor_powers`.
 
 Working arrays live in one complex buffer per thread, `workspace`, which
 grows to the largest request and is then reused: each block's table
-S_0..S_n and the product buffers of `_slot_action` (and the gathered terms
+Q_0..Q_n and the product buffers of `_slot_action` (and the gathered terms
 of `bw`'s distinct-direction route) are views into it, and the products
 write through `out=` with one scratch term, so a warm call allocates no
 working array and touches no fresh pages.  A member x that `_slot_action`
@@ -72,11 +74,10 @@ def spinor_powers(x: np.ndarray, n: int) -> np.ndarray:
 def power_row(powers: np.ndarray, r: int, binomial: int = 0) -> np.ndarray:
     """The row C(r, a)^binomial x0^(r-a) x1^a, a = 0..r, (r+1, ...), of r
     copies of the spinor x on every slot, from its table of powers: the
-    graded components (binomial 0), their contraction weights (1) or the
-    weights of members a slot action gives (-1)."""
+    graded components (binomial 0) or their contraction weights (1)."""
     row = powers[0, r::-1] * powers[1, :r + 1]
     if binomial:
-        row *= (_binomials(r) ** binomial).reshape((r + 1,) + (1,) * (row.ndim - 1))
+        row *= _binomials(r).reshape((r + 1,) + (1,) * (row.ndim - 1))
     return row
 
 
@@ -89,21 +90,19 @@ def contract_rows(row: np.ndarray, member: np.ndarray, col: np.ndarray) -> np.nd
 
 def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
                        scratch: np.ndarray | None = None) -> list[np.ndarray]:
-    """Images S_0..S_n of a batch of 2x2 matrices on the symmetric powers,
-    batch-last: m is (..., 2, 2) and S_r is (r+1, r+1, ...).
+    """Matrices Q_0..Q_n of a batch of 2x2 matrices on the binary forms of
+    degree r, batch-last: m is (..., 2, 2) and Q_r is (r+1, r+1, ...).
 
-    S_r[i, j] is the coefficient of x^i y^j in
-    (m00 + m01 y + m10 x + m11 x y)^r, i.e. the sum of prod_k m[a_k, b_k]
-    over all index tuples a with i ones and b with j ones.  With
-    D_r = diag C(r, i), m acting on every slot of a symmetric group maps
-    graded components c to D_r^{-1} S_r c, and S_r(m m') =
-    S_r(m) D_r^{-1} S_r(m').  Built by the four-term recurrence
-    S_r = m00 S_{r-1} + m01 shift_y + m10 shift_x + m11 shift_xy.
+    Q_r[i, j] = [y^j] (m10 + m11 y)^i (m00 + m01 y)^(r-i): m acting on each
+    of r symmetric slots maps their graded components c to Q_r c, and
+    Q_r(m m') = Q_r(m) Q_r(m').  Built by the two-term recurrence: row i < r
+    of Q_r is row i of Q_{r-1} times m00 + m01 y, and row r is row r-1 of
+    Q_{r-1} times m10 + m11 y.
 
-    The S_r are contiguous views into one table (power_size(n), ...), `out`
+    The Q_r are contiguous views into one table (power_size(n), ...), `out`
     when given; `scratch`, a flat complex buffer of at least n^2 entries per
-    sample, holds each product of the recurrence.  Both are allocated when
-    not given.
+    sample, holds each y-shifted product of the recurrence.  Both are
+    allocated when not given.
     """
     m = np.moveaxis(np.asarray(m, dtype=complex), (-2, -1), (0, 1))
     batch = m.shape[2:]
@@ -111,17 +110,17 @@ def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
         out = np.empty((power_size(n),) + batch, dtype=complex)
     if scratch is None:
         scratch = np.empty(n * n * prod(batch), dtype=complex)
-    out.fill(0.0)
     out[0] = 1.0
     powers = [out[:1].reshape((1, 1) + batch)]
     for r in range(1, n + 1):
-        start = power_size(r - 1)
-        s = out[start:start + (r + 1) ** 2].reshape((r + 1, r + 1) + batch)
-        term = _views(scratch, powers[-1].shape)[0]
-        for a in (0, 1):
-            for b in (0, 1):
-                s[a:a + r, b:b + r] += np.multiply(m[a, b], powers[-1], out=term)
-        powers.append(s)
+        start, last = power_size(r - 1), powers[-1]
+        q = out[start:start + (r + 1) ** 2].reshape((r + 1, r + 1) + batch)
+        term = _views(scratch, (r, r - 1) + batch)[0]
+        for rows, prev, (b0, b1) in ((q[:r], last, m[0]), (q[r:], last[r - 1:], m[1])):
+            np.multiply(b0, prev, out=rows[:, :r])
+            np.multiply(b1, prev[:, r - 1], out=rows[:, r])
+            rows[:, 1:r] += np.multiply(b1, prev[:, :r - 1], out=term[:len(rows)])
+        powers.append(q)
     return powers
 
 
@@ -197,16 +196,16 @@ def _blocks(count: int, size: int, budget: int) -> list[slice]:
 
 
 def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
-    """Slot products x = S_r(a) c conj(S_s(a))^T: a on every unprimed slot and
-    conj(a) on every primed one maps c to D_r^{-1} x D_s^{-1}.
+    """Moved members x = Q_r(a) c conj(Q_s(a))^T: a on every unprimed slot
+    and conj(a) on every primed one maps c to x.
 
     a is (S, 2, 2); conj_columns(part) gives, for each member c at the samples
     `part`, the columns of conj(c), each (r+1, samples), with r + s <= n.  One
     `sym_power_matrices` per block of samples serves every member; a block's
-    powers and products fit `budget` bytes.  Yields (part, index of the
+    table and products fit `budget` bytes.  Yields (part, index of the
     member, x).
 
-    The symmetric powers and the two products of each member live in this
+    The table and the two products of each member live in this
     thread's `workspace`, so a warm call allocates no working array.  The
     yielded x is a view into it and holds its values only until the
     generator is advanced: a caller consumes x before the next step.  A
@@ -222,8 +221,8 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
         for part in parts:
             count = part.stop - part.start
             table, rest = _views(buf, (size, count), (products * count,))
-            # rows of S(a^T) = S(a)^T, contiguous: the columns of S_r(a), rows of S_s(a)^T
-            powers = sym_power_matrices(np.swapaxes(a[part], -1, -2), n, table, rest)
+            # Q_r(a)^T by rows: the columns of Q_r(a), and the rows of Q_s(a)^T
+            powers = [np.swapaxes(q, 0, 1) for q in sym_power_matrices(a[part], n, table, rest)]
             for i, cols in enumerate(conj_columns(part)):
                 r, s = len(cols[0]) - 1, len(cols) - 1
                 x, t, term = _views(rest, *3 * [(r + 1, s + 1, count)])

@@ -202,6 +202,34 @@ class TestEveryMass:
             synth(fr, Amplitudes(2, mass, +1, np.ones((4, columns))))
 
 
+@pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
+def test_empty_batch_gives_empty_arrays(mass):
+    # on no samples the frame, synthesis, extraction, every pairing route and
+    # the Lorentz action return empty arrays; an empty batch meets the test of
+    # every equal-slot route, so each route is also called directly
+    n = 3
+    p = np.zeros((0, 4))
+    fr = frame_for(p, mass, (1.0, 0.0))
+    f = np.zeros((0, len(valences(n, mass))), dtype=complex)
+    psi = synth(fr, Amplitudes(n, mass, +1, f))
+    shapes = [(0, r + 1, s + 1) for r, s in valences(n, mass)]
+    assert [c.comp.shape for c in psi.comps] == shapes
+    assert extract(psi, fr).f.shape == f.shape
+    specs = (StandardTime(), NullOmega(), RandomTimelike(3),
+             FixedList(((1.2, 0.3, -0.1, 0.2),)))
+    pairings = [norm_integrand(psi, spec, fr) for spec in specs]
+    pairings += [bw._diagonal_pairing(psi, np.zeros(0), np.zeros(0)),
+                 bw._rank_one_pairing(psi, np.zeros((0, 2), dtype=complex)),
+                 bw._rotated_pairing(psi, np.zeros((0, 2, 2), dtype=complex), np.zeros((0, 2))),
+                 bw._monomial_pairing(psi, np.zeros((n, 0, 4))),
+                 standard_bw_integrand(psi)]
+    if mass > 0:
+        pairings.append(norm_integrand(psi, None, fr, form="p"))
+    assert all(x.shape == (0,) for x in pairings)
+    moved = transform_component(psi, np.zeros((0, 2, 2), dtype=complex))
+    assert [c.comp.shape for c in moved.comps] == shapes
+
+
 class TestFieldEquations:
     @pytest.mark.parametrize("n,sign", [(1, +1), (2, +1), (2, -1), (4, +1)])
     def test_synth_solves(self, n, sign):

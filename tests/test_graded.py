@@ -24,6 +24,7 @@ depend on where the blocks split.
 """
 
 import itertools
+import platform
 import tracemalloc
 from math import comb
 from types import SimpleNamespace
@@ -33,9 +34,10 @@ import pytest
 
 from bwspinor import bw, core
 from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
-                         StandardTime, contract_T, extract_massive, norm_integrand,
-                         resolve_directions, standard_bw_integrand,
-                         synth_massive, synth_massless, transform_component)
+                         StandardTime, contract_T, eta_from_frame, extract_massive,
+                         hertz_psi, norm_integrand, resolve_directions,
+                         standard_bw_integrand, synth_massive, synth_massless,
+                         transform_component)
 from bwspinor.frames import axis_rotation, frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor, _blocks, sym_power_matrices
 from bwspinor.quadrature import build_grid
@@ -66,6 +68,8 @@ def test_sym_power_matrices_tuple_sums(r):
     for a in itertools.product(range(2), repeat=r):
         for b in itertools.product(range(2), repeat=r):
             want[sum(a), sum(b)] += np.prod([m[x, y] for x, y in zip(a, b)])
+    # Q_r = D_r^{-1} S_r: the tuple sums over the C(r, i) tuples a with i ones
+    want /= np.array([comb(r, i) for i in range(r + 1)])[:, None]
     np.testing.assert_allclose(sym_power_matrices(m, r)[r], want, atol=1e-13)
 
 
@@ -74,10 +78,9 @@ def test_sym_power_matrices_multiplicative():
     m1, m2 = (rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
               for _ in range(2))
     r = 6
-    binom = np.array([comb(r, i) for i in range(r + 1)])
     lhs = sym_power_matrices(m1 @ m2, r)[r]
     assert lhs.shape == (r + 1, r + 1, 3)    # batch-last
-    rhs = np.einsum("ij...,jk...->ik...", sym_power_matrices(m1, r)[r] / binom[:, None],
+    rhs = np.einsum("ij...,jk...->ik...", sym_power_matrices(m1, r)[r],
                     sym_power_matrices(m2, r)[r])
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(lhs)))
 
@@ -124,7 +127,7 @@ def test_extract_matches_index_loop(n, sign):
 @pytest.mark.parametrize("n", SPINS)
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_primed_powers_are_signed_flips(n, sign):
-    # Mv = [[0, -1], [1, 0]] conj(Mu), so S_k(Mv)[i, j] = (-1)^(k-i) conj(S_k(Mu)[k-i, j])
+    # Mv = [[0, -1], [1, 0]] conj(Mu), so Q_k(Mv)[i, j] = (-1)^(k-i) conj(Q_k(Mu)[k-i, j])
     rng = np.random.default_rng(1100 + n)
     fr = frame_massive(core.random_future_momentum(1.0, rng, size=5),
                        core.random_spinor(rng, size=5))
@@ -397,3 +400,46 @@ def test_warm_kernels_allocate_no_working_arrays(kernel):
     members = sum(c.comp.nbytes for c in psi.comps)
     bound = members + 0.75 * 2 ** 20 if kernel == "synth" else 2 ** 20
     assert _traced_peak(run) <= bound
+
+
+def _root(x: np.ndarray) -> np.ndarray:
+    while x.base is not None:
+        x = x.base
+    return x
+
+
+@pytest.mark.parametrize("kernel", ["synth", "transform", "hertz"])
+def test_moved_members_share_one_buffer(kernel):
+    # the slot action writes every member of a component into one flat
+    # batch-last buffer, of their entries and nothing more
+    n, count = 4, 7
+    psi, fr, f = random_component(n, count, seed=950)
+    amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
+    a = core.random_sl2c(np.random.default_rng(951), size=count)
+    p = core.random_future_momentum(0.0, np.random.default_rng(952), size=count)
+    xi = eta_from_frame(frame_massless(p), n)
+    got = {"synth": lambda: synth_massive(fr, amps),
+           "transform": lambda: transform_component(psi, a),
+           "hertz": lambda: hertz_psi(xi, p)}[kernel]()
+    roots = [_root(c.comp) for c in got.comps]
+    assert all(root is roots[0] for root in roots)
+    assert roots[0].ndim == 1
+    assert roots[0].size == sum(c.comp.size for c in got.comps)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator")
+def test_warm_synthesis_touches_no_fresh_pages():
+    # n = 8 on 512 samples, the grid-norm size: with one array per member,
+    # a warm synthesis took about 270 minor page faults per call
+    import resource     # Unix only
+    n, count = 8, 512
+    _, fr, f = random_component(n, count, seed=960)
+    amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
+    for _ in range(2):
+        synth_massive(fr, amps)
+    calls = 10
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        synth_massive(fr, amps)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 16 * calls

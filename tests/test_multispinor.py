@@ -6,7 +6,7 @@ from bwspinor import core
 from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
 from bwspinor import multispinor
-from bwspinor.multispinor import (SymMultiSpinor, _binomials, _slot_action,
+from bwspinor.multispinor import (SymMultiSpinor, _slot_action,
                                   contract_rows, power_row, spinor_powers)
 from oracles import (contract_full, dense, dense_from_graded, graded_from_dense,
                      sym_outer, sym_outer_bruteforce, symmetrize_bruteforce,
@@ -137,9 +137,7 @@ class TestSlotMatrices:
             conj_columns = lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
                                          for m in members]
             for part, i, x in _slot_action(a, conj_columns, n, budget):
-                r, s = valences[i]
-                binom = np.multiply.outer(_binomials(r), _binomials(s))
-                got[i][..., part] = x / binom[..., None]
+                got[i][..., part] = x
             for (r, s), g, want in zip(valences, got, wants):
                 want = np.broadcast_to(want, (count, r + 1, s + 1))
                 assert_allclose(np.moveaxis(g, -1, 0), want,
