@@ -6,40 +6,53 @@ n+1 distinct members (k primed indices, k = 0..n) and restores the label
 multiplicity C(n,k) wherever the full family enters a sum.  A massless
 component is a single all-unprimed symmetric multispinor.
 
-Synthesis expands a field over tensor products of the chi eigenbispinors;
-extraction contracts with the frame partner omega, which annihilates every
-term but the pure-pi one.  `synth` and `extract` serve both masses, with the
-member layout of `valences`.  The quadratic tensor T pairs each member with its
-conjugate, and the norm integrand [t...t T] / [t_1.p ... t_n.p] is
+Every BWComponent holds its members in the spin basis adapted to its
+momentum: per sample, a, lam = `frames.axis_rotation(p)`, the SU(2) rotation
+with a p^{AA'} a^dagger = diag(lam0, lam1), acts on every slot, so the two
+basis directions are the null flagpoles of p.  In that basis the field
+equations map member k to member k+1 by one shift and one scale, and a
+massless member has one nonzero entry.  `from_standard` and `to_standard`,
+one slot action each, move members across the boundary to standard
+coordinates: the field files and the test oracles hold those.
+
+Synthesis expands a field over tensor products of the chi eigenbispinors:
+one slot action makes the all-unprimed member, and the others are a gather
+of its entries along the field equations (`synth_massive`).  Extraction
+contracts with the frame partner omega, which annihilates every term but
+the pure-pi one.  Both take the frame into the adapted basis
+(`_adapted_frame`).  `synth` and `extract` serve both masses, with the
+member layout of `valences`.  The quadratic tensor T pairs each member with
+its conjugate, and the norm integrand [t...t T] / [t_1.p ... t_n.p] is
 independent of the chosen directions t_k.
 
 Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
 of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
-dense entries.  Synthesis, the general equal-slot pairing, the Lorentz
-action and the Hertz route are one slot action (`multispinor._slot_action`),
-each with its own matrix, and return (..., r+1, s+1) views of one batch-last
+dense entries.  The general equal-slot pairing, the Lorentz action, the
+Hertz route, the all-unprimed member of synthesis and the moves to and from
+standard coordinates are one slot action (`multispinor._slot_action`), each
+with its own matrix, and return (..., r+1, s+1) views of one batch-last
 buffer per component.  Every closed form is one sum, `contract_rows`, of a
 member between two rows of one table of spinor powers: the members
 `_along` omega (extraction) or tau (the rank-one pairing), or their squared
-moduli, moved or not, along a diagonal dyad; massless synthesis and the
-Hertz generator read the same table.  The T contraction with a distinct
-direction per slot reads T through its C(n+3, 3) components on the
+moduli, moved or not, along a diagonal dyad.  The T contraction with a
+distinct direction per slot reads T through its C(n+3, 3) components on the
 monomials of the four dyad entries, gathered from the members by one fixed
-table.  The working arrays of the slot action and of that route are views
-into one reused per-thread buffer (`multispinor.workspace`).
+table.  The working arrays of the slot action, of the synthesis gather and
+of that route are views into one reused per-thread buffer
+(`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
-every sample, and one rotation, `frames.axis_rotation`, diagonalizes
-every direction dyad among them.  A direction per slot takes the monomial
-route, in the frame that rotation makes p diagonal in.  One vector on every
-slot takes the form its dyad t^{AA'} allows: a diagonal dyad (t in the t-z
-plane, as the standard time direction) weighs |c|^2 by powers of its two
-entries; a dyad of rank one to rounding (a null t, as the flagpole of
-omega), lam_i tau taubar with tau a row of the rotation, pairs each member
-by `_along` tau, as extraction does along omega: "formulas are
-simpler if one chooses null directions"; any other dyad is rotated to
-diag(lam), and the members, moved by the same rotation, pair as the
-diagonal dyad does.
+every sample.  A direction per slot takes the monomial route, with the
+directions rotated into the basis of the members.  One vector on every
+slot takes the form its dyad t^{AA'} allows there: a t with no spatial part
+(the standard time direction) has a multiple of the unit dyad, which no
+rotation moves, and weighs |c|^2 by powers of its two entries, as
+`form="p"` does with diag(lam0, p.p / (2 lam0)); any other t is
+diagonalized by b = a_t a_p^dagger, a_t that of `frames.axis_rotation(t)`:
+a dyad of rank one to rounding (a null t, as the flagpole of omega),
+lam_i tau taubar with tau a row of conj(b), pairs each member by `_along`
+tau, as extraction does along omega: "formulas are simpler if one chooses
+null directions"; any other pairs the members moved by b diagonally.
 """
 
 from __future__ import annotations
@@ -55,13 +68,14 @@ from . import core
 from .errors import (FrameMismatch, NotFinite, NotMassive, NotNull,
                      OrthogonalDirection, ValenceMismatch, reject)
 from .frames import SpinFrame, axis_rotation, frame_for
-from .multispinor import (SymMultiSpinor, _blocks, _slot_action, _views,
-                          contract_rows, power_row, spinor_powers, workspace)
-from .pauli_lubanski import default_normalization, pl_momentum_rep
+from .multispinor import (SymMultiSpinor, _blocks, _slot_action, _views, contract_rows,
+                          matmul_last, power_row, slot_sum, spinor_powers, workspace)
+from .pauli_lubanski import pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
-# double-precision extraction with a general reference spinor and the
-# form="p" pairing lose digits as n grows, and no rule yet sets the limit
+# in the adapted basis extraction and form="p" keep their digits, but members
+# that arrive in standard coordinates (field files) and the rank-one route
+# near a parallel null p lose digits as n grows, and no rule yet sets the limit
 MAX_N = 10
 
 # the kernels that hold per-sample working arrays take the samples in blocks
@@ -203,42 +217,106 @@ def _check_shell(frame: SpinFrame, mass: float) -> None:
            f"frame momentum off the mass shell of the amplitudes, m = {mass}")
 
 
+def _adapted_frame(frame: SpinFrame, p: np.ndarray, mass: float):
+    """(lam0, m, omega', pi'): the frame's spinors in the basis adapted to
+    p, a omega and a pi with a, lam = `frames.axis_rotation(p)`, in which
+    p^{AA'} is diag(lam0, lam1); a massless frame gives a omega alone (m = 0,
+    pi' None), all that extraction reads.  A massive frame is renormalised
+    against diag(lam0, m^2 / (2 lam0)), m the sample's own
+    `core.invariant_mass(p)`:
+    omega' = (m/sqrt2)^{1/2} w / (w_A w_A' p^{AA'})^{1/2} with w = a omega, and
+    pi' = (sqrt2/m) p^{AA'} omegabar'_{A'}, so that omega'_A pi'^A = 1 and
+    omega'.p = m/sqrt2 hold to the rounding of the entries, and the members
+    solve the field equations of that diagonal dyad (`synth_massive`)."""
+    a, lam = axis_rotation(p)
+    lam0 = lam[..., 0]
+    omega = np.einsum("...ij,...j->...i", a, frame.omega)
+    if mass <= 0:
+        return lam0, 0.0, omega, None
+    m = core.invariant_mass(p)
+    lam1 = m * (m / (2.0 * lam0))
+    w0, w1 = np.moveaxis(omega, -1, 0)
+    root = np.sqrt(np.sqrt(0.5) * m / (lam0 * np.abs(w1) ** 2 + lam1 * np.abs(w0) ** 2))
+    omega = omega * root[..., None]
+    pi = (np.sqrt(2.0) / m)[..., None] * np.stack(
+        [-lam0 * np.conj(omega[..., 1]), lam1 * np.conj(omega[..., 0])], axis=-1)
+    return lam0, m, omega, pi
+
+
 def synth_massive(frame: SpinFrame, amps: Amplitudes,
                   normalization=None) -> BWComponent:
-    """Assemble the n+1 component multispinors from the amplitudes.
+    """Assemble the n+1 component multispinors from the amplitudes, in the
+    basis adapted to the momentum (`_adapted_frame`).
 
     The chi tensor-product expansion puts, on the member with r = n - k
     unprimed and k primed slots, the amplitude f_{a+b} on every routing of a
-    plus factors to unprimed and b to primed slots.  With the factors
-    Mu = [-pi_A; e omega_A] unprimed and [[0, -1], [1, 0]] conj(Mu) primed,
-    that is the slot action of a = Mu^T on G_k[i, j] = (-1)^j N^n f_{i+k-j},
-    psi_k = Q_r(a) G_k conj(Q_k(a))^T; the columns of G_k are signed slices
-    of the amplitudes, so no G_k is built.
+    plus factors to unprimed and b to primed slots, with the factors
+    Mu = [-pi_A; e omega_A] unprimed.  The all-unprimed member is the slot
+    action of Mu^T on N^n f, psi_0 = Q_n(Mu^T) N^n f, with N = (m/sqrt2)^{1/2}
+    by default.  Where p^{AA'} = diag(lam0, lam1) the field equations map
+    member k to member k+1 by one shift and one scale, psi_{k+1}[i, j] =
+    alpha psi_k[i, j-1] and psi_{k+1}[i, 0] = -psi_k[i+1, 0] / alpha, with
+    alpha = -e sqrt2 lam0 / m; so every member is a gather of psi_0,
+    psi_k[i, j] = (-1)^(k-j) alpha^(2j-k) psi_0[i+k-j] (`_gather_members`).
     """
     if amps.mass <= 0:
         raise NotMassive("synth_massive needs m > 0")
     _check_shell(frame, amps.mass)
     _check_spin(amps.n)
     n, e = amps.n, amps.sign
-    n_scale = (default_normalization(frame) if normalization is None
+    lam0, m, omega, pi = _adapted_frame(frame, frame.p, amps.mass)
+    n_scale = (np.sqrt(np.sqrt(0.5) * m) if normalization is None
                else np.asarray(normalization, dtype=complex))
-    mu_t = np.stack([-core.lower_spinor(frame.pi), e * core.lower_spinor(frame.omega)],
-                    axis=-1)
+    mu_t = np.stack([-core.lower_spinor(pi), e * core.lower_spinor(omega)], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         scale = np.asarray(n_scale ** n)
         fc = np.conj(np.asarray(amps.f, dtype=complex) * scale[..., None])
         batch = np.broadcast_shapes(mu_t.shape[:-2], fc.shape[:-1])
         fc = np.ascontiguousarray(np.broadcast_to(fc, batch + (n + 1,)).reshape(-1, n + 1).T)
-
-        def conj_columns(part):
-            signed = (fc[:, part], -fc[:, part])
-            # column j of conj(G_k) is (-1)^j conj(N^n f)_{k-j..n-j}
-            return [[signed[j % 2][k - j:n + 1 - j] for j in range(k + 1)]
-                    for k in range(n + 1)]
-
-        comps = _moved(mu_t, conj_columns, valences(n, amps.mass), batch)
+        members, out, comps = _member_buffer(valences(n, amps.mass), batch)
+        mu_t = np.broadcast_to(mu_t, batch + (2, 2)).reshape(-1, 2, 2)
+        for part, _, x in _slot_action(mu_t, lambda part: [[fc[:, part]]], n, _STATE_BYTES):
+            out[0][..., part] = x
+        alpha = -e * np.sqrt(2.0) * lam0 / m
+        _gather_members(members, np.broadcast_to(alpha, batch).reshape(-1), n)
     _check_members(comps, scale)
     return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps)
+
+
+@lru_cache(maxsize=None)
+def _shift_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every entry (k, i, j) of the members k = 1..n, flattened in that
+    order: the row i+k-j of psi_0 it takes, and the row of (-1)^(k-j)
+    alpha^(2j-k) in the signed table of `_gather_members`, (2j-k+n) + (2n+1)
+    for a negative sign."""
+    rows = [(i + k - j, 2 * j - k + n + (2 * n + 1) * ((k - j) % 2))
+            for k in range(1, n + 1) for i in range(n - k + 1) for j in range(k + 1)]
+    source, factor = np.array(rows).T
+    return source, factor
+
+
+def _gather_members(members: np.ndarray, alpha: np.ndarray, n: int) -> None:
+    """Fill members 1..n of the flat batch-last buffer (entries, S) from its
+    first n+1 rows, psi_0: psi_k[i, j] = (-1)^(k-j) alpha^(2j-k) psi_0[i+k-j],
+    one take of the rows of psi_0 and, per block of samples, one of the rows
+    of the signed powers alpha^(-n..n), built in this thread's workspace."""
+    head, rest = members[:n + 1], members[n + 1:]
+    source, factor = _shift_table(n)
+    # mode="clip" lets take write to its output unbuffered; every row is valid
+    np.take(head, source, axis=0, out=rest, mode="clip")
+    size = 2 * (2 * n + 1) + len(factor)
+    parts = _blocks(alpha.size, size, _STATE_BYTES)
+    with workspace(size * (parts[0].stop if parts else 0)) as work:
+        for part in parts:
+            count = part.stop - part.start
+            table, terms = _views(work, (2, 2 * n + 1, count), (len(factor), count))
+            table[0, n] = 1.0
+            for q in range(1, n + 1):
+                np.multiply(table[0, n + q - 1], alpha[part], out=table[0, n + q])
+                np.divide(table[0, n - q + 1], alpha[part], out=table[0, n - q])
+            np.negative(table[0], out=table[1])
+            np.take(table.reshape(2 * (2 * n + 1), count), factor, axis=0, out=terms, mode="clip")
+            np.multiply(rest[:, part], terms, out=rest[:, part])
 
 
 def _check_members(comps: tuple[SymMultiSpinor, ...], scale) -> None:
@@ -249,17 +327,28 @@ def _check_members(comps: tuple[SymMultiSpinor, ...], scale) -> None:
            "synthesized members must be finite, with a normal scale")
 
 
+def _member_buffer(valences: list[tuple[int, int]], batch: tuple):
+    """One flat batch-last buffer for members of the valences: the buffer as
+    (entries, S), its (r+1, s+1, S) views, and the members, (..., r+1, s+1)
+    views of the same memory."""
+    count = prod(batch)
+    shapes = [(r + 1, s + 1, count) for r, s in valences]
+    buf = np.empty(sum(map(prod, shapes)), dtype=complex)
+    out = _views(buf, *shapes)
+    comps = tuple(SymMultiSpinor(r, s, np.moveaxis(o.reshape(o.shape[:2] + batch),
+                                                   (0, 1), (-2, -1)))
+                  for (r, s), o in zip(valences, out))
+    return buf.reshape(sum((r + 1) * (s + 1) for r, s in valences), count), out, comps
+
+
 def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
            batch: tuple) -> tuple[SymMultiSpinor, ...]:
     """Members of valences (r, s) moved by a on every slot, views of one buffer."""
     a = np.broadcast_to(a, batch + (2, 2)).reshape(-1, 2, 2)
-    shapes = [(r + 1, s + 1, a.shape[0]) for r, s in valences]
-    out = _views(np.empty(sum(map(prod, shapes)), dtype=complex), *shapes)
+    _, out, comps = _member_buffer(valences, batch)
     for part, i, x in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
         out[i][..., part] = x
-    return tuple(SymMultiSpinor(r, s, np.moveaxis(o.reshape(o.shape[:2] + batch),
-                                                  (0, 1), (-2, -1)))
-                 for (r, s), o in zip(valences, out))
+    return comps
 
 
 def _conj_columns(comps, batch: tuple):
@@ -286,13 +375,15 @@ def _along(psi: BWComponent, x: np.ndarray) -> np.ndarray:
 
 
 def extract(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
-    """Wigner amplitudes at any mass, `_along` omega: N^n f_k = omega^{A..}
-    omegabar^{A'..} psi_k massive, f = omega^{A..} psi_{A..} massless."""
+    """Wigner amplitudes at any mass, `_along` omega' of `_adapted_frame`:
+    N^n f_k = omega'^{A..} omegabar'^{A'..} psi_k massive, with N =
+    (m/sqrt2)^{1/2}, and f = omega'^{A..} psi_{A..} massless."""
     _check_frame(psi, frame)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # checked below
-        f = _along(psi, frame.omega)
+        _, m, omega, _ = _adapted_frame(frame, psi.p, psi.mass)
+        f = _along(psi, omega)
         if psi.mass > 0:
-            f = f / np.asarray(default_normalization(frame) ** psi.n)[..., None]
+            f = f / np.asarray(np.sqrt(np.sqrt(0.5) * m) ** psi.n)[..., None]
     reject(~np.all(np.isfinite(f), axis=-1), NotFinite, "extracted amplitudes must be finite")
     return Amplitudes(n=psi.n, mass=psi.mass, sign=psi.sign, f=f)
 
@@ -304,12 +395,16 @@ extract_massive = extract
 def field_equation_residual_massive(psi: BWComponent) -> np.ndarray:
     """Per sample, the largest residual of both momentum-space equation
     families over all slots, relative to the sample's component and
-    momentum scale."""
+    momentum scale: the general dyad form, on the dyads of p rotated into
+    the basis of the members, so it certifies the gather of `synth_massive`
+    without restating it."""
     if psi.mass <= 0:
         raise NotMassive("massive field equations need m > 0")
     n, m, e = psi.n, psi.mass, psi.sign
-    pul = core.vector_to_dyad(psi.p, "ul")[..., None, :, :]           # p^A_{A'}
-    plu_t = np.swapaxes(core.vector_to_dyad(psi.p, "lu"), -1, -2)[..., None, :, :]
+    # the momentum in the basis of the members, a p^{AA'} a^dagger, as it rounds
+    p = _rotated(psi.p, axis_rotation(psi.p)[0])
+    pul = core.vector_to_dyad(p, "ul")[..., None, :, :]           # p^A_{A'}
+    plu_t = np.swapaxes(core.vector_to_dyad(p, "lu"), -1, -2)[..., None, :, :]
     scale = np.maximum(1.0, np.maximum.reduce([core.max_abs(c.comp, 2) for c in psi.comps])
                        * core.max_abs(psi.p, floor=m))
     worst = 0.0
@@ -333,30 +428,41 @@ def field_equation_residual_massive(psi: BWComponent) -> np.ndarray:
 
 def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
     """t...t T with the same vector t (..., 4) on every slot, by the route
-    its dyad t^{AA'} allows, checked at every sample:
-    - off-diagonal exactly 0 (the standard time direction, any t in the
-      t-z plane): `_diagonal_pairing`, a weighted sum of |c|^2;
-    - rank one to rounding, the smaller |lam| of `frames.axis_rotation`
-      at most 8 eps times the larger |lam_i| (a null t): lam_i^n
-      `_rank_one_pairing` with tau = conj(a_i), t^{AA'} = lam_i tau^A
-      taubar^{A'}; a past t has i = 1 and lam_1 < 0; the dropped
-      direction moves the value by about 8 n eps relative;
-    - any other: `_rotated_pairing`, the diagonal pairing of the members
-      moved by the rotation that makes the dyad diag(lam).
-    The rank-one route loses digits where t nearly parallels a null p: its
-    relative error grows like eps (t^0 p^0 / t.p)^(n/2), which the rounding
-    of the stored entries already carries.
+    its dyad t^{AA'} allows in the basis of the members, checked at every
+    sample:
+    - spatial part 0 (the standard time direction): the dyad (t^0/sqrt2) 1,
+      which every rotation leaves as it is, so `_diagonal_pairing`, a
+      weighted sum of |c|^2, with no rotation (a rotated dyad would round
+      its off-diagonal);
+    - otherwise a, lam = `frames.axis_rotation(t)` diagonalizes the dyad in
+      standard coordinates, so b = a a_p^dagger, with a_p that of p,
+      diagonalizes it in the basis of the members:
+      - rank one to rounding, the smaller |lam| at most 8 eps times the
+        larger |lam_i| (a null t): lam_i^n `_rank_one_pairing` with tau =
+        conj(b_i), t^{AA'} = lam_i tau^A taubar^{A'} there; a past t has
+        i = 1 and lam_1 < 0; the dropped direction moves the value by about
+        8 n eps relative;
+      - any other: `_rotated_pairing`, the diagonal pairing of the members
+        moved by b.
     """
-    dyad = core.vector_to_dyad(t, "up")
-    if np.all(dyad[..., 0, 1] == 0):
+    if np.all(t[..., 1:] == 0):
+        dyad = core.vector_to_dyad(t, "up")
         return _diagonal_pairing(psi, np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]))
     a, lam = axis_rotation(t)
+    a = _product(a, _dagger(axis_rotation(psi.p)[0]))
     moduli = np.abs(lam)
     if np.all(moduli.min(axis=-1) <= 8 * np.finfo(float).eps * moduli.max(axis=-1)):
         i = np.argmax(moduli, axis=-1)[..., None]
         tau = np.take_along_axis(np.conj(a), i[..., None], axis=-2)[..., 0, :]
         return np.take_along_axis(lam, i, -1)[..., 0] ** psi.n * _rank_one_pairing(psi, tau)
     return _rotated_pairing(psi, a, lam)
+
+
+def _rotated(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The vectors t (..., 4) in the basis where a acts on the spinors: the
+    vector of a t^{AA'} a^dagger."""
+    dyad = _product(_product(a, core.vector_to_dyad(t, "up")), _dagger(a))
+    return np.real(core.dyad_to_vector(dyad, "up"))
 
 
 def _diagonal_pairing(psi: BWComponent, d0: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -438,9 +544,9 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     L, the components of T on the monomials of the dyad entries, contracted
     one slot at a time to sum_AB t^{AB} L_{beta + e_AB}, as T is symmetric.
 
-    Both run in a frame rotated per sample where p_AB is diagonal
-    (`frames.axis_rotation`), so that no term cancels for causal
-    directions: on random null directions up to n = 10 the frame given lost
+    Both run in the basis of the members, where p_AB is diagonal, so that
+    no term cancels for causal directions: the directions are rotated into
+    it.  In the standard basis, random null directions up to n = 10 lost
     up to 4e-11 (massive) and 2e-9 (massless) relative.  The samples go in
     blocks whose working arrays fit _STATE_BYTES, in this thread's
     workspace."""
@@ -448,11 +554,8 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     tdy = core.vector_to_dyad(ts, "up")
     batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
     a, _ = axis_rotation(psi.p)
-    # the members as transform_component moves them, without its momentum map
-    moved = _moved(core.sl2c_lower_rep(a), _conj_columns(psi.comps, batch),
-                   [(c.r, c.s) for c in psi.comps], batch)
     x = np.concatenate([_samples_last(c.comp, (), batch).reshape((c.r + 1) * (c.s + 1), -1)
-                        for c in moved])
+                        for c in psi.comps])
     # a t^{AA'} a^dagger; einsum ran 4 to 5 times faster on contiguous operands
     a = np.ascontiguousarray(_samples_last(a, (), batch))
     tdy = np.einsum("ijs,ljms,kms->liks", a, np.ascontiguousarray(
@@ -534,16 +637,18 @@ def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
     """The generalized norm integrand [t_1...t_n T] / [(t_1.p)...(t_n.p)].
 
     spec defaults to StandardTime().  form "p" (else "t") takes t_k = p on
-    every slot, (p.p)^{-n} p...p T, whatever the spec; a massless field has
-    p.p = 0 there and raises OrthogonalDirection.
+    every slot, (p.p)^{-n} p...p T, whatever the spec: in the basis of the
+    members p^{AA'} is diag(lam0, p.p / (2 lam0)), so it is the diagonal
+    pairing.  A massless field has p.p = 0 there and raises
+    OrthogonalDirection.
     """
     if form not in ("t", "p"):
         raise ValueError(f"form must be 't' or 'p', got {form!r}")
     if form == "p":
-        spec = FixedList((psi.p,))
-    elif spec is None:
-        spec = StandardTime()
-    ts = resolve_directions(spec, psi.n, psi, frame)
+        resolve_directions(FixedList((psi.p,)), psi.n, psi)     # checks p.p
+        pp, lam0 = core.minkowski(psi.p, psi.p), axis_rotation(psi.p)[1][..., 0]
+        return _diagonal_pairing(psi, lam0, pp / (2.0 * lam0)) / pp ** psi.n
+    ts = resolve_directions(StandardTime() if spec is None else spec, psi.n, psi, frame)
     return contract_T(psi, ts) / np.prod(core.minkowski(ts, psi.p), axis=0)
 
 
@@ -559,16 +664,20 @@ def standard_bw_integrand(psi: BWComponent) -> np.ndarray:
 # massless fields
 
 def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
-    """All-unprimed component pi_{A_1}...pi_{A_n} f at p = flagpole(pi)."""
+    """All-unprimed component pi_{A_1}...pi_{A_n} f at p = flagpole(pi), in
+    the basis adapted to p: there a pi is (pi'_0, 0), so the member has one
+    nonzero entry, pi'_0^n f with all n indices 1."""
     _check_spin(n)
     pi = np.asarray(pi, dtype=complex)
     p = core.flagpole(pi)
-    pil = core.lower_spinor(pi)
+    a, _ = axis_rotation(p)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
-        coeffs = (np.moveaxis(power_row(spinor_powers(pil, n), n), 0, -1)
-                  * np.asarray(f, dtype=complex)[..., None])
+        entry = (np.einsum("...j,...j->...", a[..., 0, :], pi) ** n
+                 * np.asarray(f, dtype=complex))
         scale = np.sum(np.abs(pi) ** 2, axis=-1) ** (n / 2)
-    comp = SymMultiSpinor(n, 0, coeffs[..., None])
+    coeffs = np.zeros(entry.shape + (n + 1, 1), dtype=complex)
+    coeffs[..., n, 0] = entry
+    comp = SymMultiSpinor(n, 0, coeffs)
     _check_members((comp,), scale)
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
@@ -583,8 +692,10 @@ def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
 def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     """Massless component (-+i)^n p_{A_1 A'_1}...p_{A_n A'_n} xi^{A'_1...A'_n}.
 
-    xi carries upper primed indices; each momentum dyad converts one into a
-    lower unprimed index.
+    xi carries upper primed indices, in standard coordinates; each momentum
+    dyad converts one into a lower unprimed index of the basis adapted to p.
+    With a, lam = `frames.axis_rotation(p)` that dyad is diag(0, lam0), so
+    each slot takes diag(0, lam0) conj(a): the member has one nonzero entry.
     """
     p = np.asarray(p, dtype=float)
     reject(~core.null_shell(p), NotNull, "hertz_psi needs a finite null momentum")
@@ -593,33 +704,32 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     n = xi.s
     _check_spin(n)
     batch = np.broadcast_shapes(p.shape[:-1], xi.comp.shape[:-2])
-    (moved,) = _moved(np.conj(core.vector_to_dyad(p, "low")), _conj_columns([xi], batch),
-                      [(0, n)], batch)
+    a, lam = axis_rotation(p)
+    slot = np.zeros(a.shape, dtype=complex)     # conjugated, as _moved takes a primed slot
+    slot[..., 1, :] = lam[..., :1] * a[..., 1, :]
+    (moved,) = _moved(slot, _conj_columns([xi], batch), [(0, n)], batch)
     np.multiply(moved.comp, (-1j * sign) ** n, out=moved.comp)
     comp = SymMultiSpinor(n, 0, np.swapaxes(moved.comp, -1, -2))
     return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
 
 
 def helicity_residual_massless(psi: BWComponent) -> np.ndarray:
-    """Per sample, the largest over the world index of |sum_slots S^a psi +
-    (n/2) p^a psi|, relative to the sample's component and momentum scale.
-
-    For one 2x2 M acting on each slot in turn, the slot sum maps graded
-    components c_i to (n-i)(M00 c_i + M01 c_{i+1}) + i(M11 c_i + M10 c_{i-1}):
-    of the slots of an entry with i ones, n - i hold a 0 and i hold a 1.
-    """
+    """Per sample, the largest over the world index a of |sum_slots S^a psi +
+    (n/2) p^a psi|, relative to the sample's component and momentum scale:
+    `multispinor.slot_sum` of the generators S^a(p) moved into the basis of
+    the member, L(a) S^a L(a)^-1 with L the lower-index map of a =
+    `frames.axis_rotation(p)`."""
     if psi.mass != 0.0:
         raise NotNull("helicity relation applies to massless components")
     n = psi.n
-    s_op = pl_momentum_rep(psi.p).unprimed[..., None]     # (..., 4, 2, 2, 1)
-    cp = psi.comps[0].comp[..., None, :, 0]               # (..., 1, n+1)
-    cp = np.pad(cp, [(0, 0)] * (cp.ndim - 1) + [(1, 1)])  # c_{-1} = c_{n+1} = 0
-    c, i = cp[..., 1:-1], np.arange(n + 1)
-    acc = ((n - i) * (s_op[..., 0, 0, :] * c + s_op[..., 0, 1, :] * cp[..., 2:])
-           + i * (s_op[..., 1, 1, :] * c + s_op[..., 1, 0, :] * cp[..., :-2]))
-    res = acc + 0.5 * n * psi.p[..., None] * c
-    scale = np.maximum(1.0, core.max_abs(c, 2) * core.max_abs(psi.p))
-    return core.max_abs(res, 2) / scale
+    a, _ = axis_rotation(psi.p)
+    low = core.sl2c_lower_rep(a)[..., None, :, :]
+    back = core.sl2c_lower_rep(_dagger(a))[..., None, :, :]
+    s_op = _product(_product(low, pl_momentum_rep(psi.p).unprimed), back)    # (..., 4, 2, 2)
+    c = psi.comps[0].comp[..., None, :, :]                 # (..., 1, n+1, 1)
+    res = slot_sum(c, s_op, -2) + 0.5 * n * psi.p[..., None, None] * c
+    scale = np.maximum(1.0, core.max_abs(c, 3) * core.max_abs(psi.p))
+    return core.max_abs(res, 3) / scale
 
 
 def wigner_state(psi: BWComponent, spec,
@@ -636,10 +746,44 @@ def wigner_state(psi: BWComponent, spec,
 # Lorentz action
 
 def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
-    """Slotwise SL(2,C) action and momentum map p -> Lambda p."""
+    """Slotwise SL(2,C) action and momentum map p -> Lambda p: from the basis
+    adapted to p to the one adapted to Lambda p, the members move by
+    a(Lambda p) A a(p)^dagger, with a(.) of `frames.axis_rotation`."""
     a = np.asarray(a, dtype=complex)
     new_p = core.transform_vector(a, psi.p)      # checks det A = 1
-    batch = np.broadcast_shapes(a.shape[:-2], psi.batch_shape)
-    comps = _moved(core.sl2c_lower_rep(a), _conj_columns(psi.comps, batch),
-                   [(c.r, c.s) for c in psi.comps], batch)
-    return BWComponent(n=psi.n, mass=psi.mass, sign=psi.sign, p=new_p, comps=comps)
+    b = _product(_product(axis_rotation(new_p)[0], a), _dagger(axis_rotation(psi.p)[0]))
+    return replace(psi, p=new_p, comps=_move_members(psi.comps, b))
+
+
+def from_standard(p: np.ndarray, comps: tuple[SymMultiSpinor, ...]) -> tuple[SymMultiSpinor, ...]:
+    """Members given in standard coordinates at the momenta p, moved into
+    the basis adapted to p that every BWComponent stores: by a =
+    `frames.axis_rotation(p)` on every slot."""
+    return _move_members(comps, axis_rotation(np.asarray(p, dtype=float))[0])
+
+
+def to_standard(psi: BWComponent) -> tuple[SymMultiSpinor, ...]:
+    """The members of psi in standard coordinates, moved back by a^dagger."""
+    return _move_members(psi.comps, _dagger(axis_rotation(psi.p)[0]))
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of batches of 2x2 matrices, formed batch-last by `matmul_last`:
+    a batched @ on matrices this small ran about 3 times slower."""
+    a, b = (np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+            for x in np.broadcast_arrays(a, b))
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    return np.moveaxis(matmul_last(np.swapaxes(a, 0, 1), b, out, np.empty_like(out)),
+                       (0, 1), (-2, -1))
+
+
+def _move_members(comps: tuple[SymMultiSpinor, ...], a: np.ndarray) -> tuple[SymMultiSpinor, ...]:
+    """The members moved by a (..., 2, 2) on every slot: sl2c_lower_rep(a) on
+    the unprimed and its conjugate on the primed ones."""
+    batch = np.broadcast_shapes(a.shape[:-2], comps[0].comp.shape[:-2])
+    return _moved(core.sl2c_lower_rep(a), _conj_columns(comps, batch),
+                  [(c.r, c.s) for c in comps], batch)

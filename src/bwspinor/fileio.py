@@ -5,7 +5,10 @@ with a momentum on the shell of the header's mass (`core.on_shell`, the rule
 synthesis applies too) and, if it is 0, inside the range where the null
 frame is finite (`frames.null_frame_finite`, the rule of `frame_massless`);
 complex numbers are [re, im] pairs and floats are
-serialized with full round-trip precision.  Validation failures raise
+serialized with full round-trip precision.  A field file holds its members
+in standard coordinates; the field reader and writer move them into and out
+of the basis adapted to the momentum that every `bw.BWComponent` stores
+(`bw.from_standard`, `bw.to_standard`).  Validation failures raise
 SchemaError carrying a JSON pointer to the offending element.
 
 One writer and one reader serve both formats.  The writer converts the
@@ -25,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from . import core
-from .bw import MAX_N, Amplitudes, BWComponent, valences
+from .bw import MAX_N, Amplitudes, BWComponent, from_standard, to_standard, valences
 from .errors import SchemaError
 from .frames import null_frame_finite
 from .multispinor import SymMultiSpinor
@@ -306,8 +309,10 @@ def _amplitude_columns(n: int, mass: float) -> dict:
 
 def write_field_file(path: str, psi: BWComponent,
                      weights: np.ndarray | None = None) -> None:
+    """Write the members in standard coordinates (`bw.to_standard`), as
+    version 1 stores them."""
     _write_samples(path, _header_out(psi.n, psi.mass, psi.sign), psi.p,
-                   {"comps": tuple(c.comp for c in psi.comps)}, weights)
+                   {"comps": tuple(c.comp for c in to_standard(psi))}, weights)
 
 
 def read_field_file(path: str) -> FieldFile:
@@ -315,7 +320,8 @@ def read_field_file(path: str) -> FieldFile:
                                                          _field_columns)
     comps = tuple(SymMultiSpinor(r, s, c.reshape(len(p), r + 1, s + 1))
                   for (r, s), c in zip(valences(n, mass), cols["comps"]))
-    psi = BWComponent(n=n, mass=mass, sign=sign, p=p, comps=comps)
+    # the file holds standard coordinates; a BWComponent, the adapted basis
+    psi = BWComponent(n=n, mass=mass, sign=sign, p=p, comps=from_standard(p, comps))
     return FieldFile(component=psi, weights=weights)
 
 

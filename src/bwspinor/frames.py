@@ -14,6 +14,12 @@ SpinFrame.contractions() reports both numbers.
 A frame holds one momentum per sample and no mass: the regime and the mass
 of a sample follow from its own p (`core.timelike`, `core.invariant_mass`),
 so the samples of one batch may lie on different mass shells.
+
+`axis_rotation(p)` also fixes, per sample, the spin basis in which
+`bw.BWComponent` stores its members: the a with a p^{AA'} a^dagger
+diagonal, whose rows are the flag spinors of the two null flagpoles of p.
+A frame is given in standard coordinates; `bw` takes its spinors into that
+basis where it pairs them with members.
 """
 
 from __future__ import annotations
@@ -49,22 +55,33 @@ def axis_rotation(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per sample, a in SU(2), (..., 2, 2), mapping to (1, 0) the unit flag
     spinor xi of the direction u of the 3-vector of t, and lam, (..., 2),
     with a t^{AA'} a^dagger = diag(lam), lam = (t^0 + |t|, t^0 - |t|) / sqrt2:
-    the one rotation that diagonalizes a direction dyad.  xi, the column of
-    larger norm of the dyad of (1, u), has its larger entry real and
-    positive: entry 0 where u^3 >= 0, the equator included.  On the time
-    axis a = 1."""
+    the one rotation that diagonalizes a direction dyad, and, for t = p, the
+    basis of the members of a field at p.  xi, the column of larger norm of
+    the dyad of (1, u), has its larger entry real and positive: entry 0
+    where u^3 >= 0, the equator included.  On the time axis a = 1, and on
+    the +z axis too."""
     t = np.asarray(t, dtype=float)
-    v = t[..., 1:]
-    length = np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
-    x, y, z = np.moveaxis(v, -1, 0) / np.where(length > 0, length, 1.0)
+    # hypot ran faster on contiguous rows than on the columns of t
+    v = np.ascontiguousarray(np.moveaxis(t[..., 1:], -1, 0))
+    length = np.hypot(np.hypot(v[0], v[1]), v[2])
+    x, y, z = v / np.where(length > 0, length, 1.0)
     z = np.where(length > 0, z, 1.0)
-    xi = np.where((z >= 0)[..., None], np.stack([1.0 + z, x + 1j * y], axis=-1),
-                  np.stack([x - 1j * y, 1.0 - z], axis=-1))
-    xi = xi / np.sqrt(2.0 * (1.0 + np.abs(z)))[..., None]
-    a = np.empty(xi.shape[:-1] + (2, 2), dtype=complex)
-    np.conj(xi, out=a[..., 0, :])
-    np.negative(xi[..., 1], out=a[..., 1, 0])
-    a[..., 1, 1] = xi[..., 0]
+    upper = z >= 0
+    # a = [conj(xi); -xi_1, xi_0], written part by part: xi = (1 + z, x + iy)
+    # or (x - iy, 1 - z), times the reciprocal of its norm as complex division
+    # by a real takes it
+    scale = 1.0 / np.sqrt(2.0 * (1.0 + np.abs(z)))
+    a = np.zeros(t.shape[:-1] + (2, 2), dtype=complex)
+    re, im = a.real, a.imag
+    np.multiply(np.where(upper, 1.0 + z, x), scale, out=re[..., 0, 0])
+    np.multiply(np.where(upper, x, 1.0 - z), scale, out=re[..., 0, 1])
+    re[..., 1, 1] = re[..., 0, 0]
+    np.negative(re[..., 0, 1], out=re[..., 1, 0])
+    ys = y * scale
+    np.copyto(im[..., 0, 0], ys, where=~upper)
+    np.negative(im[..., 0, 0], out=im[..., 1, 1])
+    np.negative(ys, out=im[..., 0, 1], where=upper)
+    im[..., 1, 0] = im[..., 0, 1]
     return a, np.stack([t[..., 0] + length, t[..., 0] - length], axis=-1) / np.sqrt(2.0)
 
 

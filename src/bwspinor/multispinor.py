@@ -17,12 +17,14 @@ one kernel that moves members by a matrix on every slot, takes the samples
 in blocks and yields the moved members themselves.  `contract_rows`, the one
 kernel that weighs every slot of a group alike, sums a member between a row
 and a column that `power_row` reads from one batch-last table of the powers
-of a spinor, `spinor_powers`.
+of a spinor, `spinor_powers`.  `slot_sum` is the generator form of the
+slot action: a 2x2 matrix acting on one slot of a group at a time, summed
+over the slots (a Pauli-Lubanski or helicity generator on a member).
 
 Working arrays live in one complex buffer per thread, `workspace`, which
 grows to the largest request and is then reused: each block's table
 Q_0..Q_n and the product buffers of `_slot_action` (and the gathered terms
-of `bw`'s distinct-direction route) are views into it, and the products
+of `bw`'s distinct-direction route and of its synthesis) are views into it, and the products
 write through `out=` with one scratch term, so a warm call allocates no
 working array and touches no fresh pages.  A member x that `_slot_action`
 yields is such a view, valid until the generator takes its next step; a
@@ -86,6 +88,23 @@ def contract_rows(row: np.ndarray, member: np.ndarray, col: np.ndarray) -> np.nd
     summed over the columns first and then over the rows; the batch axes
     broadcast from the right."""
     return np.einsum("a...,a...->...", row, np.einsum("ab...,b...->a...", member, col))
+
+
+def slot_sum(c: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """The sum over the slots of one group of a 2x2 generator m acting on
+    that slot alone, of the graded member c (..., r+1, s+1), the group at
+    `axis` (-2 unprimed, -1 primed); m (..., 2, 2) broadcasts against the
+    batch axes of c.  Of the slots of an entry with i ones, r - i hold a 0
+    and i a 1, so c_i maps to (r - i)(m00 c_i + m01 c_{i+1}) + i(m11 c_i +
+    m10 c_{i-1}).  It runs batch-last, as the other kernels do."""
+    groups = (axis, -1 if axis == -2 else -2)
+    c = np.ascontiguousarray(np.moveaxis(np.asarray(c), groups, (0, 1)))
+    m = np.asarray(m)
+    i = np.arange(len(c), dtype=float).reshape((-1,) + (1,) * (c.ndim - 1))
+    out = (len(c) - 1 - i) * (m[..., 0, 0] * c) + i * (m[..., 1, 1] * c)
+    out[:-1] += (len(c) - 1 - i[:-1]) * (m[..., 0, 1] * c[1:])
+    out[1:] += i[1:] * (m[..., 1, 0] * c[:-1])
+    return np.moveaxis(out, (0, 1), groups)
 
 
 def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,

@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import bw, core, dirac, maxwell
-from .frames import frame_massive, frame_massless, frame_residuals
+from .frames import axis_rotation, frame_massive, frame_massless, frame_residuals
+from .multispinor import slot_sum
 from .pauli_lubanski import (bispinor_matrix, chi_basis, combined_projectors,
                              energy_projectors, explicit_frame_projectors,
                              pl_eigen_relations_residual, pl_eigenvalues,
@@ -220,6 +221,34 @@ def massive_family(rng, n, size):
         / np.maximum(1.0, member_sum))
 
 
+def pl_eigenstates(rng, n, size):
+    """The Wigner states are Pauli-Lubanski eigenstates on omega: su on every
+    unprimed slot plus sp on every primed slot (`multispinor.slot_sum`), su,
+    sp = pl_project(omega_vec, p), maps synth(f) to synth(lambda f), with
+    lambda_j = (2j - n) half on the amplitude of j 1-labels and half =
+    pl_eigenvalues(omega_vec, p)[0].  The second route is the synthesis of
+    the scaled amplitudes; no extraction enters.  Relative to |half| n max|c|
+    per sample, as the action vanishes at lambda_j = 0."""
+    m = 1.0
+    p = core.random_future_momentum(m, rng, size=size)
+    fr = frame_massive(p, core.random_spinor(rng, size=size))
+    half, _ = pl_eigenvalues(fr.omega_vec, p)
+    su, sp = pl_project(fr.omega_vec, p)
+    # both act on lower indices; the members hold them in the basis of a
+    a = axis_rotation(p)[0]
+    low, back = (core.sl2c_lower_rep(x) for x in (a, np.conj(np.swapaxes(a, -1, -2))))
+    su, sp = low @ su @ back, np.conj(low) @ sp @ np.conj(back)
+    lam = (2 * np.arange(n + 1) - n) * half[..., None]
+    for sign in (+1, -1):
+        amps = _random_amplitudes(rng, n, m, sign, size)
+        psi = bw.synth_massive(fr, amps)
+        want = bw.synth_massive(fr, bw.Amplitudes(n, m, sign, lam * amps.f))
+        worst = _largest(core.max_abs(slot_sum(c.comp, su, -2) + slot_sum(c.comp, sp, -1)
+                                      - w.comp, 2) for c, w in zip(psi.comps, want.comps))
+        scale = np.abs(half) * n * _largest(core.max_abs(c.comp, 2) for c in psi.comps)
+        yield f"pl_eigenstates_n{n}_sign{sign:+d}", worst / scale
+
+
 def massless_family(rng, n, size):
     """Massless spin n/2: the frame, extraction against synthesis, helicity,
     the Hertz route, the directions against each other and |f|^2, and the
@@ -346,10 +375,10 @@ def null_potential(rng, n, size):
     t2 = core.random_timelike(rng, size=size)
     val = maxwell.gk_norm_integrand(phi_pw, p, t1, t2)
     yield "gk_amplitude_norm", np.abs(val - np.abs(f) ** 2)
-    psi = bw.BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=(
+    psi = bw.BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=bw.from_standard(p, (
         bw.SymMultiSpinor(2, 0, np.stack(
             [phi_pw[..., 0, 0], phi_pw[..., 0, 1], phi_pw[..., 1, 1]],
-            axis=-1)[..., None]),))
+            axis=-1)[..., None]),)))
     via_bw = bw.norm_integrand(psi, bw.FixedList((t1, t2)))
     yield "gk_matches_bw_n2", np.abs((val - via_bw) / np.maximum(1.0, np.abs(val)))
 
@@ -375,18 +404,13 @@ IDENTITIES = (
     Identity("core", spinor_index_rules),
     Identity("core", momentum_dyads),
     Identity("pl", pauli_lubanski),
-    # n = 8..10 on 2500 samples read the round trip up to 6.4e-8 and the
-    # NullOmega pairing up to 3.15e-10, from conditioning: the bound by a
-    # per-sample condition number cond_s (ROADMAP item 2) replaces these
-    Identity("bw", massive_family, (1, 2, 3), wide=(
-        ("roundtrip", 8, 1e-6), ("t_independence", 8, 1e-8),
-        ("member_amplitude_sum", 8, 1e-8))),
+    Identity("bw", massive_family, (1, 2, 3)),
     Identity("bw", massless_family, (1, 2, 3)),
-    # set after the first every-n run read 3.6e-8: the form="p" pairing of
-    # a boosted field loses digits like (p^0 / m)^n, up to 5.6e3 at n = 10
-    # over 40 draws, so it holds the tier-1 draw only until cond_s replaces it
-    Identity("bw", scalarity, (2,), wide=(
-        ("scalarity_pointwise", 6, 1e-6), ("transform_inverse", 6, 1e-6))),
+    # transform_inverse compares the members absolutely, and they grow like
+    # (p^0)^(n/2): on the tier-1 draw and 20 draws of 2500 samples it read up
+    # to 2.8e-10 at n = 7 and 2.0e-9 at n = 10, about 5e-14 of the members
+    Identity("bw", scalarity, (2,), wide=(("transform_inverse", 7, 1e-8),)),
+    Identity("bw", pl_eigenstates, (1, 2, 3)),
     Identity("dirac", gamma_tables),
     Identity("dirac", dirac_solutions),
     Identity("maxwell", field_strength),

@@ -231,12 +231,16 @@ def field_equation_residual_loop(psi) -> float:
     return worst / scale
 
 
-def helicity_residual_loop(psi) -> float:
+def helicity_residual_loop(psi, move=None) -> float:
     """max_{a, idx} |sum_slots S^a psi + (n/2) p^a psi| of a single massless
     component, slot by slot over index tuples, with S^a from
-    `pl_momentum_rep_loop`; relative as in `bw.helicity_residual_massless`."""
+    `pl_momentum_rep_loop`, or move S^a move^-1 for a 2x2 move, the map of
+    the basis the member is given in; relative as in
+    `bw.helicity_residual_massless`."""
     n = psi.n
     s_op = pl_momentum_rep_loop(psi.p)[0]
+    if move is not None:
+        s_op = np.array([move @ s @ np.linalg.inv(move) for s in s_op])
     member = dense_pattern(psi, ())
     worst = 0.0
     for a in range(4):

@@ -5,6 +5,7 @@ A criterion that checks an identity of `verify`'s table calls its entry,
 with the criterion's own seed, sample count and gate.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -212,16 +213,18 @@ def test_criterion_14_bruteforce_oracle():
         fr = frame_massive(p, core.random_spinor(rng))
         f = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         psi = synth_massive(fr, Amplitudes(n, 1.0, +1, f))
+        # the oracles read members in standard coordinates
+        std_psi = dataclasses.replace(psi, comps=bw.to_standard(psi))
         ts = [core.random_timelike(rng) for _ in range(n)]
         got = float(contract_T(psi, np.stack(ts)))
-        want = contract_T_bruteforce(psi, ts)
+        want = contract_T_bruteforce(std_psi, ts)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
         got_eq = float(contract_T(psi, np.broadcast_to(ts[0], (n, 4))))
-        want_eq = contract_T_bruteforce(psi, [ts[0]] * n)
+        want_eq = contract_T_bruteforce(std_psi, [ts[0]] * n)
         worst = max(worst, abs(got_eq - want_eq) / max(1.0, abs(want_eq)))
-        back = extract_bruteforce(psi, fr, complex(default_normalization(fr)))
+        back = extract_bruteforce(std_psi, fr, complex(default_normalization(fr)))
         worst = max(worst, float(np.max(np.abs(back - f))))
-        std = standard_sum_bruteforce(psi) / p[0] ** n
+        std = standard_sum_bruteforce(std_psi) / p[0] ** n
         worst = max(worst, abs(float(standard_bw_integrand(psi)) - std)
                     / max(1.0, std))
     report(14, "symmetric-storage contractions vs dense brute-force oracle, "

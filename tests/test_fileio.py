@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from bwspinor import core
-from bwspinor.bw import MAX_N, Amplitudes, synth_massive, synth_massless
+from bwspinor import core, fileio
+from bwspinor.bw import (MAX_N, Amplitudes, from_standard, synth_massive, synth_massless,
+                         to_standard)
 from bwspinor.cli import main
 from bwspinor.errors import SchemaError
 from bwspinor.fileio import (read_amplitude_file, read_field_file,
@@ -22,20 +23,31 @@ def make_field(count=5, n=2, seed=0):
     return synth_massive(fr, amps)
 
 
+def assert_members_close(got, want):
+    # the file holds standard coordinates: the members come back through one
+    # move out of the basis adapted to p and one back, within 4 n eps of the
+    # sample's largest entry (22 eps read at n = 10)
+    scale = np.maximum.reduce([core.max_abs(c.comp, 2) for c in want.comps])
+    err = np.maximum.reduce([core.max_abs(a.comp - b.comp, 2)
+                             for a, b in zip(got.comps, want.comps)])
+    assert len(got.comps) == len(want.comps)
+    assert np.all(err <= 4 * want.n * np.finfo(float).eps * scale)
+
+
 class TestRoundTrip:
-    def test_field_file_lossless(self, tmp_path):
-        psi = make_field()
-        path = tmp_path / "field.json"
-        weights = np.linspace(0.1, 0.5, 5)
-        write_field_file(path, psi, weights)
-        data = read_field_file(path)
-        assert data.component.n == psi.n
-        assert data.component.mass == psi.mass
-        assert data.component.sign == psi.sign
-        assert np.array_equal(data.component.p, psi.p)
-        for k in range(psi.n + 1):
-            assert np.array_equal(data.component.comps[k].comp, psi.comps[k].comp)
-        assert np.array_equal(data.weights, weights)
+    def test_field_file_round_trip(self, tmp_path):
+        for n in (2, MAX_N):
+            psi = make_field(n=n)
+            path = tmp_path / "field.json"
+            weights = np.linspace(0.1, 0.5, 5)
+            write_field_file(path, psi, weights)
+            data = read_field_file(path)
+            assert data.component.n == psi.n
+            assert data.component.mass == psi.mass
+            assert data.component.sign == psi.sign
+            assert np.array_equal(data.component.p, psi.p)
+            assert_members_close(data.component, psi)
+            assert np.array_equal(data.weights, weights)
 
     def test_field_file_massless(self, tmp_path):
         p = core.random_future_momentum(0.0, 1, size=4)
@@ -44,8 +56,7 @@ class TestRoundTrip:
         path = tmp_path / "mlfield.json"
         write_field_file(path, psi)
         data = read_field_file(path)
-        assert len(data.component.comps) == 1
-        assert np.array_equal(data.component.comps[0].comp, psi.comps[0].comp)
+        assert_members_close(data.component, psi)
         assert data.weights is None
 
     def test_amplitude_file_lossless(self, tmp_path):
@@ -183,7 +194,7 @@ class TestWriterBytes:
         path = tmp_path / "field.json"
         write_field_file(path, psi, weights)
         header = {"version": 1, "n": n, "mass": 1.0, "sign": "+"}
-        expect = reference_bytes(header, psi.p, {"comps": tuple(c.comp for c in psi.comps)},
+        expect = reference_bytes(header, psi.p, {"comps": tuple(c.comp for c in to_standard(psi))},
                                  weights)
         assert path.read_bytes() == expect
 
@@ -194,7 +205,7 @@ class TestWriterBytes:
         write_field_file(path, psi)
         header = {"version": 1, "n": 3, "mass": 0.0, "sign": "+"}
         assert path.read_bytes() == reference_bytes(
-            header, psi.p, {"comps": tuple(c.comp for c in psi.comps)}, None)
+            header, psi.p, {"comps": tuple(c.comp for c in to_standard(psi))}, None)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("normalization", ["paper-default", 0.5 - 0.25j])
@@ -218,15 +229,18 @@ class TestWriterBytes:
         assert np.array_equal(read_amplitude_file(path).amplitudes.f, amps.f)
 
     def test_reference_file_loads_to_same_arrays(self, tmp_path):
+        # the reader moves the standard members of the file into the basis
+        # adapted to p, as `bw.from_standard` does
         psi = make_field(count=40, n=3, seed=8)
+        members = to_standard(psi)
         weights = np.linspace(0.2, 0.9, 40)
         path = tmp_path / "field.json"
         header = {"version": 1, "n": 3, "mass": 1.0, "sign": "+"}
         path.write_bytes(reference_bytes(
-            header, psi.p, {"comps": tuple(c.comp for c in psi.comps)}, weights))
+            header, psi.p, {"comps": tuple(c.comp for c in members)}, weights))
         data = read_field_file(path)
         assert np.array_equal(data.component.p, psi.p)
-        for got, want in zip(data.component.comps, psi.comps):
+        for got, want in zip(data.component.comps, from_standard(psi.p, members)):
             assert np.array_equal(got.comp, want.comp)
         assert np.array_equal(data.weights, weights)
 
@@ -254,20 +268,23 @@ class TestBitExact:
         assert np.array_equal(self.bits(data.weights), self.bits(weights))
 
     def test_field_values(self, tmp_path):
+        # the members a field file holds come back bit for bit from the
+        # sample reader; read_field_file then moves them into the basis
+        # adapted to p, which rounds
         psi = make_field(count=2, n=1, seed=9)
         comps = []
         for c in psi.comps:
             vals = np.resize(self.EDGE, 2 * c.comp.size)
             z = vals[0::2] + 0j
             z.imag = vals[1::2]
-            comps.append(type(c)(c.r, c.s, z.reshape(c.comp.shape)))
-        edge = type(psi)(n=psi.n, mass=psi.mass, sign=psi.sign, p=psi.p, comps=tuple(comps))
+            comps.append(z.reshape(c.comp.shape))
         path = tmp_path / "field.json"
-        write_field_file(path, edge)
-        data = read_field_file(path)
-        for got, want in zip(data.component.comps, comps):
-            assert np.array_equal(self.bits(got.comp.view(float)),
-                                  self.bits(want.comp.view(float)))
+        header = {"version": 1, "n": 1, "mass": 1.0, "sign": "+"}
+        path.write_bytes(reference_bytes(header, psi.p, {"comps": tuple(comps)}, None))
+        _, _, cols, _ = fileio._read_samples(path, "field", fileio._field_columns)
+        for got, want in zip(cols["comps"], comps):
+            assert np.array_equal(self.bits(got.view(float)),
+                                  self.bits(want.reshape(len(want), -1).view(float)))
 
 
 class TestRejectedSamples:

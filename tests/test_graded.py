@@ -12,17 +12,18 @@ distinct random timelike or null directions per sample, are held to
 sum_k C(n,k) |f_k|^2 per sample;
 `form="p"`, the direction t = p on every slot, to the pairing of p scaled
 by m^(-2n); the rotated pairing of the general equal-slot route to the
-diagonal pairing of the field `transform_component` moves;
+diagonal pairing of the members moved by the slot action;
 `standard_bw_integrand` and `transform_component` to dense evaluations.
-Synthesis is held to the index loop over every routing of
-`oracles.synth_bruteforce`, extraction to the index loop of
-`oracles.extract_bruteforce`, and the signed flip between the primed and
-unprimed slot factors, on which synthesis as one slot action rests, to a
-direct `sym_power_matrices`.  The kernels take their samples in blocks:
+Synthesis, moved to standard coordinates (`bw.to_standard`), is held to the
+index loop over every routing of `oracles.synth_bruteforce` at every n,
+extraction to the index loop of `oracles.extract_bruteforce`, and the
+signed flip between the primed and unprimed slot factors of the chi
+expansion to a direct `sym_power_matrices`.  The kernels take their samples in blocks:
 their peak memory is bounded, and the distinct-direction values do not
 depend on where the blocks split.
 """
 
+import dataclasses
 import itertools
 import platform
 import tracemalloc
@@ -60,6 +61,16 @@ def relative(got, want):
     return np.max(np.abs(got - want) / np.abs(want))
 
 
+def standard(psi):
+    """psi with its members in standard coordinates, as the oracles read them."""
+    return dataclasses.replace(psi, comps=bw.to_standard(psi))
+
+
+def rotated(t, psi):
+    """The vectors t in the basis of the members of psi."""
+    return bw._rotated(t, axis_rotation(psi.p)[0])
+
+
 @pytest.mark.parametrize("r", range(5))
 def test_sym_power_matrices_tuple_sums(r):
     rng = np.random.default_rng(r)
@@ -85,10 +96,12 @@ def test_sym_power_matrices_multiplicative():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(lhs)))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", SPINS)
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("normalization", [None, 0.6 - 0.8j], ids=["default", "complex"])
 def test_synth_matches_routing_sum(n, sign, normalization):
+    # the members, moved to standard coordinates, against every routing of
+    # the chi factors of the frame given
     rng = np.random.default_rng(1000 + n)
     p = core.random_future_momentum(1.0, rng, size=3)
     fr = frame_massive(p, core.random_spinor(rng, size=3))
@@ -96,7 +109,7 @@ def test_synth_matches_routing_sum(n, sign, normalization):
     psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=sign, f=f), normalization)
     want = synth_bruteforce(fr, f, sign, default_normalization(fr)
                             if normalization is None else normalization)
-    for got, ref in zip(psi.comps, want):
+    for got, ref in zip(bw.to_standard(psi), want):
         err = np.max(np.abs(got.comp - ref), axis=(-2, -1))
         assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(-2, -1)))
 
@@ -110,6 +123,7 @@ def test_extract_matches_index_loop(n, sign):
     f = rng.normal(size=(3, n + 1)) + 1j * rng.normal(size=(3, n + 1))
     psi = synth_massive(fr, Amplitudes(n=n, mass=1.0, sign=sign, f=f))
     got = extract_massive(psi, fr).f
+    psi = standard(psi)
     nval = default_normalization(fr)
     for s in range(3):
         one = BWComponent(n, 1.0, sign, p[s], tuple(
@@ -181,24 +195,26 @@ def test_closed_form_pairings_keep_the_slot_action_digits(n, sign, spec):
     ts = resolve_directions(spec, n, psi, fr)
     tp = np.prod(core.minkowski(ts, psi.p), axis=0)
     route = relative(contract_T(psi, ts) / tp, want)
-    square = relative(bw._rotated_pairing(psi, *axis_rotation(ts[0])) / tp, want)
+    square = relative(bw._rotated_pairing(psi, *axis_rotation(rotated(ts[0], psi))) / tp, want)
     assert route <= max(2 * square, 64 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("n", SPINS)
 def test_form_p_is_the_momentum_direction(n):
-    # form "p" puts t = p on every slot and divides by (p.p)^n per sample; the
-    # same pairing scaled by m^(-2n) was its own branch before
+    # form "p" puts t = p on every slot and divides by (p.p)^n per sample: the
+    # pairing of the rotated route at t = p, scaled by m^(-2n)
     psi, fr, _ = random_component(n, 200, seed=1200 + n)
-    want = bw._rotated_pairing(psi, *axis_rotation(psi.p)) * psi.mass ** (-2 * n)
+    a, lam = axis_rotation(rotated(psi.p, psi))
+    want = bw._rotated_pairing(psi, a, lam) * psi.mass ** (-2 * n)
     assert relative(norm_integrand(psi, None, fr, form="p"), want) <= 1e-12
 
 
 @pytest.mark.parametrize("n", SPINS)
 @pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
 def test_rotated_pairing_is_the_diagonal_pairing_of_the_moved_field(n, mass):
-    # the streamed route against the field moved by transform_component and
-    # paired through diag(lam), for the rotation of a random timelike t
+    # the streamed route against the members moved as stored, by the slot
+    # action, and paired through diag(lam), for the rotation of a random
+    # timelike t
     rng = np.random.default_rng(1400 + n)
     if mass > 0:
         psi, _, _ = random_component(n, 50, seed=1400 + n)
@@ -206,7 +222,8 @@ def test_rotated_pairing_is_the_diagonal_pairing_of_the_moved_field(n, mass):
         p = core.random_future_momentum(0.0, rng, size=50)
         psi = synth_massless(frame_massless(p).pi, rng.normal(size=50) + 1j * rng.normal(size=50), n)
     a, lam = axis_rotation(core.random_timelike(rng, size=50))
-    want = bw._diagonal_pairing(transform_component(psi, a), lam[:, 0], lam[:, 1])
+    moved = dataclasses.replace(psi, comps=bw._move_members(psi.comps, a))
+    want = bw._diagonal_pairing(moved, lam[:, 0], lam[:, 1])
     assert relative(bw._rotated_pairing(psi, a, lam), want) <= 1e-14
 
 
@@ -215,7 +232,7 @@ def test_distinct_T_matches_dense_route(n):
     psi, _, _ = random_component(n, 3, seed=600 + n)
     rng = np.random.default_rng(700 + n)
     ts = np.stack([core.random_timelike(rng, size=3) for _ in range(n)])
-    assert relative(bw._monomial_pairing(psi, ts), contract_T_dense(psi, ts)) < 1e-13
+    assert relative(bw._monomial_pairing(psi, ts), contract_T_dense(standard(psi), ts)) < 1e-13
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -253,7 +270,7 @@ def test_tensor_components_are_momentum_powers(n, sign, mass):
         f = rng.normal(size=count) + 1j * rng.normal(size=count)
         psi = synth_massless(frame_massless(p).pi, f, n, sign)
         amplitude_sum = np.abs(f) ** 2
-    entries = np.concatenate([c.comp.reshape(count, -1) for c in psi.comps], axis=1).T
+    entries = np.concatenate([c.comp.reshape(count, -1) for c in bw.to_standard(psi)], axis=1).T
     got = bw._tensor_components(entries, n, len(psi.comps) - 1).T
     alphas = np.array(list(bw._monomials(n)))
     p_low = core.vector_to_dyad(psi.p, "low").reshape(count, 4)
@@ -266,7 +283,7 @@ def test_standard_integrand_matches_dense_sum(n):
     psi, _, _ = random_component(n, 3, seed=300 + n)
     want = sum(comb(n, k) * np.sum(np.abs(dense_from_graded(c.comp, n - k, k)) ** 2,
                                    axis=tuple(range(1, n + 1)))
-               for k, c in enumerate(psi.comps)) / psi.p[:, 0] ** n
+               for k, c in enumerate(bw.to_standard(psi))) / psi.p[:, 0] ** n
     assert relative(standard_bw_integrand(psi), want) < 1e-12
 
 
@@ -284,13 +301,14 @@ def dense_slot_action(comp, r, s, m_unprimed, m_primed):
 
 @pytest.mark.parametrize("n", SPINS)
 def test_transform_matches_dense_slot_action(n):
+    # in standard coordinates, where A itself acts on every slot
     psi, _, _ = random_component(n, 2, seed=400 + n)
     a = core.random_sl2c(np.random.default_rng(500 + n), size=2)
-    moved = transform_component(psi, a)
+    moved = bw.to_standard(transform_component(psi, a))
     a_low = core.sl2c_lower_rep(a)
-    for k, c in enumerate(psi.comps):
+    for k, c in enumerate(bw.to_standard(psi)):
         want = dense_slot_action(c.comp, n - k, k, a_low, np.conj(a_low))
-        got = dense(moved.comps[k])
+        got = dense(moved[k])
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 

@@ -246,11 +246,11 @@ def helicity_case(kinds):
     p, _ = pair(0.0)
     fr = frames.frame_massless(pick(kinds, p[0], p[1]))
     psi = bw.synth_massless(fr.pi, pick(kinds, BIG, 1.0), 2)
-    (member,) = psi.comps
+    (member,) = bw.to_standard(psi)
     comp = member.comp.copy()
-    comp[:, 1, 0] *= pick(kinds, 1.0, 1.01)     # one entry 1 % off
-    return np.max(bw.helicity_residual_massless(
-        dataclasses.replace(psi, comps=(dataclasses.replace(member, comp=comp),))))
+    comp[:, 1, 0] *= pick(kinds, 1.0, 1.01)     # one standard entry 1 % off
+    spoiled = bw.from_standard(psi.p, (dataclasses.replace(member, comp=comp),))
+    return np.max(bw.helicity_residual_massless(dataclasses.replace(psi, comps=spoiled)))
 
 
 def dirac_case(kinds):

@@ -7,7 +7,7 @@ from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
 from bwspinor import multispinor
 from bwspinor.multispinor import (SymMultiSpinor, _slot_action,
-                                  contract_rows, power_row, spinor_powers)
+                                  contract_rows, power_row, slot_sum, spinor_powers)
 from oracles import (contract_full, dense, dense_from_graded, graded_from_dense,
                      sym_outer, sym_outer_bruteforce, symmetrize_bruteforce,
                      symmetry_residual)
@@ -142,6 +142,35 @@ class TestSlotMatrices:
                 want = np.broadcast_to(want, (count, r + 1, s + 1))
                 assert_allclose(np.moveaxis(g, -1, 0), want,
                                 atol=1e-12 * np.max(np.abs(want)), rtol=0)
+
+
+class TestSlotSum:
+    """`slot_sum` against the dense sum over the slots of one group of the
+    generator acting on that slot alone."""
+
+    @pytest.mark.parametrize("r, s", [(1, 0), (0, 3), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("axis", [-2, -1], ids=["unprimed", "primed"])
+    def test_matches_dense_sum(self, r, s, axis):
+        rng = np.random.default_rng(10 * r + s)
+        c = rng.normal(size=(5, r + 1, s + 1)) + 1j * rng.normal(size=(5, r + 1, s + 1))
+        m = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        d = dense_from_graded(c, r, s)
+        slots = range(r) if axis == -2 else range(r, r + s)
+        want = 0
+        for slot in slots:
+            moved = np.einsum("sij,sj...->si...", m, np.moveaxis(d, 1 + slot, 1))
+            want = want + np.moveaxis(moved, 1, 1 + slot)
+        got = dense_from_graded(slot_sum(c, m, axis), r, s)
+        assert_allclose(got, want, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_generator_broadcasts_over_a_world_index(self):
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=(5, 1, 4, 1)) + 0j
+        m = rng.normal(size=(5, 4, 2, 2)) + 0j
+        got = slot_sum(c, m, -2)
+        assert got.shape == (5, 4, 4, 1)
+        for a in range(4):
+            assert_allclose(got[:, a], slot_sum(c[:, 0], m[:, a], -2), atol=1e-15)
 
 
 def _action(seed, n, count=9, budget=16 * 55 * 4):
