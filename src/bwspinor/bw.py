@@ -11,9 +11,12 @@ momentum: per sample, a, lam = `frames.axis_rotation(p)`, the SU(2) rotation
 with a p^{AA'} a^dagger = diag(lam0, lam1), acts on every slot, so the two
 basis directions are the null flagpoles of p.  In that basis the field
 equations map member k to member k+1 by one shift and one scale, and a
-massless member has one nonzero entry.  `from_standard` and `to_standard`,
-one slot action each, move members across the boundary to standard
-coordinates: the field files and the test oracles hold those.
+massless member has one nonzero entry.  The component owns that basis,
+`BWComponent.basis`, which its builder derives once.  Members move by one
+slot action, `_move_members`: into and out of the basis (`from_standard`,
+`to_standard`; field files and test oracles hold standard coordinates), to
+the basis of Lambda p, and to the diagonal of a direction.  Slot generators
+move by `slot_generator_sum`.
 
 Synthesis expands a field over tensor products of the chi eigenbispinors:
 one slot action makes the all-unprimed member, and the others are a gather
@@ -27,19 +30,18 @@ independent of the chosen directions t_k.
 
 Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
 of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
-dense entries.  The general equal-slot pairing, the Lorentz action, the
-Hertz route, the all-unprimed member of synthesis and the moves to and from
-standard coordinates are one slot action (`multispinor._slot_action`), each
-with its own matrix, and return (..., r+1, s+1) views of one batch-last
-buffer per component.  Every closed form is one sum, `contract_rows`, of a
-member between two rows of one table of spinor powers: the members
-`_along` omega (extraction) or tau (the rank-one pairing), or their squared
-moduli, moved or not, along a diagonal dyad.  The T contraction with a
-distinct direction per slot reads T through its C(n+3, 3) components on the
-monomials of the four dyad entries, gathered from the members by one fixed
-table.  The working arrays of the slot action, of the synthesis gather and
-of that route are views into one reused per-thread buffer
-(`multispinor.workspace`).
+dense entries.  Every move of the members, the Hertz route and the
+all-unprimed member of synthesis are one slot action
+(`multispinor._slot_action`), each with its own matrix, and return
+(..., r+1, s+1) views of one batch-last buffer per component.  Every closed
+form is one sum, `contract_rows`, of a member between two rows of one
+table of spinor powers: the members `_along` omega (extraction) or tau (the
+rank-one pairing), or their squared moduli, moved or not, along a diagonal
+dyad.  The T contraction with a distinct direction per slot reads T
+through its C(n+3, 3) components on the monomials of the four dyad
+entries, gathered from the members by one fixed table.  The working arrays
+of the slot action, of the synthesis gather and of that route are views
+into one reused per-thread buffer (`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
 every sample.  A direction per slot takes the monomial route, with the
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 import numpy as np
@@ -73,9 +75,10 @@ from .multispinor import (SymMultiSpinor, _blocks, _slot_action, _views, contrac
 from .pauli_lubanski import pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
-# in the adapted basis extraction and form="p" keep their digits, but members
-# that arrive in standard coordinates (field files) and the rank-one route
-# near a parallel null p lose digits as n grows, and no rule yet sets the limit
+# in the adapted basis extraction, form="p" and the rank-one route keep their
+# digits, up to the rounding of t.p for a t near a parallel null p, but
+# members that arrive in standard coordinates (field files) lose digits as n
+# grows, and no rule yet sets the limit
 MAX_N = 10
 
 # the kernels that hold per-sample working arrays take the samples in blocks
@@ -117,6 +120,17 @@ class BWComponent:
     @property
     def batch_shape(self):
         return self.p.shape[:-1]
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, lam) = `frames.axis_rotation(p)`, a p^{AA'} a^dagger = diag(lam):
+        the basis of the members, put in by the builder (`_with_basis`)."""
+        return axis_rotation(self.p)
+
+
+def _with_basis(psi: BWComponent, basis) -> BWComponent:
+    psi.__dict__["basis"] = basis     # the cache of psi.basis, so no reader derives it
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +231,18 @@ def _check_shell(frame: SpinFrame, mass: float) -> None:
            f"frame momentum off the mass shell of the amplitudes, m = {mass}")
 
 
-def _adapted_frame(frame: SpinFrame, p: np.ndarray, mass: float):
+def _adapted_frame(frame: SpinFrame, p: np.ndarray, basis, mass: float):
     """(lam0, m, omega', pi'): the frame's spinors in the basis adapted to
-    p, a omega and a pi with a, lam = `frames.axis_rotation(p)`, in which
-    p^{AA'} is diag(lam0, lam1); a massless frame gives a omega alone (m = 0,
-    pi' None), all that extraction reads.  A massive frame is renormalised
-    against diag(lam0, m^2 / (2 lam0)), m the sample's own
+    p, a omega and a pi with a, lam = basis, `frames.axis_rotation(p)`, in
+    which p^{AA'} is diag(lam0, lam1); a massless frame gives a omega alone
+    (m = 0, pi' None), all that extraction reads.  A massive frame is
+    renormalised against diag(lam0, m^2 / (2 lam0)), m the sample's own
     `core.invariant_mass(p)`:
     omega' = (m/sqrt2)^{1/2} w / (w_A w_A' p^{AA'})^{1/2} with w = a omega, and
     pi' = (sqrt2/m) p^{AA'} omegabar'_{A'}, so that omega'_A pi'^A = 1 and
     omega'.p = m/sqrt2 hold to the rounding of the entries, and the members
     solve the field equations of that diagonal dyad (`synth_massive`)."""
-    a, lam = axis_rotation(p)
+    a, lam = basis
     lam0 = lam[..., 0]
     omega = np.einsum("...ij,...j->...i", a, frame.omega)
     if mass <= 0:
@@ -264,7 +278,8 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     _check_shell(frame, amps.mass)
     _check_spin(amps.n)
     n, e = amps.n, amps.sign
-    lam0, m, omega, pi = _adapted_frame(frame, frame.p, amps.mass)
+    basis = axis_rotation(frame.p)
+    lam0, m, omega, pi = _adapted_frame(frame, frame.p, basis, amps.mass)
     n_scale = (np.sqrt(np.sqrt(0.5) * m) if normalization is None
                else np.asarray(normalization, dtype=complex))
     mu_t = np.stack([-core.lower_spinor(pi), e * core.lower_spinor(omega)], axis=-1)
@@ -280,7 +295,7 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
         alpha = -e * np.sqrt(2.0) * lam0 / m
         _gather_members(members, np.broadcast_to(alpha, batch).reshape(-1), n)
     _check_members(comps, scale)
-    return BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps)
+    return _with_basis(BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps), basis)
 
 
 @lru_cache(maxsize=None)
@@ -380,7 +395,7 @@ def extract(psi: BWComponent, frame: SpinFrame) -> Amplitudes:
     (m/sqrt2)^{1/2}, and f = omega'^{A..} psi_{A..} massless."""
     _check_frame(psi, frame)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # checked below
-        _, m, omega, _ = _adapted_frame(frame, psi.p, psi.mass)
+        _, m, omega, _ = _adapted_frame(frame, psi.p, psi.basis, psi.mass)
         f = _along(psi, omega)
         if psi.mass > 0:
             f = f / np.asarray(np.sqrt(np.sqrt(0.5) * m) ** psi.n)[..., None]
@@ -397,30 +412,30 @@ def field_equation_residual_massive(psi: BWComponent) -> np.ndarray:
     families over all slots, relative to the sample's component and
     momentum scale: the general dyad form, on the dyads of p rotated into
     the basis of the members, so it certifies the gather of `synth_massive`
-    without restating it."""
+    without restating it.  Per value z of the free index, each family is a
+    sum of slices of two neighbouring members, batch-last."""
     if psi.mass <= 0:
         raise NotMassive("massive field equations need m > 0")
-    n, m, e = psi.n, psi.mass, psi.sign
-    # the momentum in the basis of the members, a p^{AA'} a^dagger, as it rounds
-    p = _rotated(psi.p, axis_rotation(psi.p)[0])
-    pul = core.vector_to_dyad(p, "ul")[..., None, :, :]           # p^A_{A'}
-    plu_t = np.swapaxes(core.vector_to_dyad(p, "lu"), -1, -2)[..., None, :, :]
-    scale = np.maximum(1.0, np.maximum.reduce([core.max_abs(c.comp, 2) for c in psi.comps])
-                       * core.max_abs(psi.p, floor=m))
+    h = psi.mass / np.sqrt(2.0)
+    # the momentum in the basis of the members, a p^{AA'} a^dagger, as it
+    # rounds; its dyads p^A_{A'} and p_A^{A'}, times e sqrt2 / m
+    p = _rotated(psi.p, psi.basis[0])
+    pul, plu = (np.moveaxis(core.vector_to_dyad(p, kind), (-2, -1), (0, 1)) * (psi.sign / h)
+                for kind in ("ul", "lu"))
+    cs = [np.moveaxis(c.comp, (-2, -1), (0, 1)) for c in psi.comps]
     worst = 0.0
-    for k in range(n):
-        lo, hi = psi.comps[k].comp, psi.comps[k + 1].comp
-        # one contracted slot leaves a free index z beside the two groups:
-        # lo_z[i, j, z] = lo[i + z, j] and hi_z[i, j, z] = hi[i, j + z]
-        lo_z = np.stack([lo[..., :-1, :], lo[..., 1:, :]], axis=-1)
-        hi_z = np.stack([hi[..., :-1], hi[..., 1:]], axis=-1)
-        # e p^A_{A'} psi^{..0..}_{..A..} = -(m/sqrt2) psi^{..1..}_{..A'..}
-        res = e * lo_z @ pul + (m / np.sqrt(2.0)) * hi_z
-        worst = np.maximum(worst, core.max_abs(res, 3))   # a NaN propagates
-        # e p_A^{A'} psi^{..1..}_{..A'..} = +(m/sqrt2) psi^{..0..}_{..A..}
-        res = e * hi_z @ plu_t - (m / np.sqrt(2.0)) * lo_z
-        worst = np.maximum(worst, core.max_abs(res, 3))
-    return worst / scale
+    for lo, hi in zip(cs, cs[1:]):
+        r, s = len(hi), len(lo[0])
+        for z in range(2):
+            # e p^A_{A'} psi^{..0..}_{..A..} = -(m/sqrt2) psi^{..1..}_{..A'..}, A' = z
+            res = pul[0, z] * lo[:-1] + pul[1, z] * lo[1:] + hi[:, z:z + s]
+            worst = np.maximum(worst, np.max(np.abs(res), axis=(0, 1)))   # a NaN propagates
+            # e p_A^{A'} psi^{..1..}_{..A'..} = +(m/sqrt2) psi^{..0..}_{..A..}, A = z
+            res = plu[z, 0] * hi[:, :-1] + plu[z, 1] * hi[:, 1:] - lo[z:z + r]
+            worst = np.maximum(worst, np.max(np.abs(res), axis=(0, 1)))
+    scale = np.maximum(1.0, np.maximum.reduce([core.max_abs(c.comp, 2) for c in psi.comps])
+                       * core.max_abs(psi.p, floor=psi.mass))
+    return h * worst / scale
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +457,22 @@ def _equal_pairing(psi: BWComponent, t: np.ndarray) -> np.ndarray:
         conj(b_i), t^{AA'} = lam_i tau^A taubar^{A'} there; a past t has
         i = 1 and lam_1 < 0; the dropped direction moves the value by about
         8 n eps relative;
-      - any other: `_rotated_pairing`, the diagonal pairing of the members
-        moved by b.
+      - any other: the diagonal pairing through diag(lam) of the members
+        moved by b (`_move_members`); for a causal future-pointing t every
+        weight is positive, so nothing cancels outside the squares.
     """
     if np.all(t[..., 1:] == 0):
         dyad = core.vector_to_dyad(t, "up")
         return _diagonal_pairing(psi, np.real(dyad[..., 0, 0]), np.real(dyad[..., 1, 1]))
     a, lam = axis_rotation(t)
-    a = _product(a, _dagger(axis_rotation(psi.p)[0]))
+    a = _product(a, _dagger(psi.basis[0]))
     moduli = np.abs(lam)
     if np.all(moduli.min(axis=-1) <= 8 * np.finfo(float).eps * moduli.max(axis=-1)):
         i = np.argmax(moduli, axis=-1)[..., None]
         tau = np.take_along_axis(np.conj(a), i[..., None], axis=-2)[..., 0, :]
         return np.take_along_axis(lam, i, -1)[..., 0] ** psi.n * _rank_one_pairing(psi, tau)
-    return _rotated_pairing(psi, a, lam)
+    moved = replace(psi, comps=_move_members(psi.comps, a))
+    return _diagonal_pairing(moved, lam[..., 0], lam[..., 1])
 
 
 def _rotated(t: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -488,31 +505,6 @@ def _rank_one_pairing(psi: BWComponent, tau: np.ndarray) -> np.ndarray:
     z = _along(psi, tau)
     return sum(comb(psi.n, k) * (z[..., k].real ** 2 + z[..., k].imag ** 2)
                for k in range(z.shape[-1]))
-
-
-def _rotated_pairing(psi: BWComponent, a: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """`_diagonal_pairing` through diag(lam) of the members moved by a on
-    every slot, as `transform_component` moves them, with the moved members
-    streamed from the slot action and never stored.
-
-    With M = sl2c_lower_rep(a), the slot action of M gives the moved member
-    x, weighed as `_diagonal_pairing` weighs c, by w_a = C(r, a) lam_0^(r-a)
-    lam_1^a; conj(M) on conj(c) gives conj(x), so c enters as it is.  For a
-    causal future-pointing direction every weight is positive, so nothing
-    cancels outside the squares.
-    """
-    batch = np.broadcast_shapes(a.shape[:-2], lam.shape[:-1], psi.batch_shape)
-    m = np.broadcast_to(np.conj(core.sl2c_lower_rep(a)), batch + (2, 2)).reshape(-1, 2, 2)
-    powers = spinor_powers(np.broadcast_to(lam, batch + (2,)).reshape(-1, 2), psi.n)
-    cs = [_samples_last(c.comp, (), batch) for c in psi.comps]
-    total = np.zeros(m.shape[0])
-    for part, k, x in _slot_action(m, lambda part: [np.swapaxes(c[..., part], 0, 1)
-                                                    for c in cs], psi.n, _STATE_BYTES):
-        r, s = psi.comps[k].r, psi.comps[k].s
-        total[part] += comb(psi.n, s) * contract_rows(power_row(powers[..., part], r, 1),
-                                                      x.real ** 2 + x.imag ** 2,
-                                                      power_row(powers[..., part], s, 1))
-    return total.reshape(batch)
 
 
 def _samples_last(x: np.ndarray, lead: tuple, batch: tuple) -> np.ndarray:
@@ -553,7 +545,7 @@ def _monomial_pairing(psi: BWComponent, ts: np.ndarray) -> np.ndarray:
     n, kmax = psi.n, len(psi.comps) - 1
     tdy = core.vector_to_dyad(ts, "up")
     batch = np.broadcast_shapes(tdy.shape[1:-2], psi.batch_shape)
-    a, _ = axis_rotation(psi.p)
+    a, _ = psi.basis
     x = np.concatenate([_samples_last(c.comp, (), batch).reshape((c.r + 1) * (c.s + 1), -1)
                         for c in psi.comps])
     # a t^{AA'} a^dagger; einsum ran 4 to 5 times faster on contiguous operands
@@ -646,7 +638,7 @@ def norm_integrand(psi: BWComponent, spec=None, frame: SpinFrame | None = None,
         raise ValueError(f"form must be 't' or 'p', got {form!r}")
     if form == "p":
         resolve_directions(FixedList((psi.p,)), psi.n, psi)     # checks p.p
-        pp, lam0 = core.minkowski(psi.p, psi.p), axis_rotation(psi.p)[1][..., 0]
+        pp, lam0 = core.minkowski(psi.p, psi.p), psi.basis[1][..., 0]
         return _diagonal_pairing(psi, lam0, pp / (2.0 * lam0)) / pp ** psi.n
     ts = resolve_directions(StandardTime() if spec is None else spec, psi.n, psi, frame)
     return contract_T(psi, ts) / np.prod(core.minkowski(ts, psi.p), axis=0)
@@ -670,7 +662,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
     _check_spin(n)
     pi = np.asarray(pi, dtype=complex)
     p = core.flagpole(pi)
-    a, _ = axis_rotation(p)
+    a, _ = basis = axis_rotation(p)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         entry = (np.einsum("...j,...j->...", a[..., 0, :], pi) ** n
                  * np.asarray(f, dtype=complex))
@@ -679,7 +671,7 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
     coeffs[..., n, 0] = entry
     comp = SymMultiSpinor(n, 0, coeffs)
     _check_members((comp,), scale)
-    return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
+    return _with_basis(BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,)), basis)
 
 
 def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
@@ -704,32 +696,41 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     n = xi.s
     _check_spin(n)
     batch = np.broadcast_shapes(p.shape[:-1], xi.comp.shape[:-2])
-    a, lam = axis_rotation(p)
+    a, lam = basis = axis_rotation(p)
     slot = np.zeros(a.shape, dtype=complex)     # conjugated, as _moved takes a primed slot
     slot[..., 1, :] = lam[..., :1] * a[..., 1, :]
     (moved,) = _moved(slot, _conj_columns([xi], batch), [(0, n)], batch)
     np.multiply(moved.comp, (-1j * sign) ** n, out=moved.comp)
     comp = SymMultiSpinor(n, 0, np.swapaxes(moved.comp, -1, -2))
-    return BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,))
+    return _with_basis(BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,)), basis)
 
 
 def helicity_residual_massless(psi: BWComponent) -> np.ndarray:
     """Per sample, the largest over the world index a of |sum_slots S^a psi +
-    (n/2) p^a psi|, relative to the sample's component and momentum scale:
-    `multispinor.slot_sum` of the generators S^a(p) moved into the basis of
-    the member, L(a) S^a L(a)^-1 with L the lower-index map of a =
-    `frames.axis_rotation(p)`."""
+    (n/2) p^a psi|, relative to the sample's component and momentum scale,
+    with the generators S^a(p) summed over the slots by `slot_generator_sum`."""
     if psi.mass != 0.0:
         raise NotNull("helicity relation applies to massless components")
-    n = psi.n
-    a, _ = axis_rotation(psi.p)
-    low = core.sl2c_lower_rep(a)[..., None, :, :]
-    back = core.sl2c_lower_rep(_dagger(a))[..., None, :, :]
-    s_op = _product(_product(low, pl_momentum_rep(psi.p).unprimed), back)    # (..., 4, 2, 2)
-    c = psi.comps[0].comp[..., None, :, :]                 # (..., 1, n+1, 1)
-    res = slot_sum(c, s_op, -2) + 0.5 * n * psi.p[..., None, None] * c
-    scale = np.maximum(1.0, core.max_abs(c, 3) * core.max_abs(psi.p))
-    return core.max_abs(res, 3) / scale
+    s_op = pl_momentum_rep(psi.p)
+    c = psi.comps[0].comp
+    worst = 0.0
+    for w in range(4):
+        (moved,) = slot_generator_sum(psi, s_op.unprimed[..., w, :, :], s_op.primed[..., w, :, :])
+        res = moved + 0.5 * psi.n * psi.p[..., w, None, None] * c
+        worst = np.maximum(worst, core.max_abs(res, 2))     # a NaN propagates
+    return worst / np.maximum(1.0, core.max_abs(c, 2) * core.max_abs(psi.p))
+
+
+def slot_generator_sum(psi: BWComponent, unprimed: np.ndarray, primed: np.ndarray) -> tuple:
+    """Per member, `multispinor.slot_sum` of the 2x2 lower-index generators
+    unprimed and primed (..., 2, 2), given in standard coordinates, over its
+    unprimed and primed slots, each first moved into the basis of the
+    members: L S L^-1, L the lower-index map of psi.basis, conj(L) primed."""
+    a = psi.basis[0]
+    low, back = core.sl2c_lower_rep(a), core.sl2c_lower_rep(_dagger(a))     # L, L^-1
+    su = _product(_product(low, unprimed), back)
+    sp = _product(_product(np.conj(low), primed), np.conj(back))
+    return tuple(slot_sum(c.comp, su, -2) + slot_sum(c.comp, sp, -1) for c in psi.comps)
 
 
 def wigner_state(psi: BWComponent, spec,
@@ -751,8 +752,9 @@ def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     a(Lambda p) A a(p)^dagger, with a(.) of `frames.axis_rotation`."""
     a = np.asarray(a, dtype=complex)
     new_p = core.transform_vector(a, psi.p)      # checks det A = 1
-    b = _product(_product(axis_rotation(new_p)[0], a), _dagger(axis_rotation(psi.p)[0]))
-    return replace(psi, p=new_p, comps=_move_members(psi.comps, b))
+    basis = axis_rotation(new_p)
+    b = _product(_product(basis[0], a), _dagger(psi.basis[0]))
+    return _with_basis(replace(psi, p=new_p, comps=_move_members(psi.comps, b)), basis)
 
 
 def from_standard(p: np.ndarray, comps: tuple[SymMultiSpinor, ...]) -> tuple[SymMultiSpinor, ...]:
@@ -764,7 +766,7 @@ def from_standard(p: np.ndarray, comps: tuple[SymMultiSpinor, ...]) -> tuple[Sym
 
 def to_standard(psi: BWComponent) -> tuple[SymMultiSpinor, ...]:
     """The members of psi in standard coordinates, moved back by a^dagger."""
-    return _move_members(psi.comps, _dagger(axis_rotation(psi.p)[0]))
+    return _move_members(psi.comps, _dagger(psi.basis[0]))
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:

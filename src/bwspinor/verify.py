@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import bw, core, dirac, maxwell
-from .frames import axis_rotation, frame_massive, frame_massless, frame_residuals
-from .multispinor import slot_sum
+from .frames import frame_massive, frame_massless, frame_residuals
 from .pauli_lubanski import (bispinor_matrix, chi_basis, combined_projectors,
                              energy_projectors, explicit_frame_projectors,
                              pl_eigen_relations_residual, pl_eigenvalues,
@@ -223,7 +222,7 @@ def massive_family(rng, n, size):
 
 def pl_eigenstates(rng, n, size):
     """The Wigner states are Pauli-Lubanski eigenstates on omega: su on every
-    unprimed slot plus sp on every primed slot (`multispinor.slot_sum`), su,
+    unprimed slot plus sp on every primed slot (`bw.slot_generator_sum`), su,
     sp = pl_project(omega_vec, p), maps synth(f) to synth(lambda f), with
     lambda_j = (2j - n) half on the amplitude of j 1-labels and half =
     pl_eigenvalues(omega_vec, p)[0].  The second route is the synthesis of
@@ -234,17 +233,13 @@ def pl_eigenstates(rng, n, size):
     fr = frame_massive(p, core.random_spinor(rng, size=size))
     half, _ = pl_eigenvalues(fr.omega_vec, p)
     su, sp = pl_project(fr.omega_vec, p)
-    # both act on lower indices; the members hold them in the basis of a
-    a = axis_rotation(p)[0]
-    low, back = (core.sl2c_lower_rep(x) for x in (a, np.conj(np.swapaxes(a, -1, -2))))
-    su, sp = low @ su @ back, np.conj(low) @ sp @ np.conj(back)
     lam = (2 * np.arange(n + 1) - n) * half[..., None]
     for sign in (+1, -1):
         amps = _random_amplitudes(rng, n, m, sign, size)
         psi = bw.synth_massive(fr, amps)
         want = bw.synth_massive(fr, bw.Amplitudes(n, m, sign, lam * amps.f))
-        worst = _largest(core.max_abs(slot_sum(c.comp, su, -2) + slot_sum(c.comp, sp, -1)
-                                      - w.comp, 2) for c, w in zip(psi.comps, want.comps))
+        worst = _largest(core.max_abs(x - w.comp, 2) for x, w in
+                         zip(bw.slot_generator_sum(psi, su, sp), want.comps))
         scale = np.abs(half) * n * _largest(core.max_abs(c.comp, 2) for c in psi.comps)
         yield f"pl_eigenstates_n{n}_sign{sign:+d}", worst / scale
 

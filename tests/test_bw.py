@@ -286,7 +286,6 @@ def test_empty_batch_gives_empty_arrays(mass):
     pairings = [norm_integrand(psi, spec, fr) for spec in specs]
     pairings += [bw._diagonal_pairing(psi, np.zeros(0), np.zeros(0)),
                  bw._rank_one_pairing(psi, np.zeros((0, 2), dtype=complex)),
-                 bw._rotated_pairing(psi, np.zeros((0, 2, 2), dtype=complex), np.zeros((0, 2))),
                  bw._monomial_pairing(psi, np.zeros((n, 0, 4))),
                  standard_bw_integrand(psi)]
     if mass > 0:
@@ -413,7 +412,8 @@ class TestDirectionResolver:
         # of the one that moved the members into their basis
         a, lam = axis_rotation(ts[0])
         b = bw._product(a, bw._dagger(axis_rotation(psi.p)[0]))
-        assert np.array_equal(contract_T(psi, ts), bw._rotated_pairing(psi, b, lam))
+        moved = dataclasses.replace(psi, comps=bw._move_members(psi.comps, b))
+        assert np.array_equal(contract_T(psi, ts), bw._diagonal_pairing(moved, lam[:, 0], lam[:, 1]))
 
     def test_one_random_direction_pairs(self, no_monomial_route):
         fr, amps, psi = random_massive(np.random.default_rng(73), 1, size=20)
@@ -465,9 +465,10 @@ class TestDirectionResolver:
 
 @pytest.fixture
 def no_slot_action(monkeypatch):
-    def fail(psi, a, lam):
+    # the rotated route is the one pairing that moves the members
+    def fail(comps, a):
         raise AssertionError("took the slot action")
-    monkeypatch.setattr(bw, "_rotated_pairing", fail)
+    monkeypatch.setattr(bw, "_move_members", fail)
 
 
 def random_members(rng, n, mass):
@@ -530,13 +531,13 @@ class TestPairingRoutes:
     @pytest.mark.parametrize("t", [(1.0, 0.0, 0.0, 0.0), *FIXED.values()],
                              ids=["standard", *FIXED])
     def test_closed_forms_match_bruteforce(self, request, n, mass, t):
-        if t != FIXED["spacelike-diagonal"]:
-            request.getfixturevalue("no_slot_action")
         rng = np.random.default_rng(150 + n)
         psi = random_members(rng, n, mass)
         t = np.array(t)
-        got = float(contract_T(psi, np.broadcast_to(t, (n, 4))))
         want = contract_T_bruteforce(standard(psi), [t] * n)
+        if tuple(t) != FIXED["spacelike-diagonal"]:
+            request.getfixturevalue("no_slot_action")
+        got = float(contract_T(psi, np.broadcast_to(t, (n, 4))))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     # the general route on random members; past and spacelike vectors give
@@ -603,6 +604,27 @@ def test_axis_rotation_is_the_complex_formula():
     a, _ = axis_rotation(t)
     assert np.array_equal(a, complex_formula_rotation(t))
     assert np.array_equal(axis_rotation(t[7])[0], a[7])      # unbatched
+
+
+def test_basis_is_derived_once_per_component(monkeypatch):
+    # the builder of a component derives its basis, and every later reader
+    # takes psi.basis: one rotation for each of the two components built
+    # (synth_massive, transform_component) and one for each direction that
+    # is rotated (NullOmega and the general FixedList)
+    calls = []
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return axis_rotation(t)
+
+    monkeypatch.setattr(bw, "axis_rotation", counted)
+    fr, amps, psi = random_massive(np.random.default_rng(190), 3, size=20)
+    extract(psi, fr)
+    for spec in (StandardTime(), NullOmega(), RandomTimelike(5), FixedList(((1.2, 0.3, -0.1, 0.2),))):
+        norm_integrand(psi, spec, fr)
+    norm_integrand(psi, None, fr, form="p")
+    bw.to_standard(transform_component(psi, core.random_sl2c(np.random.default_rng(191))))
+    assert len(calls) == 4, calls
 
 
 class TestNormIntegrand:

@@ -11,8 +11,9 @@ fields.  The `form="p"` and null-omega integrands, and the integrand for n
 distinct random timelike or null directions per sample, are held to
 sum_k C(n,k) |f_k|^2 per sample;
 `form="p"`, the direction t = p on every slot, to the pairing of p scaled
-by m^(-2n); the rotated pairing of the general equal-slot route to the
-diagonal pairing of the members moved by the slot action;
+by m^(-2n); the rotated route of a general equal-slot direction to the
+diagonal pairing of the members moved to standard coordinates and then by
+the rotation that diagonalizes it there;
 `standard_bw_integrand` and `transform_component` to dense evaluations.
 Synthesis, moved to standard coordinates (`bw.to_standard`), is held to the
 index loop over every routing of `oracles.synth_bruteforce` at every n,
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 
 from bwspinor import bw, core
-from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, NullOmega,
+from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, FixedList, NullOmega,
                          StandardTime, contract_T, eta_from_frame, extract_massive,
                          hertz_psi, norm_integrand, resolve_directions,
                          standard_bw_integrand, synth_massive, synth_massless,
@@ -69,6 +70,15 @@ def standard(psi):
 def rotated(t, psi):
     """The vectors t in the basis of the members of psi."""
     return bw._rotated(t, axis_rotation(psi.p)[0])
+
+
+def moved_pairing(psi, t):
+    """t...t T with t on every slot, in the basis of the members of psi: the
+    diagonal pairing through diag(lam) of the members moved by a, with a,
+    lam = axis_rotation(t)."""
+    a, lam = axis_rotation(t)
+    moved = dataclasses.replace(psi, comps=bw._move_members(psi.comps, a))
+    return bw._diagonal_pairing(moved, lam[..., 0], lam[..., 1])
 
 
 @pytest.mark.parametrize("r", range(5))
@@ -195,7 +205,7 @@ def test_closed_form_pairings_keep_the_slot_action_digits(n, sign, spec):
     ts = resolve_directions(spec, n, psi, fr)
     tp = np.prod(core.minkowski(ts, psi.p), axis=0)
     route = relative(contract_T(psi, ts) / tp, want)
-    square = relative(bw._rotated_pairing(psi, *axis_rotation(rotated(ts[0], psi))) / tp, want)
+    square = relative(moved_pairing(psi, rotated(ts[0], psi)) / tp, want)
     assert route <= max(2 * square, 64 * np.finfo(float).eps)
 
 
@@ -204,27 +214,26 @@ def test_form_p_is_the_momentum_direction(n):
     # form "p" puts t = p on every slot and divides by (p.p)^n per sample: the
     # pairing of the rotated route at t = p, scaled by m^(-2n)
     psi, fr, _ = random_component(n, 200, seed=1200 + n)
-    a, lam = axis_rotation(rotated(psi.p, psi))
-    want = bw._rotated_pairing(psi, a, lam) * psi.mass ** (-2 * n)
+    want = moved_pairing(psi, rotated(psi.p, psi)) * psi.mass ** (-2 * n)
     assert relative(norm_integrand(psi, None, fr, form="p"), want) <= 1e-12
 
 
 @pytest.mark.parametrize("n", SPINS)
 @pytest.mark.parametrize("mass", [1.0, 0.0], ids=["massive", "massless"])
 def test_rotated_pairing_is_the_diagonal_pairing_of_the_moved_field(n, mass):
-    # the streamed route against the members moved as stored, by the slot
-    # action, and paired through diag(lam), for the rotation of a random
-    # timelike t
+    # contract_T at a random timelike t on every slot, which takes the
+    # rotated route from the basis of the members, against the members
+    # moved to standard coordinates, then by the rotation of t there, and
+    # paired through diag(lam)
     rng = np.random.default_rng(1400 + n)
     if mass > 0:
         psi, _, _ = random_component(n, 50, seed=1400 + n)
     else:
         p = core.random_future_momentum(0.0, rng, size=50)
         psi = synth_massless(frame_massless(p).pi, rng.normal(size=50) + 1j * rng.normal(size=50), n)
-    a, lam = axis_rotation(core.random_timelike(rng, size=50))
-    moved = dataclasses.replace(psi, comps=bw._move_members(psi.comps, a))
-    want = bw._diagonal_pairing(moved, lam[:, 0], lam[:, 1])
-    assert relative(bw._rotated_pairing(psi, a, lam), want) <= 1e-14
+    t = core.random_timelike(rng, size=50)
+    want = moved_pairing(standard(psi), t)
+    assert relative(contract_T(psi, np.broadcast_to(t, (n,) + t.shape)), want) <= 5e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -379,13 +388,15 @@ def _traced_peak(fn) -> int:
 @pytest.mark.parametrize("kernel, bound_mib", [("synth", 40), ("null-omega", 20),
                                                ("form-p", 20), ("standard-time", 20),
                                                ("standard-bw", 20), ("transform", 40),
-                                               ("extract", 5)])
+                                               ("rotated", 40), ("extract", 5)])
 def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
     # one 4096-sample chunk of evaluate_norm at n = MAX_N; with stacked
     # batch-first products these peaked at 86.6 MiB (synthesis) and 44.8 MiB
     # (each pairing), and the members that synthesis returns take 17.9 MiB;
     # the Lorentz action, unblocked, peaked at 55.3 MiB; extraction holding
-    # every row of the powers of omega and of conj(omega) peaked at 10.0 MiB
+    # every row of the powers of omega and of conj(omega) peaked at 10.0 MiB;
+    # the rotated route, like the Lorentz action, holds one moved copy of
+    # the members
     n, count = MAX_N, 4096
     psi, fr, f = random_component(n, count, seed=930)
     amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
@@ -396,6 +407,7 @@ def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
            "standard-time": lambda: norm_integrand(psi, StandardTime(), fr),
            "standard-bw": lambda: standard_bw_integrand(psi),
            "transform": lambda: transform_component(psi, a),
+           "rotated": lambda: norm_integrand(psi, FixedList(((1.2, 0.3, -0.1, 0.2),)), fr),
            "extract": lambda: extract_massive(psi, fr)}[kernel]
     assert _traced_peak(run) < bound_mib * 2 ** 20
 
