@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import comb, prod
 
 import numpy as np
@@ -708,29 +708,32 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
 def helicity_residual_massless(psi: BWComponent) -> np.ndarray:
     """Per sample, the largest over the world index a of |sum_slots S^a psi +
     (n/2) p^a psi|, relative to the sample's component and momentum scale,
-    with the generators S^a(p) summed over the slots by `slot_generator_sum`."""
+    with the four generators S^a(p) summed as one stack by `slot_generator_sum`."""
     if psi.mass != 0.0:
         raise NotNull("helicity relation applies to massless components")
     s_op = pl_momentum_rep(psi.p)
-    c = psi.comps[0].comp
-    worst = 0.0
-    for w in range(4):
-        (moved,) = slot_generator_sum(psi, s_op.unprimed[..., w, :, :], s_op.primed[..., w, :, :])
-        res = moved + 0.5 * psi.n * psi.p[..., w, None, None] * c
-        worst = np.maximum(worst, core.max_abs(res, 2))     # a NaN propagates
-    return worst / np.maximum(1.0, core.max_abs(c, 2) * core.max_abs(psi.p))
+    (moved,) = slot_generator_sum(psi, s_op.unprimed, s_op.primed)    # (..., 4, n+1, 1)
+    c = psi.comps[0].comp[..., None, :, :]                            # (..., 1, n+1, 1)
+    res = moved + 0.5 * psi.n * psi.p[..., None, None] * c
+    return core.max_abs(res, 3) / np.maximum(1.0, core.max_abs(c, 3) * core.max_abs(psi.p))
 
 
 def slot_generator_sum(psi: BWComponent, unprimed: np.ndarray, primed: np.ndarray) -> tuple:
     """Per member, `multispinor.slot_sum` of the 2x2 lower-index generators
     unprimed and primed (..., 2, 2), given in standard coordinates, over its
     unprimed and primed slots, each first moved into the basis of the
-    members: L S L^-1, L the lower-index map of psi.basis, conj(L) primed."""
+    members: L S L^-1, L the lower-index map of psi.basis, conj(L) primed.
+    A stack (..., W, 2, 2) after the batch gives (..., W, r+1, s+1)."""
     a = psi.basis[0]
-    low, back = core.sl2c_lower_rep(a), core.sl2c_lower_rep(_dagger(a))     # L, L^-1
-    su = _product(_product(low, unprimed), back)
-    sp = _product(_product(np.conj(low), primed), np.conj(back))
-    return tuple(slot_sum(c.comp, su, -2) + slot_sum(c.comp, sp, -1) for c in psi.comps)
+    lead = (1,) * (np.ndim(unprimed) - a.ndim)          # the stack axes W
+    low, back = (core.sl2c_lower_rep(x).reshape(x.shape[:-2] + lead + (2, 2))
+                 for x in (a, _dagger(a)))              # L, L^-1
+    groups = [(_product(_product(low, unprimed), back), -2)]
+    if psi.mass > 0:                                    # a massless field has no primed slots
+        groups.append((_product(_product(np.conj(low), primed), np.conj(back)), -1))
+    comps = (c.comp.reshape(c.comp.shape[:-2] + lead + c.comp.shape[-2:]) for c in psi.comps)
+    return tuple(reduce(np.add, (slot_sum(x, m, axis) for m, axis in groups if x.shape[axis] > 1))
+                 for x in comps)
 
 
 def wigner_state(psi: BWComponent, spec,
@@ -740,7 +743,8 @@ def wigner_state(psi: BWComponent, spec,
     product is positive its pairing t_1...t_n T is the norm integrand."""
     ts = resolve_directions(spec, psi.n, psi, frame)
     root = np.sqrt(np.prod(core.minkowski(ts, psi.p), axis=0).astype(complex))
-    return replace(psi, comps=tuple(c.scaled(1.0 / root) for c in psi.comps))
+    comps = tuple(c.scaled(1.0 / root) for c in psi.comps)
+    return _with_basis(replace(psi, comps=comps), psi.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -757,11 +761,11 @@ def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     return _with_basis(replace(psi, p=new_p, comps=_move_members(psi.comps, b)), basis)
 
 
-def from_standard(p: np.ndarray, comps: tuple[SymMultiSpinor, ...]) -> tuple[SymMultiSpinor, ...]:
-    """Members given in standard coordinates at the momenta p, moved into
-    the basis adapted to p that every BWComponent stores: by a =
-    `frames.axis_rotation(p)` on every slot."""
-    return _move_members(comps, axis_rotation(np.asarray(p, dtype=float))[0])
+def from_standard(n: int, mass: float, sign: int, p: np.ndarray, comps: tuple) -> BWComponent:
+    """The component of members given in standard coordinates at the momenta
+    p, moved into the basis adapted to p by a = `frames.axis_rotation(p)`."""
+    basis = axis_rotation(np.asarray(p, dtype=float))
+    return _with_basis(BWComponent(n, mass, sign, p, _move_members(comps, basis[0])), basis)
 
 
 def to_standard(psi: BWComponent) -> tuple[SymMultiSpinor, ...]:

@@ -321,8 +321,7 @@ def read_field_file(path: str) -> FieldFile:
     comps = tuple(SymMultiSpinor(r, s, c.reshape(len(p), r + 1, s + 1))
                   for (r, s), c in zip(valences(n, mass), cols["comps"]))
     # the file holds standard coordinates; a BWComponent, the adapted basis
-    psi = BWComponent(n=n, mass=mass, sign=sign, p=p, comps=from_standard(p, comps))
-    return FieldFile(component=psi, weights=weights)
+    return FieldFile(component=from_standard(n, mass, sign, p, comps), weights=weights)
 
 
 def write_amplitude_file(path: str, amps: Amplitudes, p: np.ndarray,

@@ -370,10 +370,8 @@ def null_potential(rng, n, size):
     t2 = core.random_timelike(rng, size=size)
     val = maxwell.gk_norm_integrand(phi_pw, p, t1, t2)
     yield "gk_amplitude_norm", np.abs(val - np.abs(f) ** 2)
-    psi = bw.BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=bw.from_standard(p, (
-        bw.SymMultiSpinor(2, 0, np.stack(
-            [phi_pw[..., 0, 0], phi_pw[..., 0, 1], phi_pw[..., 1, 1]],
-            axis=-1)[..., None]),)))
+    psi = bw.from_standard(2, 0.0, +1, p, (bw.SymMultiSpinor(2, 0, np.stack(
+        [phi_pw[..., 0, 0], phi_pw[..., 0, 1], phi_pw[..., 1, 1]], axis=-1)[..., None]),))
     via_bw = bw.norm_integrand(psi, bw.FixedList((t1, t2)))
     yield "gk_matches_bw_n2", np.abs((val - via_bw) / np.maximum(1.0, np.abs(val)))
 

@@ -17,6 +17,7 @@ from bwspinor.bw import (MAX_N, Amplitudes, FixedList, NullOmega, RandomTimelike
 from bwspinor.errors import (FrameMismatch, NonUnitDeterminant, NotFinite,
                              NotMassive, NotNull, OrthogonalDirection,
                              ValenceMismatch)
+from bwspinor.fileio import read_field_file, write_field_file
 from bwspinor.frames import axis_rotation, frame_for, frame_massive, frame_massless
 from bwspinor.multispinor import SymMultiSpinor
 from bwspinor.pauli_lubanski import chi_basis, default_normalization
@@ -49,7 +50,7 @@ def standard(psi):
 def adapted(psi):
     """psi whose members were given in standard coordinates, in the basis
     adapted to its momentum that every BWComponent stores."""
-    return dataclasses.replace(psi, comps=bw.from_standard(psi.p, psi.comps))
+    return bw.from_standard(psi.n, psi.mass, psi.sign, psi.p, psi.comps)
 
 
 class TestSynthMassive:
@@ -606,11 +607,12 @@ def test_axis_rotation_is_the_complex_formula():
     assert np.array_equal(axis_rotation(t[7])[0], a[7])      # unbatched
 
 
-def test_basis_is_derived_once_per_component(monkeypatch):
+def test_basis_is_derived_once_per_component(monkeypatch, tmp_path):
     # the builder of a component derives its basis, and every later reader
-    # takes psi.basis: one rotation for each of the two components built
-    # (synth_massive, transform_component) and one for each direction that
-    # is rotated (NullOmega and the general FixedList)
+    # takes psi.basis: one rotation for each of the three components built
+    # (synth_massive, transform_component, and from_standard in the field-file
+    # reader) and one for each direction that is rotated (NullOmega and the
+    # general FixedList); a Wigner state keeps the basis of its field
     calls = []
 
     def counted(t):
@@ -624,7 +626,12 @@ def test_basis_is_derived_once_per_component(monkeypatch):
         norm_integrand(psi, spec, fr)
     norm_integrand(psi, None, fr, form="p")
     bw.to_standard(transform_component(psi, core.random_sl2c(np.random.default_rng(191))))
-    assert len(calls) == 4, calls
+    write_field_file(tmp_path / "field.json", psi)
+    w = wigner_state(read_field_file(tmp_path / "field.json").component, StandardTime(), fr)
+    extract(w, fr)
+    norm_integrand(w, None, fr, form="p")
+    bw.to_standard(w)
+    assert len(calls) == 5, calls
 
 
 class TestNormIntegrand:

@@ -240,7 +240,8 @@ class TestWriterBytes:
             header, psi.p, {"comps": tuple(c.comp for c in members)}, weights))
         data = read_field_file(path)
         assert np.array_equal(data.component.p, psi.p)
-        for got, want in zip(data.component.comps, from_standard(psi.p, members)):
+        moved = from_standard(3, 1.0, +1, psi.p, members)
+        for got, want in zip(data.component.comps, moved.comps):
             assert np.array_equal(got.comp, want.comp)
         assert np.array_equal(data.weights, weights)
 

@@ -249,8 +249,9 @@ def helicity_case(kinds):
     (member,) = bw.to_standard(psi)
     comp = member.comp.copy()
     comp[:, 1, 0] *= pick(kinds, 1.0, 1.01)     # one standard entry 1 % off
-    spoiled = bw.from_standard(psi.p, (dataclasses.replace(member, comp=comp),))
-    return np.max(bw.helicity_residual_massless(dataclasses.replace(psi, comps=spoiled)))
+    spoiled = bw.from_standard(psi.n, psi.mass, psi.sign, psi.p,
+                               (dataclasses.replace(member, comp=comp),))
+    return np.max(bw.helicity_residual_massless(spoiled))
 
 
 def dirac_case(kinds):

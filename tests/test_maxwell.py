@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bwspinor import core
-from bwspinor.bw import BWComponent, FixedList, from_standard, norm_integrand
+from bwspinor.bw import FixedList, from_standard, norm_integrand
 from bwspinor.errors import InconsistentPair, NotAntisymmetric, OrthogonalDirection
 from bwspinor.frames import frame_massless
 from bwspinor.maxwell import (electric_field, em_spinor,
@@ -206,7 +206,7 @@ class TestGrossKaiserNorm:
         phi, _ = phi_from_potential(pot, p)
         comp = SymMultiSpinor(2, 0, np.stack(
             [phi[..., 0, 0], phi[..., 0, 1], phi[..., 1, 1]], axis=-1)[..., None])
-        psi = BWComponent(n=2, mass=0.0, sign=+1, p=p, comps=from_standard(p, (comp,)))
+        psi = from_standard(2, 0.0, +1, p, (comp,))
         t1 = np.broadcast_to(np.array([1.0, 0, 0, 0]), p.shape)
         t2 = core.random_timelike(rng, size=100)
         via_gk = gk_norm_integrand(phi, p, t1, t2)
