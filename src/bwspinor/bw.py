@@ -19,8 +19,9 @@ the basis of Lambda p, and to the diagonal of a direction.  Slot generators
 move by `slot_generator_sum`.
 
 Synthesis expands a field over tensor products of the chi eigenbispinors:
-one slot action makes the all-unprimed member, and the others are a gather
-of its entries along the field equations (`synth_massive`).  Extraction
+the all-unprimed member is one product of binary forms in the two frame
+spinors (`multispinor.form_product`), and the others are a gather of its
+entries along the field equations (`synth_massive`).  Extraction
 contracts with the frame partner omega, which annihilates every term but
 the pure-pi one.  Both take the frame into the adapted basis
 (`_adapted_frame`).  `synth` and `extract` serve both masses, with the
@@ -30,9 +31,9 @@ independent of the chosen directions t_k.
 
 Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
 of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
-dense entries.  Every move of the members, the Hertz route and the
-all-unprimed member of synthesis are one slot action
-(`multispinor._slot_action`), each with its own matrix, and return
+dense entries.  Every move of the members and the Hertz route are one
+slot action (`multispinor._slot_action`), each with its own matrix, whose
+table Q_0..Q_n serves every member; they and synthesis return
 (..., r+1, s+1) views of one batch-last buffer per component.  Every closed
 form is one sum, `contract_rows`, of a member between two rows of one
 table of spinor powers: the members `_along` omega (extraction) or tau (the
@@ -40,8 +41,8 @@ rank-one pairing), or their squared moduli, moved or not, along a diagonal
 dyad.  The T contraction with a distinct direction per slot reads T
 through its C(n+3, 3) components on the monomials of the four dyad
 entries, gathered from the members by one fixed table.  The working arrays
-of the slot action, of the synthesis gather and of that route are views
-into one reused per-thread buffer (`multispinor.workspace`).
+of the slot action, of synthesis and of that route are views into one
+reused per-thread buffer (`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
 every sample.  A direction per slot takes the monomial route, with the
@@ -71,7 +72,8 @@ from .errors import (FrameMismatch, NotFinite, NotMassive, NotNull,
                      OrthogonalDirection, ValenceMismatch, reject)
 from .frames import SpinFrame, axis_rotation, frame_for
 from .multispinor import (SymMultiSpinor, _blocks, _slot_action, _views, contract_rows,
-                          matmul_last, power_row, slot_sum, spinor_powers, workspace)
+                          form_product, matmul_last, power_row, slot_sum, spinor_powers,
+                          workspace)
 from .pauli_lubanski import pl_momentum_rep
 
 # every kernel is polynomial in n; the cap stands for precision, not cost:
@@ -84,8 +86,9 @@ MAX_N = 10
 # the kernels that hold per-sample working arrays take the samples in blocks
 # whose arrays hold at most this many bytes, which also bounds the per-thread
 # workspace they share: the symmetric powers and products of the slot action
-# (426 samples at n = 10), the gathered terms of the distinct-direction route
-# (359 samples at n = 4, 6 at n = 10).
+# (426 samples at n = 10), the powers and terms of synthesis' product of
+# forms (5698 samples at n = 10), the gathered terms of the distinct-direction
+# route (359 samples at n = 4, 6 at n = 10).
 # Blocks that stay near the 2 MiB L2 cache of one core ran these kernels
 # 1.4 to 1.7 times faster at n = 10 than 32 MiB blocks did (2-vCPU Xeon).
 _STATE_BYTES = 4 * 2 ** 20
@@ -265,9 +268,11 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     The chi tensor-product expansion puts, on the member with r = n - k
     unprimed and k primed slots, the amplitude f_{a+b} on every routing of a
     plus factors to unprimed and b to primed slots, with the factors
-    Mu = [-pi_A; e omega_A] unprimed.  The all-unprimed member is the slot
-    action of Mu^T on N^n f, psi_0 = Q_n(Mu^T) N^n f, with N = (m/sqrt2)^{1/2}
-    by default.  Where p^{AA'} = diag(lam0, lam1) the field equations map
+    Mu = [-pi_A; e omega_A] unprimed.  The all-unprimed member is
+    psi_0 = Q_n(Mu^T) N^n f, with N = (m/sqrt2)^{1/2} by default: one
+    product of binary forms, (psi_0)_j C(n, j) = [y^j] sum_a C(n, a) N^n f_a
+    (-pi'_0 - pi'_1 y)^(n-a) (e omega'_0 + e omega'_1 y)^a, of the
+    lower-index pi'_A and omega'_A (`multispinor.form_product`).  Where p^{AA'} = diag(lam0, lam1) the field equations map
     member k to member k+1 by one shift and one scale, psi_{k+1}[i, j] =
     alpha psi_k[i, j-1] and psi_{k+1}[i, 0] = -psi_k[i+1, 0] / alpha, with
     alpha = -e sqrt2 lam0 / m; so every member is a gather of psi_0,
@@ -285,13 +290,12 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
     mu_t = np.stack([-core.lower_spinor(pi), e * core.lower_spinor(omega)], axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         scale = np.asarray(n_scale ** n)
-        fc = np.conj(np.asarray(amps.f, dtype=complex) * scale[..., None])
-        batch = np.broadcast_shapes(mu_t.shape[:-2], fc.shape[:-1])
-        fc = np.ascontiguousarray(np.broadcast_to(fc, batch + (n + 1,)).reshape(-1, n + 1).T)
+        c = np.asarray(amps.f, dtype=complex) * scale[..., None]
+        batch = np.broadcast_shapes(mu_t.shape[:-2], c.shape[:-1])
+        c = np.broadcast_to(c, batch + (n + 1,)).reshape(-1, n + 1).T
         members, out, comps = _member_buffer(valences(n, amps.mass), batch)
         mu_t = np.broadcast_to(mu_t, batch + (2, 2)).reshape(-1, 2, 2)
-        for part, _, x in _slot_action(mu_t, lambda part: [[fc[:, part]]], n, _STATE_BYTES):
-            out[0][..., part] = x
+        form_product(mu_t, c, out[0][:, 0], _STATE_BYTES)
         alpha = -e * np.sqrt(2.0) * lam0 / m
         _gather_members(members, np.broadcast_to(alpha, batch).reshape(-1), n)
     _check_members(comps, scale)

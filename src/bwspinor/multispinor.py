@@ -14,7 +14,10 @@ kernels work batch-last, (r+1, s+1, samples): `matmul_last` is one broadcast
 product per summed index over contiguous samples, where a batched `@` on
 matrices this small would dispatch one gemm per sample.  `_slot_action`, the
 one kernel that moves members by a matrix on every slot, takes the samples
-in blocks and yields the moved members themselves.  `contract_rows`, the one
+in blocks and yields the moved members themselves; one table Q_0..Q_n per
+block serves all of them.  `form_product` applies Q_n to a single column
+without that table, as one product of binary forms in O(n^2) per sample:
+synthesis's all-unprimed member.  `contract_rows`, the one
 kernel that weighs every slot of a group alike, sums a member between a row
 and a column that `power_row` reads from one batch-last table of the powers
 of a spinor, `spinor_powers`.  `slot_sum` is the generator form of the
@@ -23,9 +26,10 @@ over the slots (a Pauli-Lubanski or helicity generator on a member).
 
 Working arrays live in one complex buffer per thread, `workspace`, which
 grows to the largest request and is then reused: each block's table
-Q_0..Q_n and the product buffers of `_slot_action` (and the gathered terms
-of `bw`'s distinct-direction route and of its synthesis) are views into it, and the products
-write through `out=` with one scratch term, so a warm call allocates no
+Q_0..Q_n and the product buffers of `_slot_action`, the powers and terms of
+`form_product` (and the gathered terms of `bw`'s distinct-direction route
+and of its synthesis) are views into it, and the products write through
+`out=` with one scratch term, so a warm call allocates no
 working array and touches no fresh pages.  A member x that `_slot_action`
 yields is such a view, valid until the generator takes its next step; a
 second slot action started in the same thread while one is suspended works
@@ -61,23 +65,29 @@ class SymMultiSpinor:
         return SymMultiSpinor(self.r, self.s, self.comp * np.asarray(factor)[..., None, None])
 
 
-def spinor_powers(x: np.ndarray, n: int) -> np.ndarray:
+def spinor_powers(x: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
     """The table (2, n+1, ...) of the powers x_a^j, j = 0..n, of the spinors
-    x (..., 2), batch-last; `power_row` reads from it the rows of r <= n
-    copies of x."""
+    x (..., 2), batch-last, written to `out` when given; `power_row` reads
+    from it the rows of r <= n copies of x."""
     x = np.moveaxis(np.asarray(x), -1, 0)
-    powers = np.empty((2, n + 1) + x.shape[1:], dtype=np.result_type(x, float))
+    powers = (np.empty((2, n + 1) + x.shape[1:], dtype=np.result_type(x, float))
+              if out is None else out)
     powers[:, 0] = 1.0
-    powers[:, 1:] = x[:, None]
-    np.cumprod(powers, axis=1, out=powers)
+    if n:
+        powers[:, 1] = x
+    # one product per power: np.cumprod along this axis loops per sample
+    for j in range(2, n + 1):
+        np.multiply(powers[:, j - 1], powers[:, 1], out=powers[:, j])
     return powers
 
 
-def power_row(powers: np.ndarray, r: int, binomial: int = 0) -> np.ndarray:
+def power_row(powers: np.ndarray, r: int, binomial: int = 0,
+              out: np.ndarray | None = None) -> np.ndarray:
     """The row C(r, a)^binomial x0^(r-a) x1^a, a = 0..r, (r+1, ...), of r
-    copies of the spinor x on every slot, from its table of powers: the
-    graded components (binomial 0) or their contraction weights (1)."""
-    row = powers[0, r::-1] * powers[1, :r + 1]
+    copies of the spinor x on every slot, from its table of powers, written
+    to `out` when given: the graded components (binomial 0) or their
+    contraction weights (1), the coefficients of (x0 + x1 y)^r."""
+    row = np.multiply(powers[0, r::-1], powers[1, :r + 1], out=out)
     if binomial:
         row *= _binomials(r).reshape((r + 1,) + (1,) * (row.ndim - 1))
     return row
@@ -141,6 +151,49 @@ def sym_power_matrices(m: np.ndarray, n: int, out: np.ndarray | None = None,
             rows[:, 1:r] += np.multiply(b1, prev[:, :r - 1], out=term[:len(rows)])
         powers.append(q)
     return powers
+
+
+def form_product(m: np.ndarray, c: np.ndarray, out: np.ndarray, budget: int) -> np.ndarray:
+    """Q_n(m) c of one graded column c (n+1, S), m (S, 2, 2), written to out
+    (n+1, S), whose rows hold their samples contiguously, without the table
+    of `sym_power_matrices`.
+
+    C(n, j) Q_n(m)[j, i] = C(n, i) Q_n(m^T)[i, j], so with A = m01 + m11 y
+    and B = m00 + m10 y, (Q_n(m) c)_j C(n, j) is the coefficient of y^j in
+    the product of binary forms sum_i w_i A^i B^(n-i), w_i = C(n, i) c_i.
+    One Horner pass in A builds it, H_0 = w_n and H_k = H_{k-1} A +
+    w_{n-k} B^k, with the rows of B^k read by `power_row` from one table of
+    the powers of (m00, m10): O(n^2) products per sample where the table
+    holds O(n^3) entries.  H grows in `out`; the powers, the weights, A and
+    one row of terms are views of this thread's `workspace`, for blocks of
+    samples that fit `budget` bytes.
+    """
+    n = len(c) - 1
+    size = 4 * (n + 1) + 2
+    parts = _blocks(m.shape[0], size, budget)
+    binomials = _binomials(n)[:, None]
+    with workspace(size * (parts[0].stop if parts else 0)) as buf:
+        for part in parts:
+            count = part.stop - part.start
+            powers, w, term, a = _views(buf, (2, n + 1, count), (n + 1, count),
+                                        (n + 1, count), (2, count))
+            spinor_powers(m[part, :, 0], n, powers)
+            np.copyto(a, m[part, :, 1].T)
+            np.multiply(c[:, part], binomials, out=w)
+            h = out[:, part]
+            h[0] = w[n]
+            for k in range(1, n + 1):
+                # H_{k-1} A: the y-shift of the product by a1 joins its product by a0
+                np.multiply(h[:k], a[1], out=term[:k])
+                np.multiply(h[:k], a[0], out=h[:k])
+                h[k] = term[k - 1]
+                h[1:k] += term[:k - 1]
+                row = power_row(powers, k, 1, out=term[:k + 1])
+                row *= w[n - k]
+                h[:k + 1] += row
+            re_im = h.view(float)     # both parts divided alike, no complex division
+            re_im /= binomials
+    return out
 
 
 def power_size(n: int) -> int:

@@ -9,13 +9,15 @@ labelled member to its 2^n dense entries (`bw` now reads T through its
 components on the monomials of the dyad entries; `contract_T_dense` is that
 route's reference for n <= 8); and `sym_outer` and `contract_full`, the
 graded symmetrized product of one spinor factor per slot, a route that no
-production path takes since the slot action took over synthesis.
+production path takes.  `form_product_exact` sums the defining products of
+binary forms of `Q_n` exactly, on `fractions.Fraction` Gaussian rationals.
 """
 
 from __future__ import annotations
 
 import itertools
 import string
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -357,6 +359,60 @@ def standard_sum_bruteforce(psi) -> float:
             member = dense_pattern(psi, primed_at)
             total += float(np.sum(np.abs(member) ** 2))
     return total
+
+
+# ---------------------------------------------------------------------------
+# the symmetric power of a 2x2 matrix on one graded column, exactly, over
+# the Gaussian rationals (pairs of Fractions): every float is a dyadic
+# rational, so these sums hold a float input exactly and round nothing
+
+def _gauss(z) -> tuple[Fraction, Fraction]:
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gauss_times(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gauss_sum(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _times_linear(poly: list, lin: tuple) -> list:
+    """The coefficients of poly(y) (l0 + l1 y)."""
+    out = [(Fraction(0), Fraction(0))] * (len(poly) + 1)
+    for j, x in enumerate(poly):
+        for d, l in enumerate(lin):
+            out[j + d] = _gauss_sum(out[j + d], _gauss_times(x, l))
+    return out
+
+
+def form_product_exact(m, c) -> tuple[list, list]:
+    """(Q_n(m) c)_i, i = 0..n, of one 2x2 complex matrix m and one graded
+    column c of n+1 components, from the definition of Q_n on binary forms:
+    (Q_n(m) c)_i = sum_j c_j [y^j] (m10 + m11 y)^i (m00 + m01 y)^(n-i).
+
+    Returns the exact values as Gaussian rationals (re, im), and as floats
+    the sum of the moduli of the terms of each: the same sums with every
+    entry replaced by its modulus.
+    """
+    n = len(c) - 1
+    sums = []
+    for entry in (_gauss, lambda z: _gauss(abs(z))):
+        upper, lower = (entry(m[1][0]), entry(m[1][1])), (entry(m[0][0]), entry(m[0][1]))
+        values = []
+        for i in range(n + 1):
+            poly = [(Fraction(1), Fraction(0))]
+            for lin in [upper] * i + [lower] * (n - i):
+                poly = _times_linear(poly, lin)
+            total = (Fraction(0), Fraction(0))
+            for x, cj in zip(poly, c):
+                total = _gauss_sum(total, _gauss_times(x, entry(cj)))
+            values.append(total)
+        sums.append(values)
+    exact, moduli = sums
+    return exact, [float(re) for re, _ in moduli]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ Synthesis, moved to standard coordinates (`bw.to_standard`), is held to the
 index loop over every routing of `oracles.synth_bruteforce` at every n,
 extraction to the index loop of `oracles.extract_bruteforce`, and the
 signed flip between the primed and unprimed slot factors of the chi
-expansion to a direct `sym_power_matrices`.  The kernels take their samples in blocks:
+expansion to a direct `sym_power_matrices`; synthesis builds no table of
+`sym_power_matrices` and no slot action.  The kernels take their samples in blocks:
 their peak memory is bounded, and the distinct-direction values do not
 depend on where the blocks split.
 """
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bwspinor import bw, core
+from bwspinor import bw, core, multispinor
 from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, FixedList, NullOmega,
                          StandardTime, contract_T, eta_from_frame, extract_massive,
                          hertz_psi, norm_integrand, resolve_directions,
@@ -455,6 +456,29 @@ def test_moved_members_share_one_buffer(kernel):
     assert all(root is roots[0] for root in roots)
     assert roots[0].ndim == 1
     assert roots[0].size == sum(c.comp.size for c in got.comps)
+
+
+@pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("normalization", [None, 0.8 - 0.3j], ids=["default", "custom"])
+def test_synthesis_builds_no_power_table(monkeypatch, n, sign, normalization):
+    # the all-unprimed member is one product of binary forms: the table
+    # Q_0..Q_n of the slot action is not built
+    rng = np.random.default_rng(1200 + n)
+    fr = frame_massive(core.random_future_momentum(1.0, rng, size=6),
+                       core.random_spinor(rng, size=6))
+    f = rng.normal(size=(6, n + 1)) + 1j * rng.normal(size=(6, n + 1))
+    amps = Amplitudes(n=n, mass=1.0, sign=sign, f=f)
+    want = synth_massive(fr, amps, normalization)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built the table of the slot action")
+    for module, name in [(multispinor, "sym_power_matrices"), (multispinor, "_slot_action"),
+                         (bw, "_slot_action")]:
+        monkeypatch.setattr(module, name, fail)
+    got = synth_massive(fr, amps, normalization)
+    for c, w in zip(got.comps, want.comps):
+        assert np.array_equal(c.comp, w.comp)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,11 +8,11 @@ from bwspinor import core
 from bwspinor.errors import ValenceMismatch
 from bwspinor.bw import MAX_N
 from bwspinor import multispinor
-from bwspinor.multispinor import (SymMultiSpinor, _slot_action,
-                                  contract_rows, power_row, slot_sum, spinor_powers)
-from oracles import (contract_full, dense, dense_from_graded, graded_from_dense,
-                     sym_outer, sym_outer_bruteforce, symmetrize_bruteforce,
-                     symmetry_residual)
+from bwspinor.multispinor import (SymMultiSpinor, _slot_action, contract_rows,
+                                  form_product, power_row, slot_sum, spinor_powers)
+from oracles import (contract_full, dense, dense_from_graded, form_product_exact,
+                     graded_from_dense, sym_outer, sym_outer_bruteforce,
+                     symmetrize_bruteforce, symmetry_residual)
 
 
 class TestSymOuter:
@@ -142,6 +144,30 @@ class TestSlotMatrices:
                 want = np.broadcast_to(want, (count, r + 1, s + 1))
                 assert_allclose(np.moveaxis(g, -1, 0), want,
                                 atol=1e-12 * np.max(np.abs(want)), rtol=0)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_N + 1))
+def test_form_product_within_rounding_of_exact(n):
+    # Q_n(m) c of random floats, which the oracle holds exactly, at entries
+    # spread over 2^-20..2^20 and two samples a block.  Each term of the
+    # product passes through at most n + 1 complex products and n + 3 sums
+    # and real scalings, (1.62 n + 2.62) eps to first order, so C n eps with
+    # C = 4 bounds it at every n >= 2 (at n = 1 every binomial is 1 and the
+    # bound is 1.62 eps); C was fixed before the first run
+    rng = np.random.default_rng(1300 + n)
+    count = 5
+    spread = lambda shape: 2.0 ** rng.integers(-20, 21, size=shape)
+    m = (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))) \
+        * spread((count, 2, 2))
+    c = (rng.normal(size=(n + 1, count)) + 1j * rng.normal(size=(n + 1, count))) \
+        * spread((n + 1, count))
+    got = form_product(m, c, np.empty((n + 1, count), dtype=complex),
+                       budget=2 * 16 * (4 * (n + 1) + 2))
+    for s in range(count):
+        exact, moduli = form_product_exact(m[s], c[:, s])
+        for z, (re, im), bound in zip(got[:, s], exact, moduli):
+            err = abs(complex(float(Fraction(z.real) - re), float(Fraction(z.imag) - im)))
+            assert err <= 4 * n * np.finfo(float).eps * bound
 
 
 class TestSlotSum:
