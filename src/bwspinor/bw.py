@@ -31,18 +31,20 @@ independent of the chosen directions t_k.
 
 Every kernel works batch-last in graded (r+1)(s+1) coordinates, in blocks
 of samples whose arrays fit _STATE_BYTES, and expands no member to its 2^n
-dense entries.  Every move of the members and the Hertz route are one
-slot action (`multispinor._slot_action`), each with its own matrix, whose
-table Q_0..Q_n serves every member; they and synthesis return
-(..., r+1, s+1) views of one batch-last buffer per component.  Every closed
-form is one sum, `contract_rows`, of a member between two rows of one
-table of spinor powers: the members `_along` omega (extraction) or tau (the
-rank-one pairing), or their squared moduli, moved or not, along a diagonal
-dyad.  The T contraction with a distinct direction per slot reads T
-through its C(n+3, 3) components on the monomials of the four dyad
-entries, gathered from the members by one fixed table.  The working arrays
-of the slot action, of synthesis and of that route are views into one
-reused per-thread buffer (`multispinor.workspace`).
+dense entries.  Every move of the members is one slot action
+(`multispinor._slot_action`, called by `_move_members` alone), whose table
+Q_0..Q_n serves every member and which writes them into one batch-last
+buffer per component; moves and synthesis return (..., r+1, s+1) views of
+such a buffer.  Every closed form is one sum, `contract_rows`, of a member
+between two rows of one table of spinor powers: the members `_along` omega
+(extraction) or tau (the rank-one pairing), the one entry of the Hertz
+route, whose null momentum needs no move, or the squared moduli of the
+members, moved or not, along a diagonal dyad.  The T contraction with a
+distinct direction per slot reads T through its C(n+3, 3) components on
+the monomials of the four dyad entries, gathered from the members by one
+fixed table.  The working arrays of the slot action, of synthesis and of
+that route are views into one reused per-thread buffer
+(`multispinor.workspace`).
 
 The T contraction takes one of four routes, picked from the directions at
 every sample.  A direction per slot takes the monomial route, with the
@@ -85,10 +87,11 @@ MAX_N = 10
 
 # the kernels that hold per-sample working arrays take the samples in blocks
 # whose arrays hold at most this many bytes, which also bounds the per-thread
-# workspace they share: the symmetric powers and products of the slot action
-# (426 samples at n = 10), the powers and terms of synthesis' product of
-# forms (5698 samples at n = 10), the gathered terms of the distinct-direction
-# route (359 samples at n = 4, 6 at n = 10).
+# workspace they share: the table of symmetric powers and the three arrays
+# of the largest member that a move forms (426 samples at n = 10), the
+# powers and terms of synthesis' product of forms (5698 samples at n = 10),
+# the gathered terms of the distinct-direction route (359 samples at n = 4,
+# 6 at n = 10).
 # Blocks that stay near the 2 MiB L2 cache of one core ran these kernels
 # 1.4 to 1.7 times faster at n = 10 than 32 MiB blocks did (2-vCPU Xeon).
 _STATE_BYTES = 4 * 2 ** 20
@@ -358,22 +361,6 @@ def _member_buffer(valences: list[tuple[int, int]], batch: tuple):
                                                    (0, 1), (-2, -1)))
                   for (r, s), o in zip(valences, out))
     return buf.reshape(sum((r + 1) * (s + 1) for r, s in valences), count), out, comps
-
-
-def _moved(a: np.ndarray, conj_columns, valences: list[tuple[int, int]],
-           batch: tuple) -> tuple[SymMultiSpinor, ...]:
-    """Members of valences (r, s) moved by a on every slot, views of one buffer."""
-    a = np.broadcast_to(a, batch + (2, 2)).reshape(-1, 2, 2)
-    _, out, comps = _member_buffer(valences, batch)
-    for part, i, x in _slot_action(a, conj_columns, sum(valences[0]), _STATE_BYTES):
-        out[i][..., part] = x
-    return comps
-
-
-def _conj_columns(comps, batch: tuple):
-    """The `conj_columns` of `_slot_action` for stored members."""
-    cs = [_samples_last(c.comp, (), batch) for c in comps]
-    return lambda part: [np.conj(np.swapaxes(c[..., part], 0, 1)) for c in cs]
 
 
 def _check_frame(psi: BWComponent, frame: SpinFrame) -> None:
@@ -691,7 +678,10 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     xi carries upper primed indices, in standard coordinates; each momentum
     dyad converts one into a lower unprimed index of the basis adapted to p.
     With a, lam = `frames.axis_rotation(p)` that dyad is diag(0, lam0), so
-    each slot takes diag(0, lam0) conj(a): the member has one nonzero entry.
+    each slot takes the row lam0 conj(a_1), a_1 = a[..., 1, :]: the member
+    has one nonzero entry, (-+i lam0)^n sum_j C(n,j) conj(a_10)^(n-j)
+    conj(a_11)^j xi_j with all n indices 1, read as `_along` reads a
+    member, and no move.
     """
     p = np.asarray(p, dtype=float)
     reject(~core.null_shell(p), NotNull, "hertz_psi needs a finite null momentum")
@@ -699,13 +689,13 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
         raise ValenceMismatch("hertz generator must be all-primed")
     n = xi.s
     _check_spin(n)
-    batch = np.broadcast_shapes(p.shape[:-1], xi.comp.shape[:-2])
     a, lam = basis = axis_rotation(p)
-    slot = np.zeros(a.shape, dtype=complex)     # conjugated, as _moved takes a primed slot
-    slot[..., 1, :] = lam[..., :1] * a[..., 1, :]
-    (moved,) = _moved(slot, _conj_columns([xi], batch), [(0, n)], batch)
-    np.multiply(moved.comp, (-1j * sign) ** n, out=moved.comp)
-    comp = SymMultiSpinor(n, 0, np.swapaxes(moved.comp, -1, -2))
+    powers = spinor_powers(np.conj(a[..., 1, :]), n)
+    entry = (-1j * sign * lam[..., 0]) ** n * contract_rows(
+        power_row(powers, 0), np.moveaxis(xi.comp, (-2, -1), (0, 1)), power_row(powers, n, 1))
+    coeffs = np.zeros(entry.shape + (n + 1, 1), dtype=complex)
+    coeffs[..., n, 0] = entry
+    comp = SymMultiSpinor(n, 0, coeffs)
     return _with_basis(BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,)), basis)
 
 
@@ -792,8 +782,10 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _move_members(comps: tuple[SymMultiSpinor, ...], a: np.ndarray) -> tuple[SymMultiSpinor, ...]:
-    """The members moved by a (..., 2, 2) on every slot: sl2c_lower_rep(a) on
-    the unprimed and its conjugate on the primed ones."""
+    """The members moved by a (..., 2, 2) on every slot, views of one buffer:
+    sl2c_lower_rep(a) on the unprimed and its conjugate on the primed ones."""
     batch = np.broadcast_shapes(a.shape[:-2], comps[0].comp.shape[:-2])
-    return _moved(core.sl2c_lower_rep(a), _conj_columns(comps, batch),
-                  [(c.r, c.s) for c in comps], batch)
+    low = np.broadcast_to(core.sl2c_lower_rep(a), batch + (2, 2)).reshape(-1, 2, 2)
+    _, out, moved = _member_buffer([(c.r, c.s) for c in comps], batch)
+    _slot_action(low, [_samples_last(c.comp, (), batch) for c in comps], out, _STATE_BYTES)
+    return moved

@@ -14,10 +14,10 @@ kernels work batch-last, (r+1, s+1, samples): `matmul_last` is one broadcast
 product per summed index over contiguous samples, where a batched `@` on
 matrices this small would dispatch one gemm per sample.  `_slot_action`, the
 one kernel that moves members by a matrix on every slot, takes the samples
-in blocks and yields the moved members themselves; one table Q_0..Q_n per
-block serves all of them.  `form_product` applies Q_n to a single column
-without that table, as one product of binary forms in O(n^2) per sample:
-synthesis's all-unprimed member.  `contract_rows`, the one
+in blocks and writes the moved members into their buffer; one table
+Q_0..Q_n per block serves all of them.  `form_product` applies Q_n to a
+single column without that table, as one product of binary forms in O(n^2)
+per sample: synthesis's all-unprimed member.  `contract_rows`, the one
 kernel that weighs every slot of a group alike, sums a member between a row
 and a column that `power_row` reads from one batch-last table of the powers
 of a spinor, `spinor_powers`.  `slot_sum` is the generator form of the
@@ -29,11 +29,9 @@ grows to the largest request and is then reused: each block's table
 Q_0..Q_n and the product buffers of `_slot_action`, the powers and terms of
 `form_product` (and the gathered terms of `bw`'s distinct-direction route
 and of its synthesis) are views into it, and the products write through
-`out=` with one scratch term, so a warm call allocates no
-working array and touches no fresh pages.  A member x that `_slot_action`
-yields is such a view, valid until the generator takes its next step; a
-second slot action started in the same thread while one is suspended works
-in a private buffer.
+`out=` with one scratch term, so a warm call allocates no working array and
+touches no fresh pages.  No kernel asks for the workspace while it holds
+it.
 """
 
 from __future__ import annotations
@@ -242,15 +240,13 @@ def workspace(size: int):
 
     It is this thread's workspace, grown to the largest request seen and then
     kept, so a warm kernel call touches no fresh pages.  A request made while
-    the workspace is held (a second `_slot_action` started while one is
-    suspended) gets a private buffer.
+    the workspace is held raises RuntimeError: no kernel nests them.
     """
     ws = getattr(_threads, "ws", None)
     if ws is None:
         ws = _threads.ws = _Workspace()
     if ws.busy:
-        yield np.empty(size, dtype=complex)
-        return
+        raise RuntimeError("this thread's workspace is already held")
     if ws.buf.size < size:
         ws.buf = np.empty(size, dtype=complex)
     ws.busy = True
@@ -267,26 +263,23 @@ def _blocks(count: int, size: int, budget: int) -> list[slice]:
     return [slice(start, min(start + block, count)) for start in range(0, count, block)]
 
 
-def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
-    """Moved members x = Q_r(a) c conj(Q_s(a))^T: a on every unprimed slot
-    and conj(a) on every primed one maps c to x.
+def _slot_action(a: np.ndarray, members: list, out: list, budget: int) -> None:
+    """The members moved by a on every unprimed slot and conj(a) on every
+    primed one, x = Q_r(a) c conj(Q_s(a))^T, written to out.
 
-    a is (S, 2, 2); conj_columns(part) gives, for each member c at the samples
-    `part`, the columns of conj(c), each (r+1, samples), with r + s <= n.  One
-    `sym_power_matrices` per block of samples serves every member; a block's
-    table and products fit `budget` bytes.  Yields (part, index of the
-    member, x).
-
-    The table and the two products of each member live in this
-    thread's `workspace`, so a warm call allocates no working array.  The
-    yielded x is a view into it and holds its values only until the
-    generator is advanced: a caller consumes x before the next step.  A
-    slot action started in the same thread while this one is suspended
-    works in a private buffer.
+    a is (S, 2, 2); members and out are matching lists of batch-last
+    (r+1, s+1, S) arrays.  One `sym_power_matrices` table Q_0..Q_n, n the
+    largest r + s, per block of samples serves every member; a block's table
+    and products fit `budget` bytes and are views of this thread's
+    `workspace`, so a warm call allocates no working array.  Each member's
+    block is conjugated into the workspace, moved there, and copied once
+    into out.
     """
+    n = max(c.shape[0] + c.shape[1] - 2 for c in members)
     size = power_size(n)
-    # the two products and a term of the largest member, or a term of the powers
-    products = max(3 * max((r + 1) * (n - r + 1) for r in range(n + 1)), n * n)
+    # three arrays of the largest member (its conjugate, then the move; a
+    # product; a term), or a term of the powers
+    products = max(3 * max(c.shape[0] * c.shape[1] for c in members), n * n)
     parts = _blocks(a.shape[0], size + products, budget)
     most = parts[0].stop if parts else 0
     with workspace((size + products) * most) as buf:
@@ -295,9 +288,10 @@ def _slot_action(a: np.ndarray, conj_columns, n: int, budget: int):
             table, rest = _views(buf, (size, count), (products * count,))
             # Q_r(a)^T by rows: the columns of Q_r(a), and the rows of Q_s(a)^T
             powers = [np.swapaxes(q, 0, 1) for q in sym_power_matrices(a[part], n, table, rest)]
-            for i, cols in enumerate(conj_columns(part)):
-                r, s = len(cols[0]) - 1, len(cols) - 1
+            for c, o in zip(members, out):
+                r, s = c.shape[0] - 1, c.shape[1] - 1
                 x, t, term = _views(rest, *3 * [(r + 1, s + 1, count)])
-                matmul_last(cols, powers[s], t, term)
+                np.conj(c[..., part], out=x)
+                matmul_last(np.swapaxes(x, 0, 1), powers[s], t, term)
                 np.conj(t, out=t)
-                yield part, i, matmul_last(powers[r], t, x, term)
+                np.copyto(o[..., part], matmul_last(powers[r], t, x, term))

@@ -240,11 +240,8 @@ class TestEveryMass:
         psi = synth(fr, Amplitudes(n, mass, +1, f))
         assert [(c.r, c.s) for c in psi.comps] == valences(n, mass)
         back = extract(psi, fr)
-        family, name = ((verify.massive_family, "roundtrip") if mass > 0
-                        else (verify.massless_family, "massless_roundtrip"))
-        entry = next(e for e in verify.IDENTITIES if e.run is family)
         assert back.f.shape == f.shape
-        assert np.max(np.abs(back.f - f)) < entry.gate(name, n)
+        assert np.max(np.abs(back.f - f)) < verify.GATE
 
     # a massless synthesis takes the pi of its frame: a massive frame's pi
     # would give a field at another momentum

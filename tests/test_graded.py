@@ -19,9 +19,10 @@ Synthesis, moved to standard coordinates (`bw.to_standard`), is held to the
 index loop over every routing of `oracles.synth_bruteforce` at every n,
 extraction to the index loop of `oracles.extract_bruteforce`, and the
 signed flip between the primed and unprimed slot factors of the chi
-expansion to a direct `sym_power_matrices`; synthesis builds no table of
-`sym_power_matrices` and no slot action.  The kernels take their samples in blocks:
-their peak memory is bounded, and the distinct-direction values do not
+expansion to a direct `sym_power_matrices`; synthesis and the Hertz route
+build no table of `sym_power_matrices` and take no slot action.  The
+kernels take their samples in blocks: their peak memory is bounded, a warm
+call allocates no working array, and the distinct-direction values do not
 depend on where the blocks split.
 """
 
@@ -37,7 +38,7 @@ import pytest
 
 from bwspinor import bw, core, multispinor
 from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, FixedList, NullOmega,
-                         StandardTime, contract_T, eta_from_frame, extract_massive,
+                         StandardTime, contract_T, extract_massive,
                          hertz_psi, norm_integrand, resolve_directions,
                          standard_bw_integrand, synth_massive, synth_massless,
                          transform_component)
@@ -414,22 +415,29 @@ def test_graded_kernels_peak_memory_is_bounded(kernel, bound_mib):
 
 
 @pytest.mark.parametrize("kernel", ["synth", "null-omega", "form-p", "standard-time",
-                                    "standard-bw"])
+                                    "standard-bw", "transform", "rotated"])
 def test_warm_kernels_allocate_no_working_arrays(kernel):
     # n = 8 on 512 samples, the grid-norm size; the second call finds the
     # thread's workspace grown.  Before the workspace, synthesis peaked at
-    # 4.72 MiB beside 1.29 MiB of members and each pairing at 3.6 MiB.
+    # 4.72 MiB beside 1.29 MiB of members and each pairing at 3.6 MiB; with
+    # a fresh conjugate of every member per block, the Lorentz action and
+    # the rotated route, which return or hold one moved copy, peaked at
+    # 2.96 and 2.94 MiB
     n, count = 8, 512
     psi, fr, f = random_component(n, count, seed=940)
     amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
+    a = core.random_sl2c(np.random.default_rng(941), size=count)
     run = {"synth": lambda: synth_massive(fr, amps),
            "null-omega": lambda: norm_integrand(psi, NullOmega(), fr),
            "form-p": lambda: norm_integrand(psi, None, fr, form="p"),
            "standard-time": lambda: norm_integrand(psi, StandardTime(), fr),
-           "standard-bw": lambda: standard_bw_integrand(psi)}[kernel]
+           "standard-bw": lambda: standard_bw_integrand(psi),
+           "transform": lambda: transform_component(psi, a),
+           "rotated": lambda: norm_integrand(psi, FixedList(((1.2, 0.3, -0.1, 0.2),)), fr)}[kernel]
     run()
     members = sum(c.comp.nbytes for c in psi.comps)
-    bound = members + 0.75 * 2 ** 20 if kernel == "synth" else 2 ** 20
+    bound = (members + 0.75 * 2 ** 20 if kernel in ("synth", "transform", "rotated")
+             else 2 ** 20)
     assert _traced_peak(run) <= bound
 
 
@@ -439,23 +447,29 @@ def _root(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@pytest.mark.parametrize("kernel", ["synth", "transform", "hertz"])
+@pytest.mark.parametrize("kernel", ["synth", "transform"])
 def test_moved_members_share_one_buffer(kernel):
-    # the slot action writes every member of a component into one flat
-    # batch-last buffer, of their entries and nothing more
+    # synthesis and the slot action write every member of a component into
+    # one flat batch-last buffer, of their entries and nothing more
     n, count = 4, 7
     psi, fr, f = random_component(n, count, seed=950)
     amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
     a = core.random_sl2c(np.random.default_rng(951), size=count)
-    p = core.random_future_momentum(0.0, np.random.default_rng(952), size=count)
-    xi = eta_from_frame(frame_massless(p), n)
     got = {"synth": lambda: synth_massive(fr, amps),
-           "transform": lambda: transform_component(psi, a),
-           "hertz": lambda: hertz_psi(xi, p)}[kernel]()
+           "transform": lambda: transform_component(psi, a)}[kernel]()
     roots = [_root(c.comp) for c in got.comps]
     assert all(root is roots[0] for root in roots)
     assert roots[0].ndim == 1
     assert roots[0].size == sum(c.comp.size for c in got.comps)
+
+
+def _without_power_table(monkeypatch):
+    """Make the table Q_0..Q_n and the slot action raise."""
+    def fail(*args, **kwargs):
+        raise AssertionError("built the table of the slot action")
+    for module, name in [(multispinor, "sym_power_matrices"), (multispinor, "_slot_action"),
+                         (bw, "_slot_action")]:
+        monkeypatch.setattr(module, name, fail)
 
 
 @pytest.mark.parametrize("n", SPINS)
@@ -470,15 +484,25 @@ def test_synthesis_builds_no_power_table(monkeypatch, n, sign, normalization):
     f = rng.normal(size=(6, n + 1)) + 1j * rng.normal(size=(6, n + 1))
     amps = Amplitudes(n=n, mass=1.0, sign=sign, f=f)
     want = synth_massive(fr, amps, normalization)
-
-    def fail(*args, **kwargs):
-        raise AssertionError("built the table of the slot action")
-    for module, name in [(multispinor, "sym_power_matrices"), (multispinor, "_slot_action"),
-                         (bw, "_slot_action")]:
-        monkeypatch.setattr(module, name, fail)
+    _without_power_table(monkeypatch)
     got = synth_massive(fr, amps, normalization)
     for c, w in zip(got.comps, want.comps):
         assert np.array_equal(c.comp, w.comp)
+
+
+@pytest.mark.parametrize("n", SPINS)
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_hertz_route_builds_no_power_table(monkeypatch, n, sign):
+    # the momentum is null, so the member has one nonzero entry, one sum
+    # along a row of the basis: no table Q_0..Q_n and no move
+    rng = np.random.default_rng(1250 + n)
+    p = core.random_future_momentum(0.0, rng, size=6)
+    xi = SymMultiSpinor(0, n, rng.normal(size=(6, 1, n + 1))
+                        + 1j * rng.normal(size=(6, 1, n + 1)))
+    want = hertz_psi(xi, p, sign)
+    _without_power_table(monkeypatch)
+    got = hertz_psi(xi, p, sign)
+    assert np.array_equal(got.comps[0].comp, want.comps[0].comp)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

@@ -1,3 +1,4 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -136,10 +137,7 @@ class TestSlotMatrices:
                                     for f in fac_p]).comp)
         for budget in (1, 2 ** 22):     # a block per sample, one block
             got = [np.empty(m.shape, dtype=complex) for m in members]
-            conj_columns = lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
-                                         for m in members]
-            for part, i, x in _slot_action(a, conj_columns, n, budget):
-                got[i][..., part] = x
+            _slot_action(a, members, got, budget)
             for (r, s), g, want in zip(valences, got, wants):
                 want = np.broadcast_to(want, (count, r + 1, s + 1))
                 assert_allclose(np.moveaxis(g, -1, 0), want,
@@ -200,50 +198,38 @@ class TestSlotSum:
 
 
 def _action(seed, n, count=9, budget=16 * 55 * 4):
-    """A slot action at doubled spin n on random members, four samples a
-    block at n = 4."""
+    """The members of a slot action at doubled spin n on random members, two
+    samples a block at n = 4."""
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
     members = [rng.normal(size=(n - k + 1, k + 1, count))
                + 1j * rng.normal(size=(n - k + 1, k + 1, count)) for k in range(n + 1)]
-    return _slot_action(a, lambda part: [np.conj(np.swapaxes(m[..., part], 0, 1))
-                                         for m in members], n, budget)
-
-
-def _copies(action):
-    return [(part, i, x.copy()) for part, i, x in action]
-
-
-def _assert_same(got, want):
-    assert len(got) == len(want)
-    for (part, i, x), (part_w, i_w, x_w) in zip(got, want):
-        assert (part, i) == (part_w, i_w)
-        assert np.array_equal(x, x_w)
+    out = [np.empty_like(m) for m in members]
+    _slot_action(a, members, out, budget)
+    return out
 
 
 class TestWorkspace:
-    """The slot action works in one per-thread buffer; a yielded x holds its
-    values until the generator is advanced."""
+    """The slot action works in one per-thread buffer, which no kernel asks
+    for while it holds it."""
 
-    def test_interleaved_actions_match_sequential(self):
-        want = [_copies(_action(seed, 4)) for seed in (1, 2)]
-        first, second = _action(1, 4), _action(2, 4)
-        got = ([], [])
-        for x1, x2 in zip(first, second):
-            # x1 is read after the second action has stepped
-            got[0].append((x1[0], x1[1], x1[2].copy()))
-            got[1].append((x2[0], x2[1], x2[2].copy()))
-        assert next(first, None) is None and next(second, None) is None
-        _assert_same(got[0], want[0])
-        _assert_same(got[1], want[1])
-
-    @pytest.mark.parametrize("n_abandoned", [2, 4, 6])
-    def test_abandoned_action_leaves_next_call_correct(self, n_abandoned):
-        want = _copies(_action(1, 4))
-        abandoned = _action(3, n_abandoned)
-        next(abandoned)
-        next(abandoned)
-        _assert_same(_copies(_action(1, 4)), want)      # while it is suspended
-        del abandoned
+    def test_nested_request_raises_and_releases(self):
+        with multispinor.workspace(4):
+            with pytest.raises(RuntimeError):
+                with multispinor.workspace(4):
+                    pass
+            assert multispinor._threads.ws.busy
         assert not multispinor._threads.ws.busy
-        _assert_same(_copies(_action(1, 4)), want)
+        # an exception inside a kernel's block releases the workspace too
+        members = [np.ones((3, 2, 5), dtype=complex)]
+        with pytest.raises(ValueError):
+            _slot_action(np.ones((5, 2, 2)), members, [np.empty((1, 1, 5), dtype=complex)], 2 ** 20)
+        assert not multispinor._threads.ws.busy
+
+    def test_action_after_a_larger_one_matches_the_first(self, monkeypatch):
+        monkeypatch.setattr(multispinor, "_threads", threading.local())   # a fresh workspace
+        want = _action(1, 4)
+        _action(2, 8)
+        multispinor._threads.ws.buf[:] = np.nan      # grown, and stale
+        for got, w in zip(_action(1, 4), want, strict=True):
+            assert np.array_equal(got, w)
