@@ -12,11 +12,13 @@ with a p^{AA'} a^dagger = diag(lam0, lam1), acts on every slot, so the two
 basis directions are the null flagpoles of p.  In that basis the field
 equations map member k to member k+1 by one shift and one scale, and a
 massless member has one nonzero entry.  The component owns that basis,
-`BWComponent.basis`, which its builder derives once.  Members move by one
-slot action, `_move_members`: into and out of the basis (`from_standard`,
-`to_standard`; field files and test oracles hold standard coordinates), to
-the basis of Lambda p, and to the diagonal of a direction.  Slot generators
-move by `slot_generator_sum`.
+`BWComponent.basis`, which its builder derives once.  A field file holds
+member 0 in that basis, and `from_adapted` gathers the others from it as
+synthesis does.  Members move by one slot action, `_move_members`: into and
+out of the basis (`from_standard`, `to_standard`; version-1 field files and
+the test oracles hold standard coordinates), to the basis of Lambda p, and
+to the diagonal of a direction.  Slot generators move by
+`slot_generator_sum`.
 
 Synthesis expands a field over tensor products of the chi eigenbispinors:
 the all-unprimed member is one product of binary forms in the two frame
@@ -81,8 +83,8 @@ from .pauli_lubanski import pl_momentum_rep
 # every kernel is polynomial in n; the cap stands for precision, not cost:
 # in the adapted basis extraction, form="p" and the rank-one route keep their
 # digits, up to the rounding of t.p for a t near a parallel null p, but
-# members that arrive in standard coordinates (field files) lose digits as n
-# grows, and no rule yet sets the limit
+# members that arrive in standard coordinates (version-1 field files) lose
+# digits as n grows, and no rule yet sets the limit
 MAX_N = 10
 
 # the kernels that hold per-sample working arrays take the samples in blocks
@@ -299,8 +301,7 @@ def synth_massive(frame: SpinFrame, amps: Amplitudes,
         members, out, comps = _member_buffer(valences(n, amps.mass), batch)
         mu_t = np.broadcast_to(mu_t, batch + (2, 2)).reshape(-1, 2, 2)
         form_product(mu_t, c, out[0][:, 0], _STATE_BYTES)
-        alpha = -e * np.sqrt(2.0) * lam0 / m
-        _gather_members(members, np.broadcast_to(alpha, batch).reshape(-1), n)
+        _gather_members(members, batch, n, e, lam0, m)
     _check_members(comps, scale)
     return _with_basis(BWComponent(n=n, mass=amps.mass, sign=e, p=frame.p, comps=comps), basis)
 
@@ -317,11 +318,16 @@ def _shift_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return source, factor
 
 
-def _gather_members(members: np.ndarray, alpha: np.ndarray, n: int) -> None:
+def _gather_members(members: np.ndarray, batch: tuple, n: int, sign: int,
+                    lam0: np.ndarray, m: np.ndarray) -> None:
     """Fill members 1..n of the flat batch-last buffer (entries, S) from its
-    first n+1 rows, psi_0: psi_k[i, j] = (-1)^(k-j) alpha^(2j-k) psi_0[i+k-j],
-    one take of the rows of psi_0 and, per block of samples, one of the rows
-    of the signed powers alpha^(-n..n), built in this thread's workspace."""
+    first n+1 rows, psi_0, along the field equations where p^{AA'} =
+    diag(lam0, m^2 / (2 lam0)): psi_k[i, j] = (-1)^(k-j) alpha^(2j-k)
+    psi_0[i+k-j] with alpha = -e sqrt2 lam0 / m, broadcast to batch.  One
+    take of the rows of psi_0 and, per block of samples, one of the rows of
+    the signed powers alpha^(-n..n), built in this thread's workspace.
+    Synthesis and `from_adapted` fill their members by it alone."""
+    alpha = np.broadcast_to(-sign * np.sqrt(2.0) * lam0 / m, batch).reshape(-1)
     head, rest = members[:n + 1], members[n + 1:]
     source, factor = _shift_table(n)
     # mode="clip" lets take write to its output unbuffered; every row is valid
@@ -343,10 +349,12 @@ def _gather_members(members: np.ndarray, alpha: np.ndarray, n: int) -> None:
 
 def _check_members(comps: tuple[SymMultiSpinor, ...], scale) -> None:
     """Reject a sample whose members (they grow like (p^0)^(n/2)) overflow, or whose
-    unit-amplitude scale, N^n or |pi|^n, which extraction divides out, is not normal."""
+    unit-amplitude scale, which extraction divides out, is not normal: N^n or
+    |pi|^n in synthesis, |omega|^n or |lam0|^n on the Hertz route, 1 for
+    members read from a file."""
     ok = np.logical_and.reduce([np.all(np.isfinite(c.comp), axis=(-2, -1)) for c in comps])
     reject(~(ok & (np.abs(scale) >= np.finfo(float).tiny)), NotFinite,
-           "synthesized members must be finite, with a normal scale")
+           "members must be finite, with a normal scale")
 
 
 def _member_buffer(valences: list[tuple[int, int]], batch: tuple):
@@ -658,6 +666,14 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
         entry = (np.einsum("...j,...j->...", a[..., 0, :], pi) ** n
                  * np.asarray(f, dtype=complex))
         scale = np.sum(np.abs(pi) ** 2, axis=-1) ** (n / 2)
+    return _massless(n, sign, p, basis, entry, scale)
+
+
+def _massless(n: int, sign: int, p: np.ndarray, basis, entry: np.ndarray,
+              scale) -> BWComponent:
+    """The massless component at p whose member, in the basis adapted to
+    p, has the one nonzero entry `entry`, all n indices 1; `_check_members`
+    rejects a sample whose entry is not finite or whose scale is not normal."""
     coeffs = np.zeros(entry.shape + (n + 1, 1), dtype=complex)
     coeffs[..., n, 0] = entry
     comp = SymMultiSpinor(n, 0, coeffs)
@@ -666,10 +682,16 @@ def synth_massless(pi: np.ndarray, f, n: int, sign: int = +1) -> BWComponent:
 
 
 def eta_from_frame(frame: SpinFrame, n: int, sign: int = +1) -> SymMultiSpinor:
-    """Hertz-type generator (+-i)^n omegabar^{A'_1}...omegabar^{A'_n}."""
+    """Hertz-type generator (+-i)^n omegabar^{A'_1}...omegabar^{A'_n}; a
+    sample whose entries overflow, or whose scale |omega|^n is not normal,
+    raises NotFinite (`_check_members`)."""
     omb = np.conj(frame.omega)
-    coeffs = np.moveaxis(power_row(spinor_powers(omb, n), n), 0, -1) * (1j * sign) ** n
-    return SymMultiSpinor(0, n, coeffs[..., None, :])
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        coeffs = np.moveaxis(power_row(spinor_powers(omb, n), n), 0, -1) * (1j * sign) ** n
+        scale = np.sum(np.abs(omb) ** 2, axis=-1) ** (n / 2)
+    xi = SymMultiSpinor(0, n, coeffs[..., None, :])
+    _check_members((xi,), scale)
+    return xi
 
 
 def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
@@ -681,7 +703,8 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     each slot takes the row lam0 conj(a_1), a_1 = a[..., 1, :]: the member
     has one nonzero entry, (-+i lam0)^n sum_j C(n,j) conj(a_10)^(n-j)
     conj(a_11)^j xi_j with all n indices 1, read as `_along` reads a
-    member, and no move.
+    member, and no move.  A sample whose entry is not finite, or whose
+    scale |lam0|^n is not normal, raises NotFinite, as in `synth_massless`.
     """
     p = np.asarray(p, dtype=float)
     reject(~core.null_shell(p), NotNull, "hertz_psi needs a finite null momentum")
@@ -691,12 +714,11 @@ def hertz_psi(xi: SymMultiSpinor, p: np.ndarray, sign: int = +1) -> BWComponent:
     _check_spin(n)
     a, lam = basis = axis_rotation(p)
     powers = spinor_powers(np.conj(a[..., 1, :]), n)
-    entry = (-1j * sign * lam[..., 0]) ** n * contract_rows(
-        power_row(powers, 0), np.moveaxis(xi.comp, (-2, -1), (0, 1)), power_row(powers, n, 1))
-    coeffs = np.zeros(entry.shape + (n + 1, 1), dtype=complex)
-    coeffs[..., n, 0] = entry
-    comp = SymMultiSpinor(n, 0, coeffs)
-    return _with_basis(BWComponent(n=n, mass=0.0, sign=sign, p=p, comps=(comp,)), basis)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        entry = (-1j * sign * lam[..., 0]) ** n * contract_rows(
+            power_row(powers, 0), np.moveaxis(xi.comp, (-2, -1), (0, 1)), power_row(powers, n, 1))
+        scale = np.abs(lam[..., 0]) ** n
+    return _massless(n, sign, p, basis, entry, scale)
 
 
 def helicity_residual_massless(psi: BWComponent) -> np.ndarray:
@@ -755,6 +777,29 @@ def transform_component(psi: BWComponent, a: np.ndarray) -> BWComponent:
     return _with_basis(replace(psi, p=new_p, comps=_move_members(psi.comps, b)), basis)
 
 
+def from_adapted(n: int, mass: float, sign: int, p: np.ndarray,
+                 psi0: np.ndarray) -> BWComponent:
+    """The component whose all-unprimed member, in the basis adapted to p,
+    is given by psi0: its n+1 entries (..., n+1) massive, the others gathered
+    from it as `synth_massive` gathers them (`_gather_members`, m the
+    sample's own `core.invariant_mass(p)`); its one nonzero entry (..., 1),
+    all n indices 1, massless.  A sample whose members are not finite raises
+    NotFinite, as synthesis does."""
+    _check_spin(n)
+    p = np.asarray(p, dtype=float)
+    psi0 = np.asarray(psi0, dtype=complex)
+    basis = axis_rotation(p)
+    if mass <= 0:
+        return _massless(n, sign, p, basis, psi0[..., 0], 1.0)
+    batch = p.shape[:-1]
+    members, out, comps = _member_buffer(valences(n, mass), batch)
+    out[0][:, 0] = np.moveaxis(np.broadcast_to(psi0, batch + (n + 1,)).reshape(-1, n + 1), 0, -1)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        _gather_members(members, batch, n, sign, basis[1][..., 0], core.invariant_mass(p))
+    _check_members(comps, 1.0)
+    return _with_basis(BWComponent(n=n, mass=mass, sign=sign, p=p, comps=comps), basis)
+
+
 def from_standard(n: int, mass: float, sign: int, p: np.ndarray, comps: tuple) -> BWComponent:
     """The component of members given in standard coordinates at the momenta
     p, moved into the basis adapted to p by a = `frames.axis_rotation(p)`."""
@@ -763,7 +808,10 @@ def from_standard(n: int, mass: float, sign: int, p: np.ndarray, comps: tuple) -
 
 
 def to_standard(psi: BWComponent) -> tuple[SymMultiSpinor, ...]:
-    """The members of psi in standard coordinates, moved back by a^dagger."""
+    """The members of psi in standard coordinates, moved back by a^dagger.
+    No production path calls it: it stays beside `from_standard` as the one
+    move out of the basis, which the tests' dense and loop oracles read
+    their members through, so that a test does not restate the move."""
     return _move_members(psi.comps, _dagger(psi.basis[0]))
 
 

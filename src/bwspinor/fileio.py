@@ -5,11 +5,17 @@ with a momentum on the shell of the header's mass (`core.on_shell`, the rule
 synthesis applies too) and, if it is 0, inside the range where the null
 frame is finite (`frames.null_frame_finite`, the rule of `frame_massless`);
 complex numbers are [re, im] pairs and floats are
-serialized with full round-trip precision.  A field file holds its members
-in standard coordinates; the field reader and writer move them into and out
-of the basis adapted to the momentum that every `bw.BWComponent` stores
-(`bw.from_standard`, `bw.to_standard`).  Validation failures raise
-SchemaError carrying a JSON pointer to the offending element.
+serialized with full round-trip precision.  An amplitude file is version 1.
+A field file is version 2, {version: 2, basis: "axis_rotation", n, mass,
+sign}: per sample it holds `psi0`, the all-unprimed member in the basis
+adapted to p that every `bw.BWComponent` stores (n+1 entries massive, the
+one nonzero entry massless), and the reader gathers the other members from
+it as synthesis does (`bw.from_adapted`), so a field that `synth` wrote
+reads back bit for bit.  A version-1 field file, which holds every member in
+standard coordinates, is read as legacy input: its members are moved into
+the basis (`bw.from_standard`) and must solve the field equations there.
+Validation failures raise SchemaError carrying a JSON pointer to the
+offending element.
 
 One writer and one reader serve both formats.  The writer converts the
 columns to Python floats one block of _BLOCK samples at a time and streams
@@ -28,12 +34,24 @@ from itertools import chain
 import numpy as np
 
 from . import core
-from .bw import MAX_N, Amplitudes, BWComponent, from_standard, to_standard, valences
+from .bw import (MAX_N, Amplitudes, BWComponent, field_equation_residual_massive,
+                 from_adapted, from_standard, valences)
 from .errors import SchemaError
 from .frames import null_frame_finite
 from .multispinor import SymMultiSpinor
 
-VERSION = 1
+# the head of the header each kind is written with; a field file of version
+# 1 is still read
+AMPLITUDE_HEAD = {"version": 1}
+FIELD_HEAD = {"version": 2, "basis": "axis_rotation"}
+
+# the members of a version-1 sample must solve the field equations to this
+# relative residual.  Synthesized fields read 6.8e-16 to 9.9e-15 in memory;
+# a version-1 file adds one SU(2) slot action out of the basis and one back,
+# each of which scales the rounding relative to the largest entry by at most
+# 2^n, so about 4^n eps = 2.3e-10 at n = 10.  1e-8 stands a factor 40 above
+# that and five orders below a perturbation of 1e-3 of one entry.
+V1_RESIDUAL_TOL = 1e-8
 
 # samples serialized per json.dumps call: the C encoder, with each block's
 # text small (about 24 KB for a field at n=4); blocks of 128 samples left the
@@ -67,24 +85,25 @@ def _complex_in(obj, pointer: str) -> complex:
     return complex(obj[0], obj[1])
 
 
-def _header_out(n: int, mass: float, sign: int, normalization=None) -> dict:
-    h = {"version": VERSION, "n": n, "mass": float(mass),
-         "sign": "+" if sign >= 0 else "-"}
+def _header_out(head: dict, n: int, mass: float, sign: int, normalization=None) -> dict:
+    h = dict(head, n=n, mass=float(mass), sign="+" if sign >= 0 else "-")
     if normalization is not None:
         h["normalization"] = normalization if isinstance(normalization, str) \
             else [float(np.real(normalization)), float(np.imag(normalization))]
     return h
 
 
-def _header_in(doc: dict, want_normalization: bool):
+def _header_in(doc: dict, versions, want_normalization: bool):
     _require(isinstance(doc, dict), "", "document must be an object")
     _require("header" in doc, "", "missing header")
     h = doc["header"]
     _require(isinstance(h, dict), "/header", "header must be an object")
     version = h.get("version")
-    # True == 1 and 1.0 == 1 in Python; the version is the integer 1
-    _require(type(version) is int and version == VERSION, "/header/version",
+    # True == 1 and 1.0 == 1 in Python; the version is an integer
+    _require(type(version) is int and version in versions, "/header/version",
              f"unsupported version {version!r}")
+    _require(version < 2 or h.get("basis") == "axis_rotation", "/header/basis",
+             'basis must be "axis_rotation"')
     n = h.get("n")
     _require(type(n) is int and 1 <= n <= MAX_N,
              "/header/n", f"n must be an integer in 1..{MAX_N}")
@@ -101,7 +120,7 @@ def _header_in(doc: dict, want_normalization: bool):
             _require(mass > 0, "/header/normalization",
                      'a massless amplitude file takes only "paper-default"')
             norm = _complex_in(norm, "/header/normalization")
-    return n, float(mass), +1 if sign == "+" else -1, norm
+    return version, n, float(mass), +1 if sign == "+" else -1, norm
 
 
 def _check_momentum(p, mass: float, pointer: str) -> None:
@@ -139,7 +158,7 @@ def _check_sample(entry, i: int, mass: float, columns: dict, weighted: bool) -> 
             for k, want in enumerate(sizes):
                 _check_pairs(value[k], want, f"{ptr}/{key}/{k}", "entries")
         else:
-            _check_pairs(value, sizes, f"{ptr}/{key}", "amplitudes")
+            _check_pairs(value, sizes, f"{ptr}/{key}", "amplitudes" if key == "f" else "entries")
     _require(("weight" in entry) == weighted, ptr,
              "weights must be present on all samples or none")
     if weighted:
@@ -213,25 +232,25 @@ def _columns_in(samples: list, mass: float, columns: dict):
     return p, out, weights
 
 
-def _read_samples(path, header_kind: str, columns):
-    """Read and validate a v1 file of either kind.
+def _read_samples(path, header_kind: str, columns: dict):
+    """Read and validate a file of either kind, at any version it reads.
 
     `header_kind` is "field" or "amplitude" (which carries a normalization);
-    `columns(n, mass)` gives the sample columns as described at
-    `_check_sample`.  Returns ((n, mass, sign, normalization), p, {key:
-    complex arrays}, weights or None).
+    `columns[version](n, mass)` gives the sample columns of each version as
+    described at `_check_sample`.  Returns ((version, n, mass, sign,
+    normalization), p, {key: complex arrays}, weights or None).
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("", f"invalid JSON: {exc}") from exc
-    header = _header_in(doc, want_normalization=header_kind == "amplitude")
-    n, mass = header[0], header[1]
+    header = _header_in(doc, columns, want_normalization=header_kind == "amplitude")
+    version, n, mass = header[:3]
     samples = doc.get("samples")
     _require(isinstance(samples, list) and samples, "/samples",
              "samples must be a non-empty array")
-    spec = columns(n, mass)
+    spec = columns[version](n, mass)
     read = _columns_in(samples, mass, spec)
     if read is None:
         weighted = isinstance(samples[0], dict) and "weight" in samples[0]
@@ -243,7 +262,7 @@ def _read_samples(path, header_kind: str, columns):
 
 def _write_samples(path, header: dict, p: np.ndarray, columns: dict,
                    weights: np.ndarray | None) -> None:
-    """Write a v1 file: header, then per sample p, the columns and the weight.
+    """Write a file: header, then per sample p, the columns and the weight.
 
     `columns` maps a key to an (S, m) complex array, written per sample as m
     [re, im] pairs, or to a tuple of such arrays, written as a list of them.
@@ -299,40 +318,72 @@ class AmplitudeFile:
     normalization: object    # "paper-default" or a complex number
 
 
-def _field_columns(n: int, mass: float) -> dict:
-    return {"comps": tuple((r + 1) * (s + 1) for r, s in valences(n, mass))}
-
-
-def _amplitude_columns(n: int, mass: float) -> dict:
-    return {"f": len(valences(n, mass))}
+# the sample columns of each version a kind reads, as `_check_sample` takes them
+_FIELD_COLUMNS = {
+    1: lambda n, mass: {"comps": tuple((r + 1) * (s + 1) for r, s in valences(n, mass))},
+    2: lambda n, mass: {"psi0": n + 1 if mass > 0 else 1},
+}
+_AMPLITUDE_COLUMNS = {1: lambda n, mass: {"f": len(valences(n, mass))}}
 
 
 def write_field_file(path: str, psi: BWComponent,
                      weights: np.ndarray | None = None) -> None:
-    """Write the members in standard coordinates (`bw.to_standard`), as
-    version 1 stores them."""
-    _write_samples(path, _header_out(psi.n, psi.mass, psi.sign), psi.p,
-                   {"comps": tuple(c.comp for c in to_standard(psi))}, weights)
+    """Write version 2: per sample the all-unprimed member as psi stores it,
+    in the basis adapted to p, with no move; a massless member by its one
+    nonzero entry, all n indices 1.  The other members, and the other
+    entries of a massless member, are those of a solution: the reader
+    gathers them from psi0 (`bw.from_adapted`)."""
+    head = psi.comps[0].comp[..., 0]
+    _write_samples(path, _header_out(FIELD_HEAD, psi.n, psi.mass, psi.sign), psi.p,
+                   {"psi0": head if psi.mass > 0 else head[..., psi.n:]}, weights)
 
 
 def read_field_file(path: str) -> FieldFile:
-    (n, mass, sign, _), p, cols, weights = _read_samples(path, "field",
-                                                         _field_columns)
+    """Read a field file of version 2, or of version 1 as legacy input.  A
+    version-1 sample whose members, moved into the basis adapted to p, miss
+    the field equations by more than V1_RESIDUAL_TOL is a SchemaError at
+    /samples/i/comps; a version-2 sample whose gathered members overflow
+    raises NotFinite, naming it."""
+    (version, n, mass, sign, _), p, cols, weights = _read_samples(path, "field",
+                                                                  _FIELD_COLUMNS)
+    if version == 2:
+        return FieldFile(component=from_adapted(n, mass, sign, p, cols["psi0"]), weights=weights)
     comps = tuple(SymMultiSpinor(r, s, c.reshape(len(p), r + 1, s + 1))
                   for (r, s), c in zip(valences(n, mass), cols["comps"]))
-    # the file holds standard coordinates; a BWComponent, the adapted basis
-    return FieldFile(component=from_standard(n, mass, sign, p, comps), weights=weights)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        psi = from_standard(n, mass, sign, p, comps)
+        residual = (field_equation_residual_massive(psi) if mass > 0
+                    else _massless_residual(psi))
+    bad = ~(residual <= V1_RESIDUAL_TOL)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise SchemaError(f"/samples/{i}/comps",
+                          f"members miss the field equations: relative residual "
+                          f"{residual[i]:.3e} above {V1_RESIDUAL_TOL:g}")
+    return FieldFile(component=psi, weights=weights)
+
+
+def _massless_residual(psi: BWComponent) -> np.ndarray:
+    """Per sample, the largest entry of p^{AA'} psi_{A...} in the basis of the
+    member, where p^{AA'} = diag(lam0, lam1): lam0 times the entries with an
+    index 0, lam1 times those with an index 1, relative to the sample's
+    member and momentum scale as in `bw.field_equation_residual_massive`."""
+    c = psi.comps[0].comp[..., 0]                   # entry i has i indices 1
+    lam = np.abs(psi.basis[1])
+    worst = np.maximum(lam[..., 0] * core.max_abs(c[..., :-1]),
+                       lam[..., 1] * core.max_abs(c[..., 1:]))
+    return worst / np.maximum(1.0, core.max_abs(c) * core.max_abs(psi.p))
 
 
 def write_amplitude_file(path: str, amps: Amplitudes, p: np.ndarray,
                          weights: np.ndarray | None = None,
                          normalization="paper-default") -> None:
-    _write_samples(path, _header_out(amps.n, amps.mass, amps.sign, normalization),
+    _write_samples(path, _header_out(AMPLITUDE_HEAD, amps.n, amps.mass, amps.sign, normalization),
                    p, {"f": amps.f}, weights)
 
 
 def read_amplitude_file(path: str) -> AmplitudeFile:
-    (n, mass, sign, norm), p, cols, weights = _read_samples(path, "amplitude",
-                                                            _amplitude_columns)
+    (_, n, mass, sign, norm), p, cols, weights = _read_samples(path, "amplitude",
+                                                               _AMPLITUDE_COLUMNS)
     amps = Amplitudes(n=n, mass=mass, sign=sign, f=cols["f"])
     return AmplitudeFile(amplitudes=amps, p=p, weights=weights, normalization=norm)

@@ -607,7 +607,7 @@ def test_axis_rotation_is_the_complex_formula():
 def test_basis_is_derived_once_per_component(monkeypatch, tmp_path):
     # the builder of a component derives its basis, and every later reader
     # takes psi.basis: one rotation for each of the three components built
-    # (synth_massive, transform_component, and from_standard in the field-file
+    # (synth_massive, transform_component, and from_adapted in the field-file
     # reader) and one for each direction that is rotated (NullOmega and the
     # general FixedList); a Wigner state keeps the basis of its field
     calls = []
@@ -939,6 +939,23 @@ class TestNonFiniteInput:
         p[2, 1] = np.nan
         with pytest.raises(NotNull, match=r"sample index \[2\]"):
             hertz_psi(xi, p)
+
+    # a null p at 1e200 or 1e-200: omega, about |p|^(-1/2), and lam0, about
+    # |p|, leave the double range in their n-th powers, as synth_massless's
+    # members do; both builders reject, with no RuntimeWarning on the way
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_hertz_route_rejects_members_it_cannot_hold(self, scale):
+        p = np.array([[1.0, 0.6, 0.0, 0.8], [1.0, 0.0, 0.6, -0.8]]) * scale
+        p[0] = [1.0, 0.6, 0.0, 0.8]          # the first sample is finite throughout
+        fr = frame_massless(p)
+        with pytest.raises(NotFinite, match=r"sample index \[1\]"):
+            eta_from_frame(fr, 10)
+        unit = SymMultiSpinor(0, 10, np.ones((2, 1, 11), dtype=complex))
+        with pytest.raises(NotFinite, match=r"sample index \[1\]"):
+            hertz_psi(unit, p)
+        with pytest.raises(NotFinite, match=r"sample index \[1\]"):
+            synth_massless(fr.pi, np.ones(2), 10)
 
     def test_field_equation_residual_nan_amplitude(self):
         # synthesis rejects a NaN amplitude (test_synth_rejects_nan_amplitude),

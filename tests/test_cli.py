@@ -135,6 +135,25 @@ class TestPipelines:
         after = read_amplitude_file(amp2)
         assert np.max(np.abs(before.amplitudes.f - after.amplitudes.f)) < 1e-12
 
+    def test_large_momentum_round_trip_keeps_its_digits(self, tmp_path, capsys):
+        # p^0 / m up to about 170 at n = 10 with a general nu: the field file
+        # holds member 0 in the basis adapted to p, so the round trip keeps
+        # the digits it has in memory (standard coordinates lost 2e-8 here)
+        amp, field, amp2 = (str(tmp_path / name) for name in ("amp.json", "field.json", "amp2.json"))
+        nu = ["--nu", "0.6+0.3j,0.5-0.4j"]
+        assert run_cli(["packet", "--n", "10", "--mass", "1", "--points", "4", "--half-width", "100",
+                        "--sigma", "100", "--center", "60,0,0", "--out", amp], capsys)[0] == 0
+        assert run_cli(["synth", "--in", amp, "--out", field] + nu, capsys)[0] == 0
+        assert run_cli(["extract", "--in", field, "--out", amp2] + nu, capsys)[0] == 0
+        want = read_amplitude_file(amp).amplitudes.f
+        got = read_amplitude_file(amp2).amplitudes.f
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+        code, out, _ = run_cli(["norm", "--in", field, "--t", "standard", "--t", "null-omega",
+                                "--t", "random:7", "--t", "fixed:1,0.6,0,0.8",
+                                "--t", "fixed:1.2,0.3,-0.1,0.2"] + nu, capsys)
+        assert code == 0
+        assert float(out.split("max relative spread = ")[1].split()[0]) <= 1e-12
+
     def test_packet_at_mass_1e155_synthesizes(self, tmp_path, capsys):
         amp, field = tmp_path / "amp.json", tmp_path / "field.json"
         code, _, err = run_cli(["packet", "--n", "2", "--mass", "1e155", "--out", str(amp),

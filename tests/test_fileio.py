@@ -1,37 +1,50 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bwspinor import core, fileio
-from bwspinor.bw import (MAX_N, Amplitudes, from_standard, synth_massive, synth_massless,
-                         to_standard)
+from bwspinor.bw import (MAX_N, Amplitudes, BWComponent, from_standard, synth,
+                         synth_massless, to_standard, valences)
 from bwspinor.cli import main
-from bwspinor.errors import SchemaError
+from bwspinor.errors import NotFinite, SchemaError
 from bwspinor.fileio import (read_amplitude_file, read_field_file,
                              write_amplitude_file, write_field_file)
-from bwspinor.frames import frame_massive, frame_massless
+from bwspinor.frames import frame_for, frame_massive, frame_massless
+from bwspinor.multispinor import SymMultiSpinor
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
-def make_field(count=5, n=2, seed=0):
+def make_field(count=5, n=2, seed=0, mass=1.0, sign=+1, scale=1.0):
+    """A synthesized field at random momenta of about |p| = scale, random
+    amplitudes and, massive, a random reference spinor."""
     rng = np.random.default_rng(seed)
-    p = core.random_future_momentum(1.0, rng, size=count)
-    fr = frame_massive(p, core.random_spinor(rng, size=count))
-    f = rng.normal(size=(count, n + 1)) + 1j * rng.normal(size=(count, n + 1))
-    amps = Amplitudes(n=n, mass=1.0, sign=+1, f=f)
-    return synth_massive(fr, amps)
+    p = core.random_future_momentum(mass, rng, size=count, scale=scale)
+    nu = core.random_spinor(rng, size=count) if mass > 0 else None
+    width = len(valences(n, mass))
+    f = rng.normal(size=(count, width)) + 1j * rng.normal(size=(count, width))
+    return synth(frame_for(p, mass, nu), Amplitudes(n=n, mass=mass, sign=sign, f=f))
 
 
-def assert_members_close(got, want):
-    # the file holds standard coordinates: the members come back through one
-    # move out of the basis adapted to p and one back, within 4 n eps of the
-    # sample's largest entry (22 eps read at n = 10)
-    scale = np.maximum.reduce([core.max_abs(c.comp, 2) for c in want.comps])
-    err = np.maximum.reduce([core.max_abs(a.comp - b.comp, 2)
-                             for a, b in zip(got.comps, want.comps)])
+def write_v1(path, psi, weights=None):
+    """The version-1 file of psi: every member in standard coordinates."""
+    header = {"version": 1, "n": psi.n, "mass": float(psi.mass),
+              "sign": "+" if psi.sign > 0 else "-"}
+    path.write_bytes(reference_bytes(header, psi.p, {"comps": tuple(c.comp for c in to_standard(psi))},
+                                     weights))
+    return path
+
+
+def assert_members_equal(got, want):
+    assert (got.n, got.mass, got.sign) == (want.n, want.mass, want.sign)
+    assert np.array_equal(got.p, want.p)
     assert len(got.comps) == len(want.comps)
-    assert np.all(err <= 4 * want.n * np.finfo(float).eps * scale)
+    for a, b in zip(got.comps, want.comps):
+        assert (a.r, a.s) == (b.r, b.s)
+        assert np.array_equal(a.comp, b.comp)
 
 
 class TestRoundTrip:
@@ -42,11 +55,7 @@ class TestRoundTrip:
             weights = np.linspace(0.1, 0.5, 5)
             write_field_file(path, psi, weights)
             data = read_field_file(path)
-            assert data.component.n == psi.n
-            assert data.component.mass == psi.mass
-            assert data.component.sign == psi.sign
-            assert np.array_equal(data.component.p, psi.p)
-            assert_members_close(data.component, psi)
+            assert_members_equal(data.component, psi)
             assert np.array_equal(data.weights, weights)
 
     def test_field_file_massless(self, tmp_path):
@@ -56,8 +65,43 @@ class TestRoundTrip:
         path = tmp_path / "mlfield.json"
         write_field_file(path, psi)
         data = read_field_file(path)
-        assert_members_close(data.component, psi)
+        assert_members_equal(data.component, psi)
         assert data.weights is None
+
+    # version 2 holds member 0 as the field stores it, and the reader gathers
+    # the rest as synthesis does: every member, p and weight come back bit
+    # for bit
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["massless", "massive"])
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_version2_bit_exact(self, tmp_path, n, mass, sign, weighted):
+        psi = make_field(count=7, n=n, seed=200 + n, mass=mass, sign=sign, scale=5.0)
+        weights = np.geomspace(1e-3, 7.0, 7) / 3.0 if weighted else None
+        path = tmp_path / "field.json"
+        write_field_file(path, psi, weights)
+        header = json.loads(path.read_text())["header"]
+        assert header == {"version": 2, "basis": "axis_rotation", "n": n, "mass": mass,
+                          "sign": "+" if sign > 0 else "-"}
+        data = read_field_file(path)
+        assert_members_equal(data.component, psi)
+        assert np.array_equal(data.component.basis[0], psi.basis[0])
+        if weighted:
+            assert np.array_equal(data.weights, weights)
+        else:
+            assert data.weights is None
+
+    def test_gathered_overflow_names_the_sample(self, tmp_path):
+        # member 0 is finite, but the gather puts alpha^10 psi_0[0] on member
+        # 10, and alpha = p^0 + |p| is about 2 at sample 1: it overflows
+        psi = make_field(count=3, n=10, seed=3)
+        path = tmp_path / "field.json"
+        write_field_file(path, psi)
+        doc = json.loads(path.read_text())
+        doc["samples"][1]["psi0"][0] = [1e306, 0.0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NotFinite, match=r"sample index \[1\]"):
+            read_field_file(path)
 
     def test_amplitude_file_lossless(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -71,6 +115,80 @@ class TestRoundTrip:
         assert np.array_equal(data.p, p)
         assert data.amplitudes.sign == -1
         assert data.normalization == 0.5 + 0.25j
+
+
+class TestVersion1:
+    """A version-1 field file, every member in standard coordinates, is read
+    as legacy input: moved into the basis adapted to p, and checked against
+    the field equations there."""
+
+    @pytest.mark.parametrize("name", ["n4_massive", "n2_massless"])
+    def test_fixture_reads_as_before(self, name):
+        # tests/data holds a packet's amplitudes and the version-1 field that
+        # synth wrote of them before version 2 (`packet --points 2`, default nu)
+        path = DATA / f"field_v1_{name}.json"
+        data = read_field_file(path)
+        doc = json.loads(path.read_text())
+        head = doc["header"]
+        n, mass, sign = head["n"], head["mass"], +1 if head["sign"] == "+" else -1
+        p = np.array([e["p"] for e in doc["samples"]])
+        comps = tuple(SymMultiSpinor(r, s, np.array([e["comps"][k] for e in doc["samples"]])
+                                     .view(complex)[..., 0].reshape(len(p), r + 1, s + 1))
+                      for k, (r, s) in enumerate(valences(n, mass)))
+        # the reader of version 1 as it was: the members moved into the basis
+        assert_members_equal(data.component, from_standard(n, mass, sign, p, comps))
+        assert np.array_equal(data.weights, [e["weight"] for e in doc["samples"]])
+        # and the field the amplitudes synthesize in memory, within 1e-13 of
+        # each sample's largest entry
+        amps = read_amplitude_file(DATA / f"amp_{name}.json")
+        assert np.array_equal(amps.p, p)
+        want = synth(frame_for(p, mass), amps.amplitudes)
+        scale = np.maximum.reduce([core.max_abs(c.comp, 2) for c in want.comps])
+        for got, ref in zip(data.component.comps, want.comps, strict=True):
+            assert np.all(core.max_abs(got.comp - ref.comp, 2) <= 1e-13 * scale)
+
+    # a version-1 file of a synthesized field passes the check at every n,
+    # both masses and both signs, at |p| about 1 and about 30
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["massless", "massive"])
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_solutions_pass(self, tmp_path, n, mass, scale):
+        for sign in (+1, -1):
+            psi = make_field(count=40, n=n, seed=300 + n, mass=mass, sign=sign, scale=scale)
+            data = read_field_file(write_v1(tmp_path / "field.json", psi))
+            assert data.component.n == n
+
+    @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["massless", "massive"])
+    def test_member_off_the_equations_names_the_sample(self, tmp_path, mass):
+        # member 0's first entry, in standard coordinates, scaled by 1.1 plus
+        # 0.1 at sample 2 alone
+        psi = make_field(count=4, n=4, seed=17, mass=mass)
+        path = write_v1(tmp_path / "field.json", psi, np.ones(4))
+        doc = json.loads(path.read_text())
+        entry = doc["samples"][2]["comps"][0][0]
+        entry[:] = [1.1 * entry[0] + 0.1, 1.1 * entry[1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            read_field_file(path)
+        assert err.value.pointer == "/samples/2/comps"
+        assert "field equations" in err.value.message
+        for command in (["extract", "--out", str(tmp_path / "amp.json")], ["norm"]):
+            assert main([command[0], "--in", str(path)] + command[1:]) == 2
+
+    def test_massless_residual_reads_the_entries_with_an_index_0(self):
+        # in the basis adapted to p, p^{AA'} = diag(lam0, lam1) with lam1 = 0
+        # for a null p: entries 0..n-1 of the member carry an index 0
+        psi = make_field(count=3, n=3, seed=18, mass=0.0)
+        assert np.all(fileio._massless_residual(psi) <= 1e-15)
+        comp = psi.comps[0].comp.copy()
+        comp[1, 2, 0] = 1e-3 * np.abs(comp[1, 3, 0])
+        spoiled = fileio._massless_residual(
+            from_standard(3, 0.0, +1, psi.p, to_standard(
+                BWComponent(3, 0.0, +1, psi.p, (SymMultiSpinor(3, 0, comp),)))))
+        lam0 = psi.basis[1][1, 0]
+        want = lam0 * abs(comp[1, 2, 0]) / max(1.0, abs(comp[1, 3, 0]) * psi.p[1, 0])
+        assert spoiled[1] == pytest.approx(want, rel=1e-6)
+        assert np.all(spoiled[[0, 2]] <= 1e-15)
 
 
 class TestSchemaErrors:
@@ -136,14 +254,68 @@ class TestSchemaErrors:
 
     def test_wrong_component_length(self, tmp_path):
         psi = make_field(count=2, n=1, seed=3)
-        path = tmp_path / "field.json"
-        write_field_file(path, psi)
+        path = write_v1(tmp_path / "field.json", psi)
         doc = json.loads(path.read_text())
         doc["samples"][1]["comps"][0] = doc["samples"][1]["comps"][0][:-1]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
             read_field_file(path)
         assert err.value.pointer == "/samples/1/comps/0"
+
+    def _field_path(self, tmp_path, mass=1.0):
+        path = tmp_path / "field.json"
+        write_field_file(path, make_field(count=3, n=3, seed=4, mass=mass), np.ones(3))
+        return path
+
+    def _edited(self, path, edit):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            read_field_file(path)
+        return err.value.pointer
+
+    @pytest.mark.parametrize("mass, count", [(1.0, 3), (1.0, 5), (0.0, 0), (0.0, 4)])
+    def test_wrong_psi0_count(self, tmp_path, mass, count):
+        # 4 entries massive at n = 3, 1 massless
+        path = self._field_path(tmp_path, mass)
+        assert self._edited(path, lambda d: d["samples"][1].update(
+            psi0=[[0.5, 0.0]] * count)) == "/samples/1/psi0"
+
+    @pytest.mark.parametrize("entry", [[1.0], [float("nan"), 0.0], [0.0, True], "x"])
+    def test_bad_psi0_entry(self, tmp_path, entry):
+        path = self._field_path(tmp_path)
+        assert self._edited(path, lambda d: d["samples"][2]["psi0"].__setitem__(
+            2, entry)) == "/samples/2/psi0/2"
+
+    @pytest.mark.parametrize("basis", [None, "standard", "", 2, ["axis_rotation"]])
+    def test_missing_or_unknown_basis(self, tmp_path, basis):
+        def edit(doc):
+            doc["header"].pop("basis")
+            if basis is not None:
+                doc["header"]["basis"] = basis
+        assert self._edited(self._field_path(tmp_path), edit) == "/header/basis"
+
+    @pytest.mark.parametrize("version", [3, True, 2.0, 0, "2", None])
+    def test_unknown_field_version(self, tmp_path, version):
+        path = self._field_path(tmp_path)
+        assert self._edited(path, lambda d: d["header"].update(version=version)) \
+            == "/header/version"
+
+    def test_field_version_in_an_amplitude_file(self, tmp_path):
+        doc = self._amp_doc()
+        doc["header"].update(version=2, basis="axis_rotation")
+        with pytest.raises(SchemaError) as err:
+            read_amplitude_file(self._write(tmp_path, doc))
+        assert err.value.pointer == "/header/version"
+
+    def test_version1_header_takes_no_basis_check(self, tmp_path):
+        # the basis belongs to version 2; a version-1 file never had one
+        path = write_v1(tmp_path / "field.json", make_field(count=2, n=2, seed=5))
+        doc = json.loads(path.read_text())
+        doc["header"]["basis"] = "anything"
+        path.write_text(json.dumps(doc))
+        assert read_field_file(path).component.n == 2
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -193,9 +365,8 @@ class TestWriterBytes:
         weights = np.linspace(0.1, 0.7, 130) if weighted else None
         path = tmp_path / "field.json"
         write_field_file(path, psi, weights)
-        header = {"version": 1, "n": n, "mass": 1.0, "sign": "+"}
-        expect = reference_bytes(header, psi.p, {"comps": tuple(c.comp for c in to_standard(psi))},
-                                 weights)
+        header = {"version": 2, "basis": "axis_rotation", "n": n, "mass": 1.0, "sign": "+"}
+        expect = reference_bytes(header, psi.p, {"psi0": psi.comps[0].comp[..., 0]}, weights)
         assert path.read_bytes() == expect
 
     def test_massless_field_file(self, tmp_path):
@@ -203,9 +374,9 @@ class TestWriterBytes:
         psi = synth_massless(frame_massless(p).pi, np.linspace(1, 2, 130) + 0.5j, 3)
         path = tmp_path / "field.json"
         write_field_file(path, psi)
-        header = {"version": 1, "n": 3, "mass": 0.0, "sign": "+"}
+        header = {"version": 2, "basis": "axis_rotation", "n": 3, "mass": 0.0, "sign": "+"}
         assert path.read_bytes() == reference_bytes(
-            header, psi.p, {"comps": tuple(c.comp for c in to_standard(psi))}, None)
+            header, psi.p, {"psi0": psi.comps[0].comp[..., 3:, 0]}, None)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("normalization", ["paper-default", 0.5 - 0.25j])
@@ -229,8 +400,8 @@ class TestWriterBytes:
         assert np.array_equal(read_amplitude_file(path).amplitudes.f, amps.f)
 
     def test_reference_file_loads_to_same_arrays(self, tmp_path):
-        # the reader moves the standard members of the file into the basis
-        # adapted to p, as `bw.from_standard` does
+        # the reader moves the standard members of a version-1 file into the
+        # basis adapted to p, as `bw.from_standard` does
         psi = make_field(count=40, n=3, seed=8)
         members = to_standard(psi)
         weights = np.linspace(0.2, 0.9, 40)
@@ -268,24 +439,33 @@ class TestBitExact:
         assert np.array_equal(self.bits(data.p), self.bits(p))
         assert np.array_equal(self.bits(data.weights), self.bits(weights))
 
-    def test_field_values(self, tmp_path):
-        # the members a field file holds come back bit for bit from the
-        # sample reader; read_field_file then moves them into the basis
-        # adapted to p, which rounds
-        psi = make_field(count=2, n=1, seed=9)
+    def _field_values(self, tmp_path, version):
+        # the entries a field file holds, member 0 of version 2 or every
+        # member of version 1, come back bit for bit from the sample reader;
+        # read_field_file then gathers or moves the members, which rounds
+        psi = make_field(count=3, n=2, seed=9)
         comps = []
-        for c in psi.comps:
-            vals = np.resize(self.EDGE, 2 * c.comp.size)
+        for c in psi.comps[:1] if version == 2 else psi.comps:
+            width = 3 if version == 2 else c.comp[0].size
+            vals = np.resize(self.EDGE, 2 * 3 * width)
             z = vals[0::2] + 0j
             z.imag = vals[1::2]
-            comps.append(z.reshape(c.comp.shape))
+            comps.append(z.reshape(3, width))
         path = tmp_path / "field.json"
-        header = {"version": 1, "n": 1, "mass": 1.0, "sign": "+"}
-        path.write_bytes(reference_bytes(header, psi.p, {"comps": tuple(comps)}, None))
-        _, _, cols, _ = fileio._read_samples(path, "field", fileio._field_columns)
-        for got, want in zip(cols["comps"], comps):
-            assert np.array_equal(self.bits(got.view(float)),
-                                  self.bits(want.reshape(len(want), -1).view(float)))
+        header = ({"version": 2, "basis": "axis_rotation"} if version == 2 else {"version": 1}) \
+            | {"n": 2, "mass": 1.0, "sign": "+"}
+        columns = {"psi0": comps[0]} if version == 2 else {"comps": tuple(comps)}
+        path.write_bytes(reference_bytes(header, psi.p, columns, None))
+        _, _, cols, _ = fileio._read_samples(path, "field", fileio._FIELD_COLUMNS)
+        got = (cols["psi0"],) if version == 2 else cols["comps"]
+        for a, b in zip(got, comps, strict=True):
+            assert np.array_equal(self.bits(a.view(float)), self.bits(b.view(float)))
+
+    def test_field_values(self, tmp_path):
+        self._field_values(tmp_path, 2)
+
+    def test_legacy_field_values(self, tmp_path):
+        self._field_values(tmp_path, 1)
 
 
 class TestRejectedSamples:
@@ -345,10 +525,10 @@ class TestRejectedSamples:
         psi = make_field(count=3, n=2, seed=13)
         path = tmp_path / "field.json"
         write_field_file(path, psi, np.ones(3))
-        self._edit(path, lambda d: d["samples"][1]["comps"][1].__setitem__(3, entry))
+        self._edit(path, lambda d: d["samples"][1]["psi0"].__setitem__(1, entry))
         with pytest.raises(SchemaError) as err:
             read_field_file(path)
-        assert err.value.pointer == "/samples/1/comps/1/3"
+        assert err.value.pointer == "/samples/1/psi0/1"
 
     @pytest.mark.parametrize("component", [True, float("nan"), float("inf"), "1.0"])
     def test_bad_momentum_component(self, tmp_path, component):
@@ -405,12 +585,12 @@ class TestRejectedSamples:
         write_field_file(path, psi, np.ones(3))
 
         def edit(doc):
-            doc["samples"][0]["comps"][1][2] = [float("nan"), 0.0]
+            doc["samples"][0]["psi0"][2] = [float("nan"), 0.0]
             doc["samples"][1]["p"] = [1.0, 0.0, 0.0, 0.5]
         self._edit(path, edit)
         with pytest.raises(SchemaError) as err:
             read_field_file(path)
-        assert err.value.pointer == "/samples/0/comps/1/2"
+        assert err.value.pointer == "/samples/0/psi0/2"
 
     def test_first_bad_element_within_sample(self, tmp_path):
         path = self._edit(self._amp_path(tmp_path), lambda d: (
