@@ -28,7 +28,7 @@ offending element.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -352,8 +352,7 @@ def read_field_file(path: str) -> FieldFile:
                   for (r, s), c in zip(valences(n, mass), cols["comps"]))
     with np.errstate(over="ignore", invalid="ignore"):     # checked below
         psi = from_standard(n, mass, sign, p, comps)
-        residual = (field_equation_residual_massive(psi) if mass > 0
-                    else _massless_residual(psi))
+        residual = _equation_residual(psi)
     bad = ~(residual <= V1_RESIDUAL_TOL)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -361,6 +360,16 @@ def read_field_file(path: str) -> FieldFile:
                           f"members miss the field equations: relative residual "
                           f"{residual[i]:.3e} above {V1_RESIDUAL_TOL:g}")
     return FieldFile(component=psi, weights=weights)
+
+
+def _equation_residual(psi: BWComponent) -> np.ndarray:
+    """Per sample, the relative field-equation residual of the members
+    divided by their largest entry: both residuals floor their scale at 1,
+    so unscaled a field of small entries would pass whatever it holds."""
+    top = np.maximum.reduce([core.max_abs(c.comp, 2) for c in psi.comps])
+    unit = replace(psi, comps=tuple(c.scaled(1.0 / np.where(top > 0, top, 1.0))
+                                    for c in psi.comps))
+    return field_equation_residual_massive(unit) if psi.mass > 0 else _massless_residual(unit)
 
 
 def _massless_residual(psi: BWComponent) -> np.ndarray:

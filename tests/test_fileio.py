@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from bwspinor.cli import main
 from bwspinor.errors import NotFinite, SchemaError
 from bwspinor.fileio import (read_amplitude_file, read_field_file,
                              write_amplitude_file, write_field_file)
-from bwspinor.frames import frame_for, frame_massive, frame_massless
+from bwspinor.frames import frame_for, frame_massless
 from bwspinor.multispinor import SymMultiSpinor
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -158,15 +159,19 @@ class TestVersion1:
             data = read_field_file(write_v1(tmp_path / "field.json", psi))
             assert data.component.n == n
 
+    # a field of entries about 1e-9 is checked as one of entries about 1:
+    # the residuals floor their scale at 1, so the reader scales the members
+    @pytest.mark.parametrize("scale", [1.0, 1e-9])
     @pytest.mark.parametrize("mass", [0.0, 1.0], ids=["massless", "massive"])
-    def test_member_off_the_equations_names_the_sample(self, tmp_path, mass):
+    def test_member_off_the_equations_names_the_sample(self, tmp_path, mass, scale):
         # member 0's first entry, in standard coordinates, scaled by 1.1 plus
         # 0.1 at sample 2 alone
         psi = make_field(count=4, n=4, seed=17, mass=mass)
+        psi = replace(psi, comps=tuple(c.scaled(scale) for c in psi.comps))
         path = write_v1(tmp_path / "field.json", psi, np.ones(4))
         doc = json.loads(path.read_text())
         entry = doc["samples"][2]["comps"][0][0]
-        entry[:] = [1.1 * entry[0] + 0.1, 1.1 * entry[1]]
+        entry[:] = [1.1 * entry[0] + 0.1 * scale, 1.1 * entry[1]]
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
             read_field_file(path)
